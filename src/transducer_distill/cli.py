@@ -19,6 +19,7 @@ import numpy as np
 from . import data as data_mod
 from . import metrics as metrics_mod
 from .decode import (
+    DecodeError,
     PseudoLabelRecord,
     beam_search,
     rescore_nbest,
@@ -31,9 +32,11 @@ from .distill import (
     LossKind,
     make_loss_fn,
 )
+from .lattice import LatticeError
 from .model import (
     SGD,
     EncoderConfig,
+    ModelError,
     TransducerModel,
     load_checkpoint,
     save_checkpoint,
@@ -454,7 +457,8 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
                     nbest=[(labels, float(score)) for labels, score in keep],
                 )
             )
-        except Exception as e:  # decode failures must not kill the run
+        except (DecodeError, ModelError, LatticeError) as e:
+            # an utterance the teacher cannot decode must not kill the run
             failures.append({"utt_id": utt.utt_id, "error": str(e)})
 
     path = out / "pseudo_labels.jsonl"
@@ -474,6 +478,13 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
     weights = _combined_config(cfg)
     corpora = load_corpora(data_dir)
     pseudo = read_pseudo_labels(pseudo_label_file)
+    if weights.weight_hard_on_pseudo > 0 or weights.weight_distill > 0:
+        missing = [u.utt_id for u in corpora["unsup"].utterances if u.utt_id not in pseudo]
+        if missing:
+            raise ConfigError(
+                f"pseudo-label file has no record for {len(missing)} unsupervised "
+                f"utterances, e.g. {missing[0]}; see decode_failures.jsonl next to it"
+            )
     if kind.kind.is_norm:
         short = [r.utt_id for r in pseudo.values() if len(r.nbest) < 2]
         if short:

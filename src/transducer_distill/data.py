@@ -7,7 +7,7 @@ specs reproduce identical corpora, batches, and corruptions.
 """
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -263,23 +263,3 @@ def read_hidden_refs(path) -> dict:
             obj = json.loads(line)
             refs[obj["utt_id"]] = tuple(obj["labels"])
     return refs
-
-
-def spec_to_dict(spec: SyntheticSpec) -> dict:
-    d = asdict(spec)
-    d["frames_per_label"] = list(spec.frames_per_label)
-    d["label_len_range"] = list(spec.label_len_range)
-    return d
-
-
-def spec_from_dict(d: dict) -> SyntheticSpec:
-    return SyntheticSpec(
-        vocab_size=d["vocab_size"],
-        feat_dim=d["feat_dim"],
-        frames_per_label=tuple(d["frames_per_label"]),
-        noise_sigma=d["noise_sigma"],
-        label_len_range=tuple(d["label_len_range"]),
-        num_supervised=d["num_supervised"],
-        num_unsupervised=d["num_unsupervised"],
-        seed=d["seed"],
-    )

@@ -7,6 +7,7 @@ Ties are broken toward the lexicographically smaller label sequence so that
 decoding is deterministic.
 """
 
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -82,18 +83,6 @@ def greedy_decode(model, x, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER
     return Hypothesis(labels=tuple(labels), score=score)
 
 
-@dataclass
-class _Beam:
-    labels: tuple
-    score: float
-    state: np.ndarray
-    emitted_in_frame: int
-
-
-def _sort_key(item):
-    return (-item.score, item.labels)
-
-
 def beam_search(
     model,
     x,
@@ -105,50 +94,55 @@ def beam_search(
     Hypotheses carrying identical label sequences are merged by log-adding
     their scores, so with a beam wide enough to avoid pruning the scores
     converge to the exact full-sum sequence log-probabilities.
+
+    Each frame pops hypotheses best-first from a heap; a popped hypothesis
+    pushes its label extensions with their scores only.  The predictor state
+    of a label prefix is computed when a hypothesis carrying it is first
+    popped and reused for the rest of the utterance, which relies on the
+    predictor state depending on the label history alone.
     """
     if beam < 1:
         raise DecodeError("beam must be >= 1")
     enc = model.encode(x)
     blank = model.vocab_size
+    states = {(): model.predictor_start()}  # label prefix -> predictor state
 
-    kept = [_Beam(labels=(), score=0.0, state=model.predictor_start(), emitted_in_frame=0)]
+    kept = [((), 0.0)]
     for t in range(enc.shape[0]):
-        open_hyps = [
-            _Beam(h.labels, h.score, h.state, emitted_in_frame=0) for h in kept
-        ]
-        merged: dict[tuple, _Beam] = {}
-        while open_hyps:
-            best = min(open_hyps, key=_sort_key)
-            open_hyps.remove(best)
-            logp = model.joint_log_probs(enc[t], best.state)
+        # entries (-score, labels, push order, symbols emitted this frame):
+        # exact ties go to the hypothesis pushed first
+        heap = [(-score, labels, i, 0) for i, (labels, score) in enumerate(kept)]
+        heapq.heapify(heap)
+        pushed = len(heap)
+        merged: dict[tuple, float] = {}
+        while heap:
+            neg_score, labels, _, emitted = heapq.heappop(heap)
+            score = -neg_score
+            state = states.get(labels)
+            if state is None:
+                state = model.predictor_advance(states[labels[:-1]], labels[-1])
+                states[labels] = state
+            logp = model.joint_log_probs(enc[t], state)
 
             # blank terminates the frame for this hypothesis; merge
-            blank_score = best.score + float(logp[blank])
-            existing = merged.get(best.labels)
-            if existing is None:
-                merged[best.labels] = _Beam(best.labels, blank_score, best.state, 0)
-            else:
-                existing.score = float(np.logaddexp(existing.score, blank_score))
+            blank_score = score + float(logp[blank])
+            existing = merged.get(labels)
+            merged[labels] = (
+                blank_score if existing is None else float(np.logaddexp(existing, blank_score))
+            )
 
-            if best.emitted_in_frame < max_symbols_per_frame:
-                for k in range(model.vocab_size):
-                    open_hyps.append(
-                        _Beam(
-                            labels=best.labels + (k,),
-                            score=best.score + float(logp[k]),
-                            state=model.predictor_advance(best.state, k),
-                            emitted_in_frame=best.emitted_in_frame + 1,
-                        )
-                    )
+            if emitted < max_symbols_per_frame:
+                for k, lp in enumerate(logp[:blank].tolist()):
+                    heapq.heappush(heap, (-(score + lp), labels + (k,), pushed, emitted + 1))
+                    pushed += 1
 
-            if open_hyps:
-                frontier = min(open_hyps, key=_sort_key).score
-                settled = [h for h in merged.values() if h.score > frontier]
-                if len(settled) >= beam:
+            if heap:
+                frontier = -heap[0][0]
+                if sum(1 for s in merged.values() if s > frontier) >= beam:
                     break
-        kept = sorted(merged.values(), key=_sort_key)[:beam]
+        kept = sorted(merged.items(), key=lambda e: (-e[1], e[0]))[:beam]
 
-    hyps = [Hypothesis(labels=h.labels, score=h.score) for h in kept]
+    hyps = [Hypothesis(labels=labels, score=score) for labels, score in kept]
     return NBestList(hypotheses=hyps, beam_size=beam)
 
 

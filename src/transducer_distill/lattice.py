@@ -14,8 +14,6 @@ import numpy as np
 
 NEG_INF = -math.inf
 
-BLANK_OFFSET = -1  # blank is always the last index of the label axis
-
 # brute-force enumeration refuses anything larger than this many path steps
 ENUMERATION_LIMIT = 24
 
@@ -215,10 +213,10 @@ def rnnt_loss_with_grad(lat: Lattice, labels) -> tuple[float, np.ndarray]:
     Occupancy form: only entries for blank and the next target label are on
     any path, all other entries get exactly zero.
     """
-    y = _check_pair(lat, labels)
+    log_prob, alpha, beta = forward_backward(lat, labels)  # validates the pair
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
     T, U = lat.num_frames, len(y)
     blank = lat.blank
-    log_prob, alpha, beta = forward_backward(lat, labels)
     lp = lat.log_probs
 
     grad = np.zeros_like(lp)

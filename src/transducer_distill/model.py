@@ -113,13 +113,14 @@ class TransducerModel:
         cfg = self.encoder
         T = x.shape[0]
         T_out = -(-T // cfg.subsample)
-        win = np.zeros((T_out, cfg.window, self.feat_dim))
-        for t_out in range(T_out):
-            anchor = (t_out + 1) * cfg.subsample - 1
-            for j, t_in in enumerate(range(anchor - cfg.left_context, anchor + cfg.right_context + 1)):
-                if 0 <= t_in < T:
-                    win[t_out, j] = x[t_in]
-        return win.reshape(T_out, cfg.window * self.feat_dim)
+        # row t' of ``index`` holds the input indices of window t', shifted
+        # by left_context into ``padded``
+        anchors = np.arange(1, T_out + 1) * cfg.subsample - 1
+        index = anchors[:, None] + np.arange(cfg.window)
+        left = cfg.left_context
+        padded = np.zeros((left + T_out * cfg.subsample + cfg.right_context, self.feat_dim))
+        padded[left : left + T] = x
+        return padded[index].reshape(T_out, cfg.window * self.feat_dim)
 
     def encode(self, x) -> np.ndarray:
         """Encoder states, shape (ceil(T / subsample), hidden)."""
@@ -308,13 +309,20 @@ def save_checkpoint(model: TransducerModel, path) -> None:
             f.write(np.ascontiguousarray(model.params[n], dtype="<f4").tobytes())
 
 
+def _read_exact(f, size: int, what: str) -> bytes:
+    raw = f.read(size)
+    if len(raw) != size:
+        raise ModelError(f"checkpoint {what} holds {len(raw)} of {size} bytes")
+    return raw
+
+
 def load_checkpoint(path) -> TransducerModel:
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ModelError(f"not a checkpoint file (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<I", _read_exact(f, 4, "header length field"))
+        header = json.loads(_read_exact(f, hlen, "header").decode("utf-8"))
         if header.get("format_version") != 1:
             raise ModelError(f"unsupported checkpoint version {header.get('format_version')}")
         encoder = EncoderConfig(**header["encoder"])
@@ -322,8 +330,11 @@ def load_checkpoint(path) -> TransducerModel:
         for entry in header["params"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
-            raw = f.read(count * 4)
+            raw = _read_exact(f, count * 4, f"tensor {entry['name']!r}")
             arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
             model.params[entry["name"]] = arr.astype(np.float64)
+        trailing = len(f.read())
+        if trailing:
+            raise ModelError(f"checkpoint has {trailing} trailing bytes after the last tensor")
         model.zero_grad()
     return model

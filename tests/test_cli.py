@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import transducer_distill
@@ -17,9 +18,11 @@ from transducer_distill.cli import (
     cmd_train_teacher,
     config_hash,
     load_config,
+    load_corpora,
     validate_distill_setup,
 )
-from transducer_distill.decode import read_pseudo_labels
+from transducer_distill import cli
+from transducer_distill.decode import DecodeError, read_pseudo_labels, write_pseudo_labels
 from transducer_distill.model import load_checkpoint, TransducerModel, EncoderConfig
 
 
@@ -196,6 +199,34 @@ class TestPseudoLabel:
         with pytest.raises(ConfigError, match="nbest"):
             cmd_pseudo_label(cfg, pipeline["teacher"], pipeline["data_dir"], root=tmp_path)
 
+    def test_decode_error_skips_utterance(self, pipeline, tmp_path, monkeypatch):
+        bad = load_corpora(pipeline["data_dir"])["unsup"].utterances[0]
+        real = cli.beam_search
+
+        def failing(model, x, *args):
+            if np.array_equal(x, bad.frames):
+                raise DecodeError("cannot decode")
+            return real(model, x, *args)
+
+        monkeypatch.setattr(cli, "beam_search", failing)
+        path = cmd_pseudo_label(pipeline["cfg"], pipeline["teacher"],
+                                pipeline["data_dir"], root=tmp_path)
+        expected = set(read_pseudo_labels(pipeline["pseudo"])) - {bad.utt_id}
+        assert set(read_pseudo_labels(path)) == expected
+        failures = (path.parent / "decode_failures.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in failures] == [
+            {"utt_id": bad.utt_id, "error": "cannot decode"}
+        ]
+
+    def test_program_error_is_not_swallowed(self, pipeline, tmp_path, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug in the decoder")
+
+        monkeypatch.setattr(cli, "beam_search", broken)
+        with pytest.raises(TypeError, match="bug in the decoder"):
+            cmd_pseudo_label(pipeline["cfg"], pipeline["teacher"],
+                             pipeline["data_dir"], root=tmp_path)
+
 
 class TestDistillAndEvaluate:
     @pytest.mark.parametrize("kind", ["hard", "fs_l1", "fsnorm_l1", "soft_efficient"])
@@ -207,6 +238,41 @@ class TestDistillAndEvaluate:
         payload = json.loads(report.read_text())
         assert "eval" in payload["sets"]
         assert payload["sets"]["eval"]["wer"] >= 0.0
+
+    @pytest.mark.parametrize("weights", ["hard=1.0", "distill=1.0"])
+    def test_missing_pseudo_label_rejected_before_training(self, pipeline, tmp_path,
+                                                           monkeypatch, weights):
+        records = read_pseudo_labels(pipeline["pseudo"])
+        dropped = sorted(records)[-1]
+        del records[dropped]
+        partial = tmp_path / "partial.jsonl"
+        write_pseudo_labels(partial, records.values())
+        extra = ["distill.kind=fs_l1", "distill.weights.hard=0.0",
+                 "distill.weights.distill=0.0", f"distill.weights.{weights}"]
+
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "_train", no_training)
+        with pytest.raises(ConfigError, match=f"no record for 1 unsupervised utterances, e.g. {dropped}"):
+            cmd_distill(smoke_config(*extra), pipeline["data_dir"], pipeline["teacher"],
+                        partial, root=tmp_path)
+        assert not list(tmp_path.glob("distill-*"))
+        exit_code = cli.main([
+            "distill", "--data-dir", str(pipeline["data_dir"]),
+            "--teacher", str(pipeline["teacher"]), "--pseudo-labels", str(partial),
+            "--run-root", str(tmp_path), *SMOKE_SET_ARGS,
+            *[arg for item in extra for arg in ("--set", item)],
+        ])
+        assert exit_code == 1
+
+    def test_missing_pseudo_labels_allowed_without_pseudo_terms(self, pipeline, tmp_path):
+        partial = tmp_path / "empty.jsonl"
+        write_pseudo_labels(partial, [])
+        cfg = smoke_config("distill.kind=hard", "distill.weights.hard=0.0",
+                           "distill.weights.distill=0.0", "train.sup_fraction=1.0")
+        assert cmd_distill(cfg, pipeline["data_dir"], pipeline["teacher"], partial,
+                           root=tmp_path).exists()
 
     def test_soft_subsample_mismatch_rejected_before_training(self, pipeline, tmp_path):
         cfg = smoke_config("distill.kind=soft_efficient", "student.encoder.subsample=2")

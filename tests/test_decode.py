@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,6 +59,69 @@ def peaked_table(rng, T, U_max, K, p_top=0.92):
             rows.append(row / row.sum())
         table.append(rows)
     return table
+
+
+def reference_beam_search(model, x, beam, max_symbols_per_frame=5):
+    """Eager form of ``beam_search``: every pop advances the predictor for
+    all K labels, and the open list is scanned with ``min``."""
+    enc = model.encode(x)
+    blank = model.vocab_size
+
+    def key(h):
+        return (-h[1], h[0])
+
+    # hypotheses are [labels, score, state, symbols emitted this frame]
+    kept = [[(), 0.0, model.predictor_start(), 0]]
+    for t in range(enc.shape[0]):
+        open_hyps = [[labels, score, state, 0] for labels, score, state, _ in kept]
+        merged = {}
+        while open_hyps:
+            best = min(open_hyps, key=key)
+            open_hyps.remove(best)
+            labels, score, state, emitted = best
+            logp = model.joint_log_probs(enc[t], state)
+            blank_score = score + float(logp[blank])
+            if labels in merged:
+                merged[labels][1] = float(np.logaddexp(merged[labels][1], blank_score))
+            else:
+                merged[labels] = [labels, blank_score, state, 0]
+            if emitted < max_symbols_per_frame:
+                for k in range(model.vocab_size):
+                    open_hyps.append([labels + (k,), score + float(logp[k]),
+                                      model.predictor_advance(state, k), emitted + 1])
+            if open_hyps:
+                frontier = min(open_hyps, key=key)[1]
+                if sum(1 for h in merged.values() if h[1] > frontier) >= beam:
+                    break
+        kept = sorted(merged.values(), key=key)[:beam]
+    return [(labels, score) for labels, score, _, _ in kept]
+
+
+class CountingModel:
+    """Wraps a decoder model and counts ``predictor_advance`` per label prefix.
+
+    The predictor state is replaced by (labels so far, wrapped state), so the
+    counter can tell which prefix each advance extends.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.vocab_size = model.vocab_size
+        self.advances = Counter()
+
+    def encode(self, x):
+        return self.model.encode(x)
+
+    def predictor_start(self):
+        return ((), self.model.predictor_start())
+
+    def predictor_advance(self, state, label):
+        labels, inner = state
+        self.advances[labels + (label,)] += 1
+        return labels + (label,), self.model.predictor_advance(inner, label)
+
+    def joint_log_probs(self, enc_frame, state):
+        return self.model.joint_log_probs(enc_frame, state[1])
 
 
 def tiny_model(seed=0, vocab=2, hidden=4, T_feat=2):
@@ -135,6 +199,53 @@ class TestBeamSearch:
     def test_beam_must_be_positive(self, rng):
         with pytest.raises(DecodeError):
             beam_search(tiny_model(), rng.normal(size=(2, 3)), beam=0)
+
+    @pytest.mark.parametrize("beam", [1, 3, 8])
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    def test_equals_eager_reference_on_random_models(self, beam, cap):
+        for seed in range(4):
+            rng = np.random.default_rng(100 * beam + 10 * cap + seed)
+            m = tiny_model(seed=seed, vocab=int(rng.integers(2, 5)), hidden=5)
+            x = rng.normal(size=(int(rng.integers(2, 7)), 3))
+            nbest = beam_search(m, x, beam=beam, max_symbols_per_frame=cap)
+            got = [(h.labels, h.score) for h in nbest.hypotheses]
+            assert got == reference_beam_search(m, x, beam, cap)
+
+    @pytest.mark.parametrize("beam", [1, 3, 8])
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    def test_equals_eager_reference_on_table_models(self, beam, cap):
+        for seed in range(4):
+            rng = np.random.default_rng(1000 + 100 * beam + 10 * cap + seed)
+            table = peaked_table(rng, T=5, U_max=4, K=int(rng.integers(2, 5)),
+                                 p_top=float(rng.uniform(0.4, 0.95)))
+            m = TableModel(table)
+            nbest = beam_search(m, None, beam=beam, max_symbols_per_frame=cap)
+            got = [(h.labels, h.score) for h in nbest.hypotheses]
+            assert got == reference_beam_search(m, None, beam, cap)
+
+    def test_exact_score_ties_match_eager_reference(self):
+        # dyadic probabilities make hypotheses tie exactly on score, so the
+        # pruning break depends on the lexicographic tie-break
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            m = TableModel([[rng.permutation([0.25, 0.25, 0.5]) for _ in range(4)]
+                            for _ in range(4)])
+            for beam in (1, 2, 3, 5):
+                for cap in (1, 2):
+                    nbest = beam_search(m, None, beam=beam, max_symbols_per_frame=cap)
+                    got = [(h.labels, h.score) for h in nbest.hypotheses]
+                    assert got == reference_beam_search(m, None, beam, cap)
+
+    @pytest.mark.parametrize("beam", [1, 4, 8])
+    def test_advances_each_label_prefix_at_most_once(self, rng, beam):
+        m = CountingModel(tiny_model(seed=3, vocab=3, hidden=5))
+        x = rng.normal(size=(6, 3))
+        nbest = beam_search(m, x, beam=beam)
+        assert m.advances
+        assert max(m.advances.values()) == 1
+        for hyp in nbest.hypotheses:
+            for u in range(1, len(hyp.labels) + 1):
+                assert m.advances[hyp.labels[:u]] == 1
 
 
 class TestRescore:

@@ -72,6 +72,23 @@ class TestEncode:
             for to in anchored:
                 assert not np.array_equal(out[to], base[to])
 
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("subsample", [1, 2, 3])
+    def test_windows_equal_loop_gather(self, rng, causal, subsample):
+        for left, right, T in [(0, 0, 1), (1, 0, 4), (2, 2, 5), (3, 1, 7), (1, 3, 2)]:
+            right = 0 if causal else right
+            cfg = EncoderConfig(causal, left, right, subsample, hidden=3)
+            m = TransducerModel(vocab_size=3, feat_dim=2, encoder=cfg)
+            x = rng.normal(size=(T, 2))
+            T_out = -(-T // subsample)
+            expected = np.zeros((T_out, cfg.window, 2))
+            for t_out in range(T_out):
+                anchor = (t_out + 1) * subsample - 1
+                for j, t_in in enumerate(range(anchor - left, anchor + right + 1)):
+                    if 0 <= t_in < T:
+                        expected[t_out, j] = x[t_in]
+            assert m._windows(x).tobytes() == expected.reshape(T_out, -1).tobytes()
+
     def test_dimension_mismatch(self, rng):
         m = micro_model()
         with pytest.raises(ModelError):
@@ -211,3 +228,30 @@ class TestCheckpoint:
         bad.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(ModelError):
             load_checkpoint(bad)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(micro_model(hidden=5, seed=42), path)
+        return path, path.read_bytes()
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(data[:-3])
+        # tensors are stored in sorted name order, so the last is pred_w
+        with pytest.raises(ModelError, match=r"tensor 'pred_w' holds \d+ of \d+ bytes"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(data + b"\x00\x01")
+        with pytest.raises(ModelError, match="2 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(data[:10])
+        with pytest.raises(ModelError, match="length field holds 2 of 4 bytes"):
+            load_checkpoint(path)
+        path.write_bytes(data[:20])
+        with pytest.raises(ModelError, match=r"header holds 8 of \d+ bytes"):
+            load_checkpoint(path)
