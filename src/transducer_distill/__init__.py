@@ -14,7 +14,6 @@ from .lattice import (
     forward_backward,
     path_mass,
     rnnt_loss,
-    rnnt_loss_grad,
 )
 from .model import EncoderConfig, SGD, TransducerModel, load_checkpoint, save_checkpoint, train_step
 from .decode import Hypothesis, NBestList, beam_search, greedy_decode, rescore_nbest
@@ -39,7 +38,6 @@ __all__ = [
     "forward_backward",
     "brute_force_log_prob",
     "rnnt_loss",
-    "rnnt_loss_grad",
     "path_mass",
     "TransducerModel",
     "EncoderConfig",

@@ -131,27 +131,21 @@ def _three_class_log(lat: Lattice, y: np.ndarray, skip: int):
     """Collapse each node to log-masses of (target, blank, rest).
 
     Working entirely in log space keeps the masses finite even where the
-    linear probabilities underflow; intermediates stay O(T x U) because the
-    rest-mass accumulates label by label instead of exponentiating the full
-    lattice.  Structurally empty classes (the target at the u=U row) are
-    -inf and carry zero teacher weight.
+    linear probabilities underflow: the rest-mass is a log-add over the
+    non-target labels, in label order.  Structurally empty classes (the
+    target at the u=U row, the rest when K = 1 below it) are -inf and carry
+    zero teacher weight.
     """
     lp = lat.log_probs[skip:]
     T, U1, K1 = lp.shape
     blank = K1 - 1
+    rows = np.arange(len(y))
     log_blank = lp[:, :, blank]
     log_tgt = np.full((T, U1), -np.inf)
-    for u in range(len(y)):
-        log_tgt[:, u] = lp[:, u, y[u]]
-    log_rest = np.full((T, U1), -np.inf)
-    for k in range(blank):
-        col = lp[:, :, k]
-        hit = np.flatnonzero(y == k)
-        if hit.size:
-            col = col.copy()
-            col[:, hit] = -np.inf  # the target label is not part of "rest"
-        log_rest = np.logaddexp(log_rest, col)
-    return log_tgt, log_blank, log_rest
+    log_tgt[:, rows] = lp[:, rows, y]
+    rest = lp[:, :, :blank].copy()
+    rest[:, rows, y] = -np.inf  # the target label is not part of "rest"
+    return log_tgt, log_blank, np.logaddexp.reduce(rest, axis=-1)
 
 
 def _kl_term(log_p, log_q):
@@ -165,8 +159,7 @@ def _kl_term(log_p, log_q):
 def soft_kl_efficient(teacher: Lattice, student: Lattice, labels, reduction: str = "sum"):
     """Three-class soft distillation: match (target, blank, rest) at each node.
 
-    The coarsened KL never exceeds the full KL (log-sum inequality) and
-    needs no T x U x K intermediate.
+    The coarsened KL never exceeds the full KL (log-sum inequality).
     """
     _check_same_shape(teacher, student)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -194,12 +187,11 @@ def soft_kl_efficient(teacher: Lattice, student: Lattice, labels, reduction: str
     grad = np.zeros_like(student.log_probs)
     gview = grad[skip:]
     rest_weight = np.where(t_rest > -np.inf, np.exp(t_rest), 0.0)
-    safe_rest = np.where(s_rest > -np.inf, s_rest, 0.0)
-    for k in range(blank):
-        inside = np.exp(s_lp[:, :, k] - safe_rest)
-        gview[:, :, k] = -rest_weight * np.where(s_rest > -np.inf, inside, 0.0)
-    for u in range(len(y)):
-        gview[:, u, y[u]] = -np.exp(t_tgt[:, u])
+    has_rest = s_rest > -np.inf
+    inside = np.exp(s_lp[:, :, :blank] - np.where(has_rest, s_rest, 0.0)[..., None])
+    gview[:, :, :blank] = -rest_weight[..., None] * np.where(has_rest[..., None], inside, 0.0)
+    rows = np.arange(len(y))
+    gview[:, rows, y] = -np.exp(t_tgt[:, rows])
     gview[:, :, blank] = -np.exp(t_blank)
 
     scale = 1.0

@@ -52,18 +52,6 @@ def logsumexp(x: np.ndarray, axis=None) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def _logadd(a: float, b: float) -> float:
-    """Scalar log(exp(a) + exp(b)); much cheaper than a numpy ufunc call in
-    the tight dynamic-programming loops."""
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
 @dataclass
 class Lattice:
     """Dense per-node log posteriors ``log_probs[t, u, k]`` of shape T x (U+1) x (K+1).
@@ -169,35 +157,46 @@ def forward_backward(lat: Lattice, labels):
     """
     y = _check_pair(lat, labels)
     T, U = lat.num_frames, len(y)
-    blank = lat.blank
-    lp = lat.log_probs.tolist()
-    yl = y.tolist()
+    # the only entries on any path: blank at every node, y[u] at row u
+    blank_lp = lat.log_probs[:, :, lat.blank].tolist()
+    label_lp = lat.log_probs[:, np.arange(U), y].tolist()
+    exp, log1p = math.exp, math.log1p
 
-    alpha = [[NEG_INF] * (U + 1) for _ in range(T)]
-    alpha[0][0] = 0.0
-    for t in range(T):
-        row = alpha[t]
-        prev = alpha[t - 1] if t > 0 else None
-        for u in range(U + 1):
-            if t == 0 and u == 0:
-                continue
-            from_blank = prev[u] + lp[t - 1][u][blank] if t > 0 else NEG_INF
-            from_label = row[u - 1] + lp[t][u - 1][yl[u - 1]] if u > 0 else NEG_INF
-            row[u] = _logadd(from_blank, from_label)
+    # every entry is finite (checked above), so every alpha and beta is too
+    # and the inlined log-add needs no -inf case
+    alpha = [[0.0] * (U + 1) for _ in range(T)]
+    row = alpha[0]
+    for u in range(U):
+        row[u + 1] = row[u] + label_lp[0][u]
+    for t in range(1, T):
+        prev, row = row, alpha[t]
+        stay, emit = blank_lp[t - 1], label_lp[t]
+        row[0] = prev[0] + stay[0]
+        for u in range(1, U + 1):
+            a = prev[u] + stay[u]
+            b = row[u - 1] + emit[u - 1]
+            if a < b:
+                a, b = b, a
+            row[u] = a + log1p(exp(b - a))
 
-    beta = [[NEG_INF] * (U + 1) for _ in range(T)]
-    beta[T - 1][U] = lp[T - 1][U][blank]
-    for t in range(T - 1, -1, -1):
-        row = beta[t]
-        nxt = beta[t + 1] if t + 1 < T else None
-        for u in range(U, -1, -1):
-            if t == T - 1 and u == U:
-                continue
-            via_blank = lp[t][u][blank] + nxt[u] if t + 1 < T else NEG_INF
-            via_label = lp[t][u][yl[u]] + row[u + 1] if u < U else NEG_INF
-            row[u] = _logadd(via_blank, via_label)
+    beta = [[0.0] * (U + 1) for _ in range(T)]
+    row = beta[T - 1]
+    row[U] = blank_lp[T - 1][U]
+    emit = label_lp[T - 1]
+    for u in range(U - 1, -1, -1):
+        row[u] = emit[u] + row[u + 1]
+    for t in range(T - 2, -1, -1):
+        nxt, row = row, beta[t]
+        stay, emit = blank_lp[t], label_lp[t]
+        row[U] = stay[U] + nxt[U]
+        for u in range(U - 1, -1, -1):
+            a = stay[u] + nxt[u]
+            b = emit[u] + row[u + 1]
+            if a < b:
+                a, b = b, a
+            row[u] = a + log1p(exp(b - a))
 
-    log_prob = alpha[T - 1][U] + lp[T - 1][U][blank]
+    log_prob = alpha[T - 1][U] + blank_lp[T - 1][U]
     return log_prob, np.asarray(alpha), np.asarray(beta)
 
 
@@ -225,15 +224,11 @@ def rnnt_loss_with_grad(lat: Lattice, labels) -> tuple[float, np.ndarray]:
     occ_blank[: T - 1] += beta[1:]
     occ_blank[T - 1, :U] = NEG_INF  # blanks at (T-1, u<U) fall off the lattice
     grad[:, :, blank] = -np.exp(occ_blank)
-    for u in range(U):
-        occ_label = alpha[:, u] + lp[:, u, y[u]] + beta[:, u + 1] - log_prob
-        grad[:, u, y[u]] = -np.exp(occ_label)
+    # occupancy of the label arc at (t, u): alpha + emission + beta of (t, u+1)
+    rows = np.arange(U)
+    occ_label = alpha[:, :U] + lp[:, rows, y] + beta[:, 1:] - log_prob
+    grad[:, rows, y] = -np.exp(occ_label)
     return -log_prob, grad
-
-
-def rnnt_loss_grad(lat: Lattice, labels) -> np.ndarray:
-    """Gradient of ``rnnt_loss`` w.r.t. the lattice log-probabilities."""
-    return rnnt_loss_with_grad(lat, labels)[1]
 
 
 def _iter_paths(num_blanks: int, num_labels: int):

@@ -150,12 +150,13 @@ class TransducerModel:
         """Recurrent predictor states for BOS + y; returns (states, inputs)."""
         p = self.params
         inputs = np.concatenate(([self.blank], y))
-        H = self.encoder.hidden
-        states = np.zeros((len(inputs), H))
-        h = np.zeros(H)
-        for u, idx in enumerate(inputs):
-            h = np.tanh(p["embed"][idx] @ p["pred_w"].T + h @ p["pred_r"].T + p["pred_b"])
-            states[u] = h
+        # all input drives in one matmul; the loop adds the recurrence in place
+        states = p["embed"][inputs] @ p["pred_w"].T + p["pred_b"]
+        recur = p["pred_r"].T
+        h = np.tanh(states[0], out=states[0])
+        for row in states[1:]:
+            row += h @ recur
+            h = np.tanh(row, out=row)
         return states, inputs
 
     def forward(self, x, y):
@@ -168,15 +169,15 @@ class TransducerModel:
         enc = np.tanh(xw @ p["enc_w"].T + p["enc_b"])
         pred, inputs = self._predict_states(y)
 
-        joint_pre = (
-            (enc @ p["joint_enc"].T)[:, None, :]
-            + (pred @ p["joint_pred"].T)[None, :, :]
-            + p["joint_b"]
-        )
-        joint = np.tanh(joint_pre)
-        logits = joint @ p["out_w"].T + p["out_b"]
-        m = logits.max(axis=-1, keepdims=True)
-        log_probs = logits - (np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)) + m)
+        joint = (enc @ p["joint_enc"].T)[:, None, :] + (pred @ p["joint_pred"].T + p["joint_b"])
+        np.tanh(joint, out=joint)
+        # log-softmax whose one exp also yields the probabilities
+        log_probs = joint @ p["out_w"].T + p["out_b"]
+        log_probs -= log_probs.max(axis=-1, keepdims=True)
+        probs = np.exp(log_probs)
+        norm = probs.sum(axis=-1, keepdims=True)
+        probs /= norm
+        log_probs -= np.log(norm)
 
         cache = {
             "xw": xw,
@@ -184,7 +185,7 @@ class TransducerModel:
             "pred": pred,
             "inputs": inputs,
             "joint": joint,
-            "probs": np.exp(log_probs),
+            "probs": probs,
         }
         return Lattice(log_probs), cache
 
@@ -202,32 +203,36 @@ class TransducerModel:
 
         # through log-softmax
         dz = dloss_dlogp - cache["probs"] * dloss_dlogp.sum(axis=-1, keepdims=True)
-        g["out_w"] += np.einsum("tuk,tuh->kh", dz, joint)
+        g["out_w"] += dz.reshape(-1, dz.shape[-1]).T @ joint.reshape(-1, joint.shape[-1])
         g["out_b"] += dz.sum(axis=(0, 1))
 
+        # joint_pre[t, u] = enc_proj[t] + pred_proj[u]: each side sees the
+        # joint gradient summed over the other side's axis
         da = (dz @ p["out_w"]) * (1.0 - joint**2)
-        g["joint_enc"] += np.einsum("tuh,tg->hg", da, enc)
-        g["joint_pred"] += np.einsum("tuh,ug->hg", da, pred)
-        g["joint_b"] += da.sum(axis=(0, 1))
+        da_enc = da.sum(axis=1)
+        da_pred = da.sum(axis=0)
+        g["joint_enc"] += da_enc.T @ enc
+        g["joint_pred"] += da_pred.T @ pred
+        g["joint_b"] += da_enc.sum(axis=0)
 
-        denc = np.einsum("tuh,hg->tg", da, p["joint_enc"])
-        dpred = np.einsum("tuh,hg->ug", da, p["joint_pred"])
-
-        dpre = denc * (1.0 - enc**2)
+        dpre = (da_enc @ p["joint_enc"]) * (1.0 - enc**2)
         g["enc_w"] += dpre.T @ cache["xw"]
         g["enc_b"] += dpre.sum(axis=0)
 
+        # the loop carries only the recurrence; the weights update once after it
+        dpred = da_pred @ p["joint_pred"]
+        dtanh = 1.0 - pred**2
+        recur = p["pred_r"]
+        dzs = np.empty_like(pred)
+        carry = 0.0
+        for u in range(len(pred) - 1, -1, -1):
+            dzs[u] = (dpred[u] + carry) * dtanh[u]
+            carry = dzs[u] @ recur
         inputs = cache["inputs"]
-        carry = np.zeros(self.encoder.hidden)
-        for u in range(len(inputs) - 1, -1, -1):
-            dh = dpred[u] + carry
-            dzu = dh * (1.0 - pred[u] ** 2)
-            g["pred_b"] += dzu
-            g["pred_w"] += np.outer(dzu, p["embed"][inputs[u]])
-            h_prev = pred[u - 1] if u > 0 else np.zeros_like(pred[0])
-            g["pred_r"] += np.outer(dzu, h_prev)
-            g["embed"][inputs[u]] += p["pred_w"].T @ dzu
-            carry = p["pred_r"].T @ dzu
+        g["pred_b"] += dzs.sum(axis=0)
+        g["pred_w"] += dzs.T @ p["embed"][inputs]
+        g["pred_r"] += dzs[1:].T @ pred[:-1]
+        np.add.at(g["embed"], inputs, dzs @ p["pred_w"])
 
     # ----- incremental evaluation for decoding -----
 
@@ -325,9 +330,15 @@ def load_checkpoint(path) -> TransducerModel:
         header = json.loads(_read_exact(f, hlen, "header").decode("utf-8"))
         if header.get("format_version") != 1:
             raise ModelError(f"unsupported checkpoint version {header.get('format_version')}")
+        missing = [k for k in ("encoder", "vocab_size", "feat_dim", "params") if k not in header]
+        if missing:
+            raise ModelError(f"checkpoint header lacks the keys {missing}")
         encoder = EncoderConfig(**header["encoder"])
         model = TransducerModel(header["vocab_size"], header["feat_dim"], encoder)
         for entry in header["params"]:
+            missing = [k for k in ("name", "shape") if k not in entry]
+            if missing:
+                raise ModelError(f"checkpoint params entry {entry} lacks the keys {missing}")
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             raw = _read_exact(f, count * 4, f"tensor {entry['name']!r}")

@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from transducer_distill.lattice import Lattice
+from transducer_distill.model import CHECKPOINT_MAGIC
 
 
 def random_lattice(rng: np.random.Generator, T: int, U: int, K: int) -> Lattice:
@@ -13,6 +17,17 @@ def random_lattice(rng: np.random.Generator, T: int, U: int, K: int) -> Lattice:
 
 def uniform_lattice(T: int, U: int, K: int) -> Lattice:
     return Lattice(np.full((T, U + 1, K + 1), -np.log(K + 1)))
+
+
+def rewrite_header(data: bytes, edit) -> bytes:
+    """A checkpoint's bytes with ``edit`` applied to its parsed JSON header."""
+    magic = data[:len(CHECKPOINT_MAGIC)]
+    start = len(magic) + 4
+    (hlen,) = struct.unpack("<I", data[len(magic):start])
+    header = json.loads(data[start:start + hlen])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    return magic + struct.pack("<I", len(blob)) + blob + data[start + hlen:]
 
 
 @pytest.fixture

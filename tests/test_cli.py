@@ -23,7 +23,9 @@ from transducer_distill.cli import (
 )
 from transducer_distill import cli
 from transducer_distill.decode import DecodeError, read_pseudo_labels, write_pseudo_labels
-from transducer_distill.model import load_checkpoint, TransducerModel, EncoderConfig
+from transducer_distill.model import load_checkpoint, ModelError, TransducerModel, EncoderConfig
+
+from conftest import rewrite_header
 
 
 SMOKE_OVERRIDES = [
@@ -301,6 +303,18 @@ class TestDistillAndEvaluate:
         first = r1.read_bytes()
         r2 = cmd_evaluate(cfg, pipeline["teacher"], pipeline["data_dir"], root=tmp_path)
         assert r2.read_bytes() == first
+
+    def test_checkpoint_without_encoder_exits_one(self, pipeline, tmp_path):
+        broken = tmp_path / "no-encoder.ckpt"
+        broken.write_bytes(rewrite_header(pipeline["teacher"].read_bytes(),
+                                          lambda header: header.pop("encoder")))
+        with pytest.raises(ModelError, match="encoder"):
+            load_checkpoint(broken)
+        exit_code = cli.main([
+            "evaluate", "--data-dir", str(pipeline["data_dir"]),
+            "--checkpoint", str(broken), "--run-root", str(tmp_path), *SMOKE_SET_ARGS,
+        ])
+        assert exit_code == 1
 
 
 class TestSweepShift:

@@ -27,6 +27,56 @@ def lattice_from_probs(probs) -> Lattice:
     return Lattice(np.log(np.asarray(probs, dtype=np.float64)))
 
 
+def reference_three_class_log(lat, y, skip):
+    """The looped form of ``_three_class_log``: the rest-mass accumulates
+    label by label with ``logaddexp``."""
+    lp = lat.log_probs[skip:]
+    T, U1, K1 = lp.shape
+    blank = K1 - 1
+    log_tgt = np.full((T, U1), -np.inf)
+    for u in range(len(y)):
+        log_tgt[:, u] = lp[:, u, y[u]]
+    log_rest = np.full((T, U1), -np.inf)
+    for k in range(blank):
+        col = lp[:, :, k]
+        hit = np.flatnonzero(y == k)
+        if hit.size:
+            col = col.copy()
+            col[:, hit] = -np.inf
+        log_rest = np.logaddexp(log_rest, col)
+    return log_tgt, lp[:, :, blank], log_rest
+
+
+def reference_soft_kl_efficient(teacher, student, labels):
+    """The looped form of ``soft_kl_efficient`` (sum reduction)."""
+    y = np.asarray(labels, dtype=np.int64)
+    skip = max(teacher.excluded_frames, student.excluded_frames)
+    t_classes = reference_three_class_log(teacher, y, skip)
+    s_classes = reference_three_class_log(student, y, skip)
+    kl = 0.0
+    for t_c, s_c in zip(t_classes, s_classes):
+        term = np.zeros_like(t_c)
+        mask = t_c > -np.inf
+        term[mask] = np.exp(t_c[mask]) * (t_c[mask] - s_c[mask])
+        kl = kl + term
+    loss = float(kl.sum())
+    t_tgt, t_blank, t_rest = t_classes
+    s_rest = s_classes[2]
+    s_lp = student.log_probs[skip:]
+    blank = student.blank
+    grad = np.zeros_like(student.log_probs)
+    gview = grad[skip:]
+    rest_weight = np.where(t_rest > -np.inf, np.exp(t_rest), 0.0)
+    safe_rest = np.where(s_rest > -np.inf, s_rest, 0.0)
+    for k in range(blank):
+        inside = np.exp(s_lp[:, :, k] - safe_rest)
+        gview[:, :, k] = -rest_weight * np.where(s_rest > -np.inf, inside, 0.0)
+    for u in range(len(y)):
+        gview[:, u, y[u]] = -np.exp(t_tgt[:, u])
+    gview[:, :, blank] = -np.exp(t_blank)
+    return loss, grad
+
+
 class TestSoftKlFull:
     def test_zero_at_equality(self, rng):
         lat = random_lattice(rng, T=3, U=2, K=3)
@@ -122,6 +172,33 @@ class TestSoftKlEfficient:
             student.log_probs[idx] += h
             fd = (up - down) / (2 * h)
             assert fd == pytest.approx(grad[idx], rel=1e-4, abs=1e-8)
+
+
+    # (T, labels, K, shift): repeated labels, U = 0, K = 1 (an empty rest
+    # class below the u = U row), and excluded frames
+    REFERENCE_CASES = [
+        (5, [0, 2, 1], 3, 0),
+        (4, [1, 1, 1, 0], 3, 0),
+        (6, [], 4, 0),
+        (3, [0, 0], 1, 0),
+        (1, [2, 0], 3, 0),
+        (7, [1, 2, 2], 3, 2),
+        (6, [0], 1, 5),
+        (5, [], 2, 3),
+    ]
+
+    @pytest.mark.parametrize("T, y, K, shift", REFERENCE_CASES)
+    def test_matches_looped_reference(self, T, y, K, shift):
+        for seed in range(5):
+            rng = np.random.default_rng(700 + seed)
+            teacher = shift_teacher(random_lattice(rng, T, len(y), K), shift)
+            student = random_lattice(rng, T, len(y), K)
+            loss, grad = soft_kl_efficient(teacher, student, y)
+            want_loss, want_grad = reference_soft_kl_efficient(teacher, student, y)
+            # the same float operations in the same order: equal bit for bit
+            assert loss == want_loss
+            assert np.array_equal(grad, want_grad)
+            assert np.all(grad[:shift] == 0.0)
 
 
 class TestShiftTeacher:

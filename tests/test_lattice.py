@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transducer_distill.lattice import (
+    ENUMERATION_LIMIT,
     EnumerationLimitError,
     Lattice,
     LatticeError,
@@ -14,7 +17,7 @@ from transducer_distill.lattice import (
     logsumexp,
     path_mass,
     rnnt_loss,
-    rnnt_loss_grad,
+    rnnt_loss_with_grad,
 )
 
 from conftest import random_lattice, uniform_lattice
@@ -24,6 +27,126 @@ def blank_dominant_lattice(T, U, K, p_blank=0.9):
     lp = np.full((T, U + 1, K + 1), math.log((1.0 - p_blank) / K))
     lp[:, :, K] = math.log(p_blank)
     return Lattice(lp)
+
+
+def _logadd(a, b):
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
+
+
+def reference_forward_backward(lat, labels):
+    """The branchy form of ``forward_backward``: one scalar log-add call per
+    lattice cell, with the boundary cases handled inside the loops."""
+    y = [int(k) for k in labels]
+    T, U, blank = lat.num_frames, len(y), lat.blank
+    lp = lat.log_probs.tolist()
+    alpha = [[-math.inf] * (U + 1) for _ in range(T)]
+    alpha[0][0] = 0.0
+    for t in range(T):
+        for u in range(U + 1):
+            if t == 0 and u == 0:
+                continue
+            from_blank = alpha[t - 1][u] + lp[t - 1][u][blank] if t > 0 else -math.inf
+            from_label = alpha[t][u - 1] + lp[t][u - 1][y[u - 1]] if u > 0 else -math.inf
+            alpha[t][u] = _logadd(from_blank, from_label)
+    beta = [[-math.inf] * (U + 1) for _ in range(T)]
+    beta[T - 1][U] = lp[T - 1][U][blank]
+    for t in range(T - 1, -1, -1):
+        for u in range(U, -1, -1):
+            if t == T - 1 and u == U:
+                continue
+            via_blank = lp[t][u][blank] + beta[t + 1][u] if t + 1 < T else -math.inf
+            via_label = lp[t][u][y[u]] + beta[t][u + 1] if u < U else -math.inf
+            beta[t][u] = _logadd(via_blank, via_label)
+    log_prob = alpha[T - 1][U] + lp[T - 1][U][blank]
+    return log_prob, np.asarray(alpha), np.asarray(beta)
+
+
+def reference_loss_grad(lat, labels):
+    """``rnnt_loss_with_grad`` with its label occupancies filled row by row."""
+    log_prob, alpha, beta = reference_forward_backward(lat, labels)
+    y = np.asarray(labels, dtype=np.int64)
+    T, U, blank, lp = lat.num_frames, len(y), lat.blank, lat.log_probs
+    grad = np.zeros_like(lp)
+    occ_blank = alpha + lp[:, :, blank] - log_prob
+    occ_blank[: T - 1] += beta[1:]
+    occ_blank[T - 1, :U] = -math.inf
+    grad[:, :, blank] = -np.exp(occ_blank)
+    for u in range(U):
+        occ_label = alpha[:, u] + lp[:, u, y[u]] + beta[:, u + 1] - log_prob
+        grad[:, u, y[u]] = -np.exp(occ_label)
+    return -log_prob, grad
+
+
+def far_apart_lattice(rng, T, U, K):
+    """Normalized lattice whose entries reach about -700, so that exp of
+    the log-add's difference underflows to zero on many cells."""
+    logits = rng.normal(size=(T, U + 1, K + 1)) * 300.0
+    logits -= logits.max(axis=-1, keepdims=True)
+    return Lattice(logits - logsumexp(logits, axis=-1)[..., None])
+
+
+class TestReferenceEquivalence:
+    """The peeled, inlined recursion does the same float operations as the
+    branchy one, so alpha, beta and the gradient are equal bit for bit."""
+
+    # (T, U, labels): repeated labels, U = 0, T = 1
+    CASES = [(5, 3, [0, 2, 1]), (4, 4, [1, 1, 1, 0]), (6, 0, []), (1, 3, [2, 2, 0]),
+             (1, 0, []), (7, 5, [0, 1, 0, 1, 2])]
+
+    @pytest.mark.parametrize("T, U, y", CASES)
+    @pytest.mark.parametrize("make", [random_lattice, far_apart_lattice])
+    def test_equals_reference(self, T, U, y, make):
+        for seed in range(5):
+            lat = make(np.random.default_rng(900 + seed), T, U, 3)
+            got, want = forward_backward(lat, y), reference_forward_backward(lat, y)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
+            loss, grad = rnnt_loss_with_grad(lat, y)
+            want_loss, want_grad = reference_loss_grad(lat, y)
+            assert loss == want_loss
+            assert np.array_equal(grad, want_grad)
+
+    def test_far_apart_entries_underflow_and_stay_finite(self):
+        lat = far_apart_lattice(np.random.default_rng(3), 6, 4, 3)
+        assert lat.log_probs.min() < -600.0
+        log_prob, alpha, beta = forward_backward(lat, [0, 1, 2, 0])
+        assert np.isfinite(log_prob)
+        assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
+
+
+@st.composite
+def lattice_and_labels(draw):
+    T = draw(st.integers(1, 8))
+    U = draw(st.integers(0, min(6, ENUMERATION_LIMIT - T)))
+    K = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_lattice(rng, T, U, K), rng.integers(0, K, size=U)
+
+
+class TestForwardBackwardProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(lattice_and_labels())
+    def test_matches_enumeration(self, case):
+        lat, y = case
+        log_prob, _, _ = forward_backward(lat, y)
+        assert log_prob == pytest.approx(brute_force_log_prob(lat, y), abs=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(lattice_and_labels())
+    def test_every_anti_diagonal_carries_the_total(self, case):
+        lat, y = case
+        log_prob, alpha, beta = forward_backward(lat, y)
+        T, U = lat.num_frames, len(y)
+        for c in range(T + U):
+            cut = [alpha[t, c - t] + beta[t, c - t] for t in range(T) if 0 <= c - t <= U]
+            assert logsumexp(np.asarray(cut)) == pytest.approx(log_prob, abs=1e-9)
 
 
 class TestForwardBackward:
@@ -147,7 +270,7 @@ class TestRnntLossGrad:
     def test_off_path_entries_exactly_zero(self, rng):
         lat = random_lattice(rng, T=3, U=2, K=4)
         y = [1, 3]
-        grad = rnnt_loss_grad(lat, y)
+        grad = rnnt_loss_with_grad(lat, y)[1]
         for t in range(3):
             for u in range(3):
                 on_path = {4, y[u]} if u < 2 else {4}
@@ -157,7 +280,7 @@ class TestRnntLossGrad:
 
     def test_no_labels_blank_grad_is_minus_one(self, rng):
         lat = random_lattice(rng, T=4, U=0, K=3)
-        grad = rnnt_loss_grad(lat, [])
+        grad = rnnt_loss_with_grad(lat, [])[1]
         assert np.allclose(grad[:, 0, 3], -1.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -168,7 +291,7 @@ class TestRnntLossGrad:
         K = int(rng.integers(2, 4))
         lat = random_lattice(rng, T, U, K)
         y = rng.integers(0, K, size=U)
-        grad = rnnt_loss_grad(lat, y)
+        grad = rnnt_loss_with_grad(lat, y)[1]
         assert np.all(np.isfinite(grad))
 
         h = 1e-5

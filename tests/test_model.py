@@ -12,6 +12,8 @@ from transducer_distill.model import (
     train_step,
 )
 
+from conftest import rewrite_header
+
 
 def micro_model(causal=True, subsample=1, hidden=3, vocab=3, feat=2, seed=1):
     cfg = EncoderConfig(
@@ -32,6 +34,69 @@ def supervised_loss_fn(model, batch):
         model.backward(cache, g)
         total += loss
     return total / len(batch), {"rnnt": total / len(batch)}
+
+
+def reference_forward(model, x, y):
+    """The loop form of ``TransducerModel.forward``: the predictor steps one
+    label at a time and the log-softmax and its probabilities take two exps."""
+    p = model.params
+    xw = model._windows(np.asarray(x, dtype=np.float64))
+    enc = np.tanh(xw @ p["enc_w"].T + p["enc_b"])
+    inputs = np.concatenate(([model.blank], np.asarray(y, dtype=np.int64)))
+    pred = np.zeros((len(inputs), model.encoder.hidden))
+    h = np.zeros(model.encoder.hidden)
+    for u, idx in enumerate(inputs):
+        h = np.tanh(p["embed"][idx] @ p["pred_w"].T + h @ p["pred_r"].T + p["pred_b"])
+        pred[u] = h
+    joint = np.tanh(
+        (enc @ p["joint_enc"].T)[:, None, :]
+        + (pred @ p["joint_pred"].T)[None, :, :]
+        + p["joint_b"]
+    )
+    logits = joint @ p["out_w"].T + p["out_b"]
+    m = logits.max(axis=-1, keepdims=True)
+    log_probs = logits - (np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)) + m)
+    cache = {"xw": xw, "enc": enc, "pred": pred, "inputs": inputs, "joint": joint,
+             "probs": np.exp(log_probs)}
+    return log_probs, cache
+
+
+def reference_backward(model, cache, dloss_dlogp):
+    """The einsum form of ``TransducerModel.backward``: the joint gradient is
+    contracted in full and the predictor weights update at every step.
+    Returns fresh gradients instead of accumulating into ``model.grads``."""
+    p = model.params
+    g = {name: np.zeros_like(v) for name, v in p.items()}
+    enc, pred, joint = cache["enc"], cache["pred"], cache["joint"]
+    dz = dloss_dlogp - cache["probs"] * dloss_dlogp.sum(axis=-1, keepdims=True)
+    g["out_w"] += np.einsum("tuk,tuh->kh", dz, joint)
+    g["out_b"] += dz.sum(axis=(0, 1))
+    da = (dz @ p["out_w"]) * (1.0 - joint**2)
+    g["joint_enc"] += np.einsum("tuh,tg->hg", da, enc)
+    g["joint_pred"] += np.einsum("tuh,ug->hg", da, pred)
+    g["joint_b"] += da.sum(axis=(0, 1))
+    denc = np.einsum("tuh,hg->tg", da, p["joint_enc"])
+    dpred = np.einsum("tuh,hg->ug", da, p["joint_pred"])
+    dpre = denc * (1.0 - enc**2)
+    g["enc_w"] += dpre.T @ cache["xw"]
+    g["enc_b"] += dpre.sum(axis=0)
+    inputs = cache["inputs"]
+    carry = np.zeros(model.encoder.hidden)
+    for u in range(len(inputs) - 1, -1, -1):
+        dzu = (dpred[u] + carry) * (1.0 - pred[u] ** 2)
+        g["pred_b"] += dzu
+        g["pred_w"] += np.outer(dzu, p["embed"][inputs[u]])
+        h_prev = pred[u - 1] if u > 0 else np.zeros_like(pred[0])
+        g["pred_r"] += np.outer(dzu, h_prev)
+        g["embed"][inputs[u]] += p["pred_w"].T @ dzu
+        carry = p["pred_r"].T @ dzu
+    return g
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    """``got`` equals ``want`` to ``rel`` of the largest magnitude in ``want``."""
+    scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= rel * scale
 
 
 class TestEncoderConfig:
@@ -155,6 +220,42 @@ class TestBackward:
                 worst = max(worst, abs(fd - gflat[i]) / denom)
         assert worst < 1e-3
 
+    # (causal, subsample, T, labels): repeated labels take the np.add.at
+    # path, [] is U = 0, T = 1 a single frame
+    REFERENCE_CASES = [
+        (True, 1, 6, [0, 2, 1]),
+        (True, 1, 5, [1, 1, 1, 0]),
+        (False, 1, 4, []),
+        (False, 1, 1, [2, 2]),
+        (True, 2, 7, [0, 0, 2]),
+        (False, 2, 5, [1]),
+        (True, 3, 1, []),
+    ]
+
+    @pytest.mark.parametrize("causal, subsample, T, y", REFERENCE_CASES)
+    def test_forward_and_backward_match_reference(self, causal, subsample, T, y):
+        for seed in range(5):
+            rng = np.random.default_rng(300 + seed)
+            m = micro_model(causal=causal, subsample=subsample, hidden=5, vocab=3,
+                            feat=2, seed=seed)
+            # trained-size weights, so the tanh units are not all linear
+            for v in m.params.values():
+                v *= 10.0
+            x = rng.normal(size=(T, 2))
+            lat, cache = m.forward(x, y)
+            want_lp, want_cache = reference_forward(m, x, y)
+            assert_rel_close(lat.log_probs, want_lp)
+            for key in ("enc", "pred", "joint", "probs"):
+                assert_rel_close(cache[key], want_cache[key])
+            assert np.array_equal(cache["inputs"], want_cache["inputs"])
+
+            dlogp = rng.normal(size=lat.log_probs.shape)
+            m.zero_grad()
+            m.backward(cache, dlogp)
+            want = reference_backward(m, cache, dlogp)
+            for name in m.params:
+                assert_rel_close(m.grads[name], want[name])
+
     def test_gradient_buffers_match_param_shapes(self):
         m = micro_model()
         assert set(m.params) == set(m.grads)
@@ -245,6 +346,20 @@ class TestCheckpoint:
         path, data = self._saved(tmp_path)
         path.write_bytes(data + b"\x00\x01")
         with pytest.raises(ModelError, match="2 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["encoder", "vocab_size", "feat_dim", "params"])
+    def test_header_missing_key_rejected(self, tmp_path, key):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(rewrite_header(data, lambda header: header.pop(key)))
+        with pytest.raises(ModelError, match=f"header lacks the keys \\['{key}'\\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["name", "shape"])
+    def test_params_entry_missing_key_rejected(self, tmp_path, key):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(rewrite_header(data, lambda header: header["params"][0].pop(key)))
+        with pytest.raises(ModelError, match=f"lacks the keys \\['{key}'\\]"):
             load_checkpoint(path)
 
     def test_short_header_rejected(self, tmp_path):
