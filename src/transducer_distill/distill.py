@@ -34,15 +34,6 @@ class LossKind(str, Enum):
         return self in (LossKind.SOFT_FULL, LossKind.SOFT_EFFICIENT)
 
     @property
-    def is_sequence_level(self) -> bool:
-        return self in (
-            LossKind.FS_L1,
-            LossKind.FS_MSE,
-            LossKind.FSNORM_L1,
-            LossKind.FSNORM_MSE,
-        )
-
-    @property
     def is_norm(self) -> bool:
         return self in (LossKind.FSNORM_L1, LossKind.FSNORM_MSE)
 
@@ -127,8 +118,9 @@ def soft_kl_full(teacher: Lattice, student: Lattice, reduction: str = "sum"):
     return float(node_kl.sum()) * scale, grad * scale
 
 
-def _three_class_log(lat: Lattice, y: np.ndarray, skip: int):
-    """Collapse each node to log-masses of (target, blank, rest).
+def _three_class_log(lp: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Collapse each node of ``lp`` (..., T, U+1, K+1) to log-masses of
+    (target, blank, rest), stacked on a new leading axis of size 3.
 
     Working entirely in log space keeps the masses finite even where the
     linear probabilities underflow: the rest-mass is a log-add over the
@@ -136,16 +128,15 @@ def _three_class_log(lat: Lattice, y: np.ndarray, skip: int):
     target at the u=U row, the rest when K = 1 below it) are -inf and carry
     zero teacher weight.
     """
-    lp = lat.log_probs[skip:]
-    T, U1, K1 = lp.shape
-    blank = K1 - 1
+    blank = lp.shape[-1] - 1
     rows = np.arange(len(y))
-    log_blank = lp[:, :, blank]
-    log_tgt = np.full((T, U1), -np.inf)
-    log_tgt[:, rows] = lp[:, rows, y]
-    rest = lp[:, :, :blank].copy()
-    rest[:, rows, y] = -np.inf  # the target label is not part of "rest"
-    return log_tgt, log_blank, np.logaddexp.reduce(rest, axis=-1)
+    classes = np.full((3,) + lp.shape[:-1], -np.inf)
+    classes[0][..., rows] = lp[..., rows, y]
+    classes[1] = lp[..., blank]
+    rest = lp[..., :blank].copy()
+    rest[..., rows, y] = -np.inf  # the target label is not part of "rest"
+    classes[2] = np.logaddexp.reduce(rest, axis=-1)
+    return classes
 
 
 def _kl_term(log_p, log_q):
@@ -172,10 +163,11 @@ def soft_kl_efficient(teacher: Lattice, student: Lattice, labels, reduction: str
         )
     skip = max(teacher.excluded_frames, student.excluded_frames)
 
-    t_tgt, t_blank, t_rest = _three_class_log(teacher, y, skip)
-    s_tgt, s_blank, s_rest = _three_class_log(student, y, skip)
-
-    kl = _kl_term(t_tgt, s_tgt) + _kl_term(t_blank, s_blank) + _kl_term(t_rest, s_rest)
+    # classes[c, 0] is the teacher's, classes[c, 1] the student's mass
+    classes = _three_class_log(np.stack((teacher.log_probs[skip:], student.log_probs[skip:])), y)
+    (t_tgt, _), (t_blank, _), (t_rest, s_rest) = classes
+    class_kl = _kl_term(classes[:, 0], classes[:, 1])
+    kl = class_kl[0] + class_kl[1] + class_kl[2]
     loss = float(kl.sum())
 
     # gradient w.r.t. student log-probabilities via the class masses:

@@ -95,9 +95,6 @@ class TransducerModel:
     def blank(self) -> int:
         return self.vocab_size
 
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def zero_grad(self) -> None:
         for g in self.grads.values():
             g.fill(0.0)
@@ -150,12 +147,13 @@ class TransducerModel:
         """Recurrent predictor states for BOS + y; returns (states, inputs)."""
         p = self.params
         inputs = np.concatenate(([self.blank], y))
-        # all input drives in one matmul; the loop adds the recurrence in place
-        states = p["embed"][inputs] @ p["pred_w"].T + p["pred_b"]
-        recur = p["pred_r"].T
-        h = np.tanh(states[0], out=states[0])
-        for row in states[1:]:
-            row += h @ recur
+        # a stack of vector-matrix products is computed as the same products
+        # one by one, so the states match a per-label loop bit for bit
+        states = (p["embed"][inputs][:, None, :] @ p["pred_w"].T)[:, 0]
+        h = np.zeros(self.encoder.hidden)
+        for row in states:
+            row += h @ p["pred_r"].T
+            row += p["pred_b"]
             h = np.tanh(row, out=row)
         return states, inputs
 
@@ -169,15 +167,12 @@ class TransducerModel:
         enc = np.tanh(xw @ p["enc_w"].T + p["enc_b"])
         pred, inputs = self._predict_states(y)
 
-        joint = (enc @ p["joint_enc"].T)[:, None, :] + (pred @ p["joint_pred"].T + p["joint_b"])
+        joint = (enc @ p["joint_enc"].T)[:, None, :] + (pred @ p["joint_pred"].T)[None, :, :]
+        joint += p["joint_b"]
         np.tanh(joint, out=joint)
-        # log-softmax whose one exp also yields the probabilities
-        log_probs = joint @ p["out_w"].T + p["out_b"]
-        log_probs -= log_probs.max(axis=-1, keepdims=True)
-        probs = np.exp(log_probs)
-        norm = probs.sum(axis=-1, keepdims=True)
-        probs /= norm
-        log_probs -= np.log(norm)
+        logits = joint @ p["out_w"].T + p["out_b"]
+        m = logits.max(axis=-1, keepdims=True)
+        log_probs = logits - (np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)) + m)
 
         cache = {
             "xw": xw,
@@ -185,7 +180,7 @@ class TransducerModel:
             "pred": pred,
             "inputs": inputs,
             "joint": joint,
-            "probs": probs,
+            "probs": np.exp(log_probs),
         }
         return Lattice(log_probs), cache
 
@@ -203,36 +198,47 @@ class TransducerModel:
 
         # through log-softmax
         dz = dloss_dlogp - cache["probs"] * dloss_dlogp.sum(axis=-1, keepdims=True)
-        g["out_w"] += dz.reshape(-1, dz.shape[-1]).T @ joint.reshape(-1, joint.shape[-1])
+        g["out_w"] += np.einsum("tuk,tuh->kh", dz, joint)
         g["out_b"] += dz.sum(axis=(0, 1))
 
-        # joint_pre[t, u] = enc_proj[t] + pred_proj[u]: each side sees the
-        # joint gradient summed over the other side's axis
         da = (dz @ p["out_w"]) * (1.0 - joint**2)
-        da_enc = da.sum(axis=1)
-        da_pred = da.sum(axis=0)
-        g["joint_enc"] += da_enc.T @ enc
-        g["joint_pred"] += da_pred.T @ pred
-        g["joint_b"] += da_enc.sum(axis=0)
+        # row (t, u) of the joint gradient meets enc[t] and pred[u]; one einsum
+        # over the rows sums both projections' terms in (t, u) order
+        T, U1, H = da.shape
+        pairs = np.empty((T, U1, 2 * H))
+        pairs[:, :, :H] = enc[:, None, :]
+        pairs[:, :, H:] = pred
+        d_proj = np.einsum("rh,rg->hg", da.reshape(T * U1, H), pairs.reshape(T * U1, 2 * H))
+        g["joint_enc"] += d_proj[:, :H]
+        g["joint_pred"] += d_proj[:, H:]
+        g["joint_b"] += da.sum(axis=(0, 1))
 
-        dpre = (da_enc @ p["joint_enc"]) * (1.0 - enc**2)
+        denc = np.einsum("tuh,hg->tg", da, p["joint_enc"])
+        dpred = np.einsum("tuh,hg->ug", da, p["joint_pred"])
+
+        dpre = denc * (1.0 - enc**2)
         g["enc_w"] += dpre.T @ cache["xw"]
         g["enc_b"] += dpre.sum(axis=0)
 
-        # the loop carries only the recurrence; the weights update once after it
-        dpred = da_pred @ p["joint_pred"]
-        dtanh = 1.0 - pred**2
-        recur = p["pred_r"]
-        dzs = np.empty_like(pred)
-        carry = 0.0
-        for u in range(len(pred) - 1, -1, -1):
-            dzs[u] = (dpred[u] + carry) * dtanh[u]
-            carry = dzs[u] @ recur
         inputs = cache["inputs"]
-        g["pred_b"] += dzs.sum(axis=0)
-        g["pred_w"] += dzs.T @ p["embed"][inputs]
-        g["pred_r"] += dzs[1:].T @ pred[:-1]
-        np.add.at(g["embed"], inputs, dzs @ p["pred_w"])
+        # dpred becomes the predictor pre-activation gradient, row by row
+        dzs = dpred
+        carry = np.zeros(H)
+        for row, slope in zip(dzs[::-1], 1.0 - pred[::-1] ** 2):
+            row += carry
+            row *= slope
+            carry = p["pred_r"].T @ row
+        # step u adds dzs[u] times [1, embed[inputs[u]], pred[u - 1]] to
+        # [pred_b | pred_w | pred_r]; one reduction takes the steps in the
+        # order u = U..0 of a per-step update, so the sums match it bit for bit
+        right = np.zeros((U1, 1 + 2 * H))
+        right[:, 0], right[:, 1 : H + 1], right[1:, H + 1 :] = 1.0, p["embed"][inputs], pred[:-1]
+        acc = np.concatenate((g["pred_b"][:, None], g["pred_w"], g["pred_r"]), axis=1)
+        terms = np.concatenate((acc[None], dzs[::-1, :, None] * right[::-1, None, :]))
+        total = np.add.reduce(terms, axis=0)
+        g["pred_b"][:] = total[:, 0]
+        g["pred_w"][:], g["pred_r"][:] = total[:, 1 : H + 1], total[:, H + 1 :]
+        np.add.at(g["embed"], inputs[::-1], (p["pred_w"].T @ dzs[:, :, None])[::-1, :, 0])
 
     # ----- incremental evaluation for decoding -----
 
@@ -252,7 +258,7 @@ class TransducerModel:
         a = np.tanh(enc_frame @ p["joint_enc"].T + pred_state @ p["joint_pred"].T + p["joint_b"])
         z = a @ p["out_w"].T + p["out_b"]
         m = z.max()
-        return z - (np.log(np.sum(np.exp(z - m))) + m)
+        return z - (np.log(np.exp(z - m).sum()) + m)
 
 
 class SGD:

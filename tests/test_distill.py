@@ -28,8 +28,8 @@ def lattice_from_probs(probs) -> Lattice:
 
 
 def reference_three_class_log(lat, y, skip):
-    """The looped form of ``_three_class_log``: the rest-mass accumulates
-    label by label with ``logaddexp``."""
+    """The looped form of ``_three_class_log`` for one lattice: the
+    rest-mass accumulates label by label with ``logaddexp``."""
     lp = lat.log_probs[skip:]
     T, U1, K1 = lp.shape
     blank = K1 - 1

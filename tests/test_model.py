@@ -37,8 +37,8 @@ def supervised_loss_fn(model, batch):
 
 
 def reference_forward(model, x, y):
-    """The loop form of ``TransducerModel.forward``: the predictor steps one
-    label at a time and the log-softmax and its probabilities take two exps."""
+    """The loop form of ``TransducerModel.forward``: the predictor takes one
+    vector-matrix product per label."""
     p = model.params
     xw = model._windows(np.asarray(x, dtype=np.float64))
     enc = np.tanh(xw @ p["enc_w"].T + p["enc_b"])
@@ -61,12 +61,12 @@ def reference_forward(model, x, y):
     return log_probs, cache
 
 
-def reference_backward(model, cache, dloss_dlogp):
-    """The einsum form of ``TransducerModel.backward``: the joint gradient is
-    contracted in full and the predictor weights update at every step.
-    Returns fresh gradients instead of accumulating into ``model.grads``."""
+def reference_backward(model, cache, dloss_dlogp, grads):
+    """The per-step form of ``TransducerModel.backward``: one einsum per
+    joint projection, and the predictor weights update at every label.
+    Accumulates into a copy of ``grads`` and returns it."""
     p = model.params
-    g = {name: np.zeros_like(v) for name, v in p.items()}
+    g = {name: v.copy() for name, v in grads.items()}
     enc, pred, joint = cache["enc"], cache["pred"], cache["joint"]
     dz = dloss_dlogp - cache["probs"] * dloss_dlogp.sum(axis=-1, keepdims=True)
     g["out_w"] += np.einsum("tuk,tuh->kh", dz, joint)
@@ -221,7 +221,10 @@ class TestBackward:
         assert worst < 1e-3
 
     # (causal, subsample, T, labels): repeated labels take the np.add.at
-    # path, [] is U = 0, T = 1 a single frame
+    # path, [] is U = 0, T = 1 a single frame. The kernels form the
+    # reference's products and add them in its order; the 1e-12 bound
+    # leaves room for a BLAS that rounds a stack of vector-matrix products
+    # differently from the same products one at a time.
     REFERENCE_CASES = [
         (True, 1, 6, [0, 2, 1]),
         (True, 1, 5, [1, 1, 1, 0]),
@@ -249,10 +252,12 @@ class TestBackward:
                 assert_rel_close(cache[key], want_cache[key])
             assert np.array_equal(cache["inputs"], want_cache["inputs"])
 
+            # accumulate onto nonzero gradients, as a batch does
+            for g in m.grads.values():
+                g[...] = rng.normal(size=g.shape)
             dlogp = rng.normal(size=lat.log_probs.shape)
-            m.zero_grad()
+            want = reference_backward(m, cache, dlogp, m.grads)
             m.backward(cache, dlogp)
-            want = reference_backward(m, cache, dlogp)
             for name in m.params:
                 assert_rel_close(m.grads[name], want[name])
 
