@@ -99,7 +99,6 @@ DEFAULT_CONFIG = {
     "distill": {
         "kind": "fs_l1",
         "shift_n": 0,
-        "nbest_size": 4,
         "weights": {"supervised": 1.0, "hard": 1.0, "distill": 1.0},
         "reduction": "sum",
     },
@@ -230,10 +229,6 @@ def _teacher_quality(cfg: dict) -> dict:
     return quality
 
 
-def _student_encoder(cfg: dict) -> EncoderConfig:
-    return _encoder_from(cfg["student"]["encoder"], "student")
-
-
 def _encoder_from(enc: dict, who: str) -> EncoderConfig:
     try:
         return EncoderConfig(
@@ -257,13 +252,20 @@ def _distill_kind(cfg: dict) -> DistillLossKind:
             f"{[k.value for k in LossKind]}"
         )
     try:
-        return DistillLossKind(
-            kind=kind,
-            shift_n=d.get("shift_n", 0),
-            nbest_size=d.get("nbest_size", 1),
-        )
+        return DistillLossKind(kind=kind, shift_n=d.get("shift_n", 0))
     except ValueError as e:
         raise ConfigError(str(e))
+
+
+def _nbest_size(cfg: dict) -> int:
+    """``decode.nbest``, the one N-best size; normalized kinds need >= 2."""
+    nbest = cfg["decode"].get("nbest", 1)
+    if _distill_kind(cfg).kind.is_norm and nbest < 2:
+        raise ConfigError(
+            "normalized full-sum distillation needs an N-best list: set "
+            "decode.nbest >= 2 (a single hypothesis normalizes to a constant)"
+        )
+    return nbest
 
 
 def _combined_config(cfg: dict) -> CombinedLossConfig:
@@ -289,11 +291,7 @@ def validate_distill_setup(cfg: dict, teacher_subsample: int) -> None:
             f"full-sum kind (fs_l1/fs_mse/fsnorm_l1/fsnorm_mse), which does not "
             f"depend on the time dimension"
         )
-    if kind.kind.is_norm and kind.nbest_size < 2:
-        raise ConfigError(
-            "normalized full-sum distillation needs nbest_size >= 2 "
-            "(a single-hypothesis list makes the normalized score constant)"
-        )
+    _nbest_size(cfg)
     if kind.shift_n > 0 and not kind.kind.is_soft:
         raise ConfigError("shift_n only applies to soft distillation")
 
@@ -318,19 +316,33 @@ def _write_manifest(out: Path, cfg: dict, counts: dict) -> None:
         f.write("\n")
 
 
+# the corpus set parsed last, keyed by the sha256 of its files' bytes
+_LAST_CORPORA = {}
+
+
 def load_corpora(data_dir) -> dict:
+    """The parsed corpora of ``data_dir``, shared by every call that finds
+    the same file bytes; their frame arrays are read-only."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no corpus manifest at {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
-    files = manifest["files"]
-    sup = data_mod.read_corpus(data_dir / files["supervised"], "sup")
-    unsup = data_mod.read_corpus(data_dir / files["unsupervised"], "unsup")
-    unsup.hidden_refs.update(data_mod.read_hidden_refs(data_dir / files["unsup_refs"]))
-    ev = data_mod.read_corpus(data_dir / files["eval"], "eval")
-    return {"sup": sup, "unsup": unsup, "eval": ev, "manifest": manifest}
+    raw = manifest_path.read_bytes()
+    manifest = json.loads(raw)
+    paths = [data_dir / manifest["files"][k]
+             for k in ("supervised", "unsupervised", "unsup_refs", "eval")]
+    key = (hashlib.sha256(raw).hexdigest(),
+           *(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths))
+    if key not in _LAST_CORPORA:
+        _LAST_CORPORA.clear()
+        sup = data_mod.read_corpus(paths[0], "sup")
+        unsup = data_mod.read_corpus(paths[1], "unsup")
+        unsup.hidden_refs.update(data_mod.read_hidden_refs(paths[2]))
+        ev = data_mod.read_corpus(paths[3], "eval")
+        for utt in sup.utterances + unsup.utterances + ev.utterances:
+            utt.frames.flags.writeable = False
+        _LAST_CORPORA[key] = {"sup": sup, "unsup": unsup, "eval": ev, "manifest": manifest}
+    return _LAST_CORPORA[key]
 
 
 # ----- commands -----
@@ -416,16 +428,10 @@ def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
 def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
     decode_cfg = cfg["decode"]
     beam = decode_cfg.get("beam", 8)
-    nbest_size = decode_cfg.get("nbest", 1)
+    nbest_size = _nbest_size(cfg)
     cap = decode_cfg.get("max_symbols_per_frame", 5)
     if beam < 1 or nbest_size < 1:
         raise ConfigError("beam and nbest must be >= 1")
-    kind = _distill_kind(cfg)
-    if kind.kind.is_norm and nbest_size < 2:
-        raise ConfigError(
-            "normalized full-sum distillation needs an N-best list: set "
-            "decode.nbest >= 2 (a single hypothesis normalizes to a constant)"
-        )
     teacher = load_checkpoint(checkpoint)
     corpora = load_corpora(data_dir)
     out = make_run_dir("pseudo-label", cfg, root)
@@ -471,7 +477,10 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
     return path
 
 
-def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root=None) -> Path:
+def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root=None,
+                teacher_lattices=None) -> Path:
+    """Train one student.  Rows that share a teacher and corpus may share
+    one ``teacher_lattices`` memo; by default each call makes its own."""
     teacher = load_checkpoint(teacher_checkpoint)
     validate_distill_setup(cfg, teacher.encoder.subsample)
     kind = _distill_kind(cfg)
@@ -495,7 +504,7 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
             )
 
     spec = _data_spec(cfg)
-    encoder = _student_encoder(cfg)
+    encoder = _encoder_from(cfg["student"]["encoder"], "student")
     out = make_run_dir("distill", cfg, root)
 
     init = cfg["student"].get("init_checkpoint")
@@ -516,6 +525,7 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
         pseudo_labels=pseudo,
         teacher_model=teacher if needs_teacher else None,
         reduction=cfg["distill"].get("reduction", "sum"),
+        teacher_lattices={} if teacher_lattices is None else teacher_lattices,
     )
     _train(model, corpora["sup"], corpora["unsup"], cfg, loss_fn, out / "metrics.jsonl")
 
@@ -527,7 +537,7 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
 def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root=None) -> Path:
     """Train one student per standard experiment row and evaluate each."""
     out = make_run_dir("distill-grid", cfg, root)
-    summary = {}
+    summary, teacher_lattices = {}, {}
     for row, (kind_name, (w_sup, w_hard, w_distill)) in GRID_ROWS.items():
         row_cfg = json.loads(json.dumps(cfg))
         row_cfg["distill"]["kind"] = kind_name
@@ -537,7 +547,8 @@ def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
         if w_hard == 0.0 and w_distill == 0.0:
             # the supervised-only baseline row trains on pure supervised batches
             row_cfg["train"]["sup_fraction"] = 1.0
-        ckpt = cmd_distill(row_cfg, data_dir, teacher_checkpoint, pseudo_label_file, root=out)
+        ckpt = cmd_distill(row_cfg, data_dir, teacher_checkpoint, pseudo_label_file, root=out,
+                           teacher_lattices=teacher_lattices)
         report = cmd_evaluate(row_cfg, ckpt, data_dir, root=out)
         with open(report, encoding="utf-8") as f:
             summary[row] = json.load(f)["sets"]["eval"]["wer"]
@@ -588,11 +599,12 @@ def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
         shifts = list(range(0, 4))
 
     out = make_run_dir("sweep-shift", cfg, root)
-    rows = []
+    rows, teacher_lattices = [], {}
     for n in shifts:
         run_cfg = json.loads(json.dumps(cfg))
         run_cfg["distill"]["shift_n"] = int(n)
-        ckpt = cmd_distill(run_cfg, data_dir, teacher_checkpoint, pseudo_label_file, root=out)
+        ckpt = cmd_distill(run_cfg, data_dir, teacher_checkpoint, pseudo_label_file, root=out,
+                           teacher_lattices=teacher_lattices)
         report = cmd_evaluate(run_cfg, ckpt, data_dir, root=out)
         with open(report, encoding="utf-8") as f:
             wer = json.load(f)["sets"]["eval"]["wer"]

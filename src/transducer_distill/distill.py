@@ -47,21 +47,18 @@ class DistillLossKind:
     """A distillation loss selection plus its knobs.
 
     ``shift_n`` shifts the teacher lattice right in time (soft variants
-    only); ``nbest_size`` is the hypothesis-list length for the normalized
-    sequence variants.
+    only).  The normalized sequence variants use the pseudo-label record's
+    whole N-best list, whose length is set when decoding.
     """
 
     kind: LossKind
     shift_n: int = 0
-    nbest_size: int = 1
 
     def __post_init__(self):
         if self.shift_n < 0:
             raise DistillError("shift_n must be >= 0")
         if self.shift_n > 0 and not self.kind.is_soft:
             raise DistillError("shift_n only applies to soft distillation")
-        if self.nbest_size < 1:
-            raise DistillError("nbest_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -263,13 +260,8 @@ def fs_norm_distill(teacher_scores, student_scores, target_index: int, kind: str
 
     t_norm = t[target_index] - logsumexp(t)
     s_norm = s[target_index] - logsumexp(s)
-    diff = s_norm - t_norm
-    if kind == "l1":
-        loss, dnorm = abs(diff), float(np.sign(diff))
-    elif kind == "mse":
-        loss, dnorm = diff * diff, 2.0 * diff
-    else:
-        raise DistillError(f"unknown full-sum flavor {kind!r}")
+    # the L1 or squared distance of the normalized scores, as in fs_distill
+    loss, dnorm = fs_distill(t_norm, s_norm, kind)
 
     # s_norm = s[i] - logsumexp(s): d s_norm / d s_j = [j == i] - softmax(s)_j
     softmax = np.exp(s - logsumexp(s))
@@ -279,107 +271,113 @@ def fs_norm_distill(teacher_scores, student_scores, target_index: int, kind: str
 
 
 # ----- batch-level combination -----
+#
+# Each term returns its loss and the (scale, forward cache, lattice gradient)
+# triples to backpropagate, weighted by the term's weight.
 
 
-def _rnnt_term(model, x, y, weight: float, utt_id: str, accumulate: bool) -> float:
-    lat, cache = model.forward(x, y)
-    loss, g = rnnt_loss_with_grad(lat, y)
-    if not np.isfinite(loss):
-        raise NonFiniteLossError(utt_id, loss)
-    if accumulate and weight != 0.0:
-        model.backward(cache, weight * g)
-    return loss
+class _StudentPasses:
+    """The student's forward pass and full-sum loss per label sequence of one
+    utterance, each run at most once however many terms read it.  A forward
+    pass depends only on the parameters, which no term changes, so every
+    term sees the values that a pass of its own would give."""
+
+    def __init__(self, model, x):
+        self.model, self.x, self._passes = model, x, {}
+
+    def forward(self, labels):
+        """``[lattice, forward cache, (NLL, lattice gradient) or None]``."""
+        key = tuple(labels)
+        if key not in self._passes:
+            self._passes[key] = [*self.model.forward(self.x, list(key)), None]
+        return self._passes[key]
+
+    def loss(self, labels):
+        """``(NLL, lattice gradient, forward cache)``."""
+        entry = self.forward(labels)
+        if entry[2] is None:
+            entry[2] = rnnt_loss_with_grad(entry[0], list(labels))
+        return (*entry[2], entry[1])
 
 
-def _soft_term(model, teacher_model, x, y, kind: DistillLossKind, reduction: str,
-               weight: float, utt_id: str, accumulate: bool) -> float:
-    student_lat, cache = model.forward(x, y)
-    teacher_lat = teacher_model.build_lattice(x, y)
+def _rnnt_term(student, y):
+    nll, g, cache = student.loss(y)
+    return nll, [(1.0, cache, g)]
+
+
+def _soft_term(student, teacher_model, teacher_lattices: dict, utt_id: str, y,
+               kind: DistillLossKind, reduction: str):
+    student_lat, cache, _ = student.forward(y)
+    key = (utt_id, tuple(y))
+    if key not in teacher_lattices:
+        teacher_lattices[key] = teacher_model.build_lattice(student.x, list(y))
+        teacher_lattices[key].log_probs.flags.writeable = False
+    teacher_lat = teacher_lattices[key]
     if kind.shift_n > 0:
         teacher_lat = shift_teacher(teacher_lat, kind.shift_n)
     if kind.kind == LossKind.SOFT_FULL:
         loss, g = soft_kl_full(teacher_lat, student_lat, reduction=reduction)
     else:
-        loss, g = soft_kl_efficient(teacher_lat, student_lat, y, reduction=reduction)
-    if not np.isfinite(loss):
-        raise NonFiniteLossError(utt_id, loss)
-    if accumulate and weight != 0.0:
-        model.backward(cache, weight * g)
-    return loss
+        loss, g = soft_kl_efficient(teacher_lat, student_lat, list(y), reduction=reduction)
+    return loss, [(1.0, cache, g)]
 
 
-def _fs_term(model, x, record, kind: DistillLossKind, weight: float,
-             accumulate: bool) -> float:
-    if kind.kind.is_norm:
-        if len(record.nbest) < 2:
-            raise DistillError(
-                f"normalized full-sum distillation needs an N-best list with "
-                f">= 2 hypotheses, got {len(record.nbest)} for {record.utt_id}"
-            )
-        teacher_scores = [score for _, score in record.nbest]
-        student_scores = []
-        caches = []
-        grads = []
-        for labels, _ in record.nbest:
-            lat, cache = model.forward(x, list(labels))
-            nll, g = rnnt_loss_with_grad(lat, list(labels))
-            student_scores.append(-nll)
-            caches.append(cache)
-            grads.append(g)  # gradient of the NLL; score = -NLL
-        loss, dscores = fs_norm_distill(
-            teacher_scores, student_scores, record.target_index(), kind.kind.fs_flavor
+def _fs_term(student, record, kind: DistillLossKind):
+    if not kind.kind.is_norm:
+        nll, g, cache = student.loss(record.labels)
+        loss, dnll = fs_distill(-record.score, nll, kind.kind.fs_flavor)
+        return loss, [(dnll, cache, g)]
+    if len(record.nbest) < 2:
+        raise DistillError(
+            f"normalized full-sum distillation needs an N-best list with "
+            f">= 2 hypotheses, got {len(record.nbest)} for {record.utt_id}"
         )
-        if not np.isfinite(loss):
-            raise NonFiniteLossError(record.utt_id, loss)
-        if accumulate and weight != 0.0:
-            for dscore, cache, g in zip(dscores, caches, grads):
-                # d score / d lattice = -d NLL / d lattice
-                model.backward(cache, (-dscore * weight) * g)
-        return loss
-
-    y = list(record.labels)
-    lat, cache = model.forward(x, y)
-    student_nll, g = rnnt_loss_with_grad(lat, y)
-    teacher_nll = -record.score
-    loss, dstudent = fs_distill(teacher_nll, student_nll, kind.kind.fs_flavor)
-    if not np.isfinite(loss):
-        raise NonFiniteLossError(record.utt_id, loss)
-    if accumulate and weight != 0.0:
-        model.backward(cache, (dstudent * weight) * g)
-    return loss
+    passes = [student.loss(labels) for labels, _ in record.nbest]
+    loss, dscores = fs_norm_distill(
+        [score for _, score in record.nbest], [-nll for nll, _, _ in passes],
+        record.target_index(), kind.kind.fs_flavor,
+    )
+    # score = -NLL, so d score / d lattice = -d NLL / d lattice
+    return loss, [(-dscore, cache, g) for dscore, (_, g, cache) in zip(dscores, passes)]
 
 
-def combined_loss(
-    model,
-    batch,
-    kind: DistillLossKind,
-    config: CombinedLossConfig,
-    pseudo_labels=None,
-    teacher_model=None,
-    reduction: str = "sum",
-    accumulate: bool = True,
-):
+def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfig,
+                  pseudo_labels=None, teacher_model=None, reduction: str = "sum",
+                  accumulate: bool = True, teacher_lattices=None):
     """Weighted sum of supervised, hard-pseudo, and distillation terms.
 
     ``batch`` is a list of corpus utterances; those with ground-truth labels
     form the supervised slice, the rest must have a pseudo-label record.
     Per-term means are reported separately for logging.  Gradients are
-    accumulated into ``model.grads`` scaled by the term weights.
+    accumulated into ``model.grads`` scaled by the term weights, with one
+    ``model.backward`` per term and lattice.  The terms of an utterance
+    share one student forward pass and full-sum loss per label sequence.
+    ``teacher_lattices`` memoizes the frozen teacher's lattices by
+    (utt_id, label sequence); one dict may serve every call that uses the
+    same teacher and corpus.
     """
+    teacher_lattices = {} if teacher_lattices is None else teacher_lattices
     sums = {"supervised_rnnt": 0.0, "hard_on_pseudo": 0.0, "distill": 0.0}
     counts = {"supervised_rnnt": 0, "hard_on_pseudo": 0, "distill": 0}
     n_sup = max(sum(1 for u in batch if u.labels is not None), 1)
     n_unsup = max(sum(1 for u in batch if u.labels is None), 1)
 
+    def add(name, weight, utt_id, term):
+        loss, parts = term
+        if not np.isfinite(loss):
+            raise NonFiniteLossError(utt_id, loss)
+        if accumulate and weight != 0.0:
+            for scale, cache, g in parts:
+                model.backward(cache, (scale * weight) * g)
+        sums[name] += loss
+        counts[name] += 1
+
     for utt in batch:
+        student = _StudentPasses(model, utt.frames)
         if utt.labels is not None:
             if config.weight_supervised_rnnt > 0:
-                sums["supervised_rnnt"] += _rnnt_term(
-                    model, utt.frames, list(utt.labels),
-                    config.weight_supervised_rnnt / n_sup,
-                    utt.utt_id, accumulate,
-                )
-                counts["supervised_rnnt"] += 1
+                add("supervised_rnnt", config.weight_supervised_rnnt / n_sup, utt.utt_id,
+                    _rnnt_term(student, utt.labels))
             continue
 
         record = (pseudo_labels or {}).get(utt.utt_id)
@@ -388,25 +386,17 @@ def combined_loss(
                 raise DistillError(f"no pseudo label for utterance {utt.utt_id}")
             continue
         if config.weight_hard_on_pseudo > 0:
-            sums["hard_on_pseudo"] += _rnnt_term(
-                model, utt.frames, list(record.labels),
-                config.weight_hard_on_pseudo / n_unsup, utt.utt_id, accumulate,
-            )
-            counts["hard_on_pseudo"] += 1
+            add("hard_on_pseudo", config.weight_hard_on_pseudo / n_unsup, utt.utt_id,
+                _rnnt_term(student, record.labels))
         if config.weight_distill > 0 and kind.kind != LossKind.HARD:
-            if kind.kind.is_soft:
-                if teacher_model is None:
-                    raise DistillError("soft distillation requires the teacher model")
-                sums["distill"] += _soft_term(
-                    model, teacher_model, utt.frames, list(record.labels), kind,
-                    reduction, config.weight_distill / n_unsup, utt.utt_id, accumulate,
-                )
+            if not kind.kind.is_soft:
+                term = _fs_term(student, record, kind)
+            elif teacher_model is None:
+                raise DistillError("soft distillation requires the teacher model")
             else:
-                sums["distill"] += _fs_term(
-                    model, utt.frames, record, kind,
-                    config.weight_distill / n_unsup, accumulate,
-                )
-            counts["distill"] += 1
+                term = _soft_term(student, teacher_model, teacher_lattices, utt.utt_id,
+                                  record.labels, kind, reduction)
+            add("distill", config.weight_distill / n_unsup, utt.utt_id, term)
 
     terms = {
         name: (sums[name] / counts[name] if counts[name] else 0.0) for name in sums
@@ -419,18 +409,12 @@ def combined_loss(
     return total, terms
 
 
-def make_loss_fn(kind, config, pseudo_labels=None, teacher_model=None, reduction="sum"):
+def make_loss_fn(kind, config, pseudo_labels=None, teacher_model=None, reduction="sum",
+                 teacher_lattices=None):
     """Bind a ``combined_loss`` closure usable with ``model.train_step``."""
 
     def loss_fn(model, batch):
-        return combined_loss(
-            model,
-            batch,
-            kind=kind,
-            config=config,
-            pseudo_labels=pseudo_labels,
-            teacher_model=teacher_model,
-            reduction=reduction,
-        )
+        return combined_loss(model, batch, kind, config, pseudo_labels, teacher_model,
+                             reduction, teacher_lattices=teacher_lattices)
 
     return loss_fn

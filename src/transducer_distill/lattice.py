@@ -9,6 +9,7 @@ path therefore contains exactly T blanks and U labels.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -197,7 +198,9 @@ def forward_backward(lat: Lattice, labels):
             row[u] = a + log1p(exp(b - a))
 
     log_prob = alpha[T - 1][U] + blank_lp[T - 1][U]
-    return log_prob, np.asarray(alpha), np.asarray(beta)
+    alpha, beta = (np.fromiter(chain.from_iterable(m), np.float64, T * (U + 1)).reshape(T, U + 1)
+                   for m in (alpha, beta))
+    return log_prob, alpha, beta
 
 
 def rnnt_loss(lat: Lattice, labels) -> float:

@@ -1,7 +1,9 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,6 @@ SMOKE_OVERRIDES = [
     "train.batch_size=4",
     "decode.beam=3",
     "decode.nbest=2",
-    "distill.nbest_size=2",
     "student.encoder.hidden=6",
     "teacher.encoder.hidden=6",
 ]
@@ -126,7 +127,7 @@ class TestConfig:
         validate_distill_setup(cfg, teacher_subsample=1)
 
     def test_fsnorm_single_hypothesis_rejected(self):
-        cfg = smoke_config("distill.kind=fsnorm_l1", "distill.nbest_size=1")
+        cfg = smoke_config("distill.kind=fsnorm_l1", "decode.nbest=1")
         with pytest.raises(ConfigError, match="nbest"):
             validate_distill_setup(cfg, teacher_subsample=1)
 
@@ -317,6 +318,44 @@ class TestDistillAndEvaluate:
         assert exit_code == 1
 
 
+class TestLoadCorpora:
+    @staticmethod
+    def copy_data(pipeline, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data_dir"], data)
+        return data
+
+    def test_same_bytes_share_one_parse_with_read_only_frames(self, pipeline, tmp_path):
+        first = load_corpora(pipeline["data_dir"])
+        again = load_corpora(self.copy_data(pipeline, tmp_path))
+        assert again is first
+        utts = [u for name in ("sup", "unsup", "eval") for u in again[name].utterances]
+        assert utts and not any(u.frames.flags.writeable for u in utts)
+        with pytest.raises(ValueError, match="read-only"):
+            utts[0].frames[0, 0] = 1.0
+
+    def test_rewritten_file_is_parsed_again(self, pipeline, tmp_path):
+        data = self.copy_data(pipeline, tmp_path)
+        before = load_corpora(data)
+        path = data / "eval.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        after = load_corpora(data)
+        assert after is not before
+        assert after["eval"].utt_ids() == before["eval"].utt_ids()[:-1]
+
+    def test_truncated_file_exits_one(self, pipeline, tmp_path, capsys):
+        data = self.copy_data(pipeline, tmp_path)
+        load_corpora(data)
+        path = data / "eval.jsonl"
+        path.write_bytes(path.read_bytes()[:-10])  # cuts into the last record
+        exit_code = cli.main([
+            "evaluate", "--data-dir", str(data), "--checkpoint", str(pipeline["teacher"]),
+            "--run-root", str(tmp_path / "runs"), *SMOKE_SET_ARGS,
+        ])
+        assert exit_code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestSweepShift:
     def test_requires_soft_kind(self, pipeline, tmp_path):
         cfg = smoke_config("distill.kind=fs_l1")
@@ -336,6 +375,39 @@ class TestSweepShift:
         lines = table.read_text().splitlines()
         assert lines[0] == "shift\twer"
         assert [int(l.split("\t")[0]) for l in lines[1:]] == [0, 1, 2]
+
+    def test_builds_each_teacher_lattice_once(self, pipeline, tmp_path, monkeypatch):
+        builds = Counter()
+        real_load = cli.load_checkpoint
+
+        def load(path):
+            model = real_load(path)
+            if Path(path) == Path(pipeline["teacher"]):
+                build = model.build_lattice
+
+                def counted(x, y):
+                    builds[(np.asarray(x).tobytes(), tuple(y))] += 1
+                    return build(x, y)
+
+                model.build_lattice = counted
+            return model
+
+        monkeypatch.setattr(cli, "load_checkpoint", load)
+        cfg = smoke_config(
+            "distill.kind=soft_efficient",
+            "student.encoder.causal=true",
+            "student.encoder.right_context=0",
+            "student.encoder.left_context=3",
+        )
+        cmd_sweep_shift(cfg, pipeline["data_dir"], pipeline["teacher"],
+                        pipeline["pseudo"], shifts=[0, 1, 2], root=tmp_path)
+        unsup = load_corpora(pipeline["data_dir"])["unsup"].utterances
+        built = [x for x, _ in builds]
+        # 5 steps of about 4 unsupervised utterances per shift visit each of
+        # the 8 utterances several times; each lattice is built on the first
+        assert set(builds.values()) == {1}
+        assert len(set(built)) == len(built)
+        assert set(built) <= {u.frames.tobytes() for u in unsup}
 
 
 class TestExitCodes:

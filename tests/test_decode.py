@@ -1,8 +1,11 @@
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transducer_distill.decode import (
     DecodeError,
@@ -195,6 +198,23 @@ class TestBeamSearch:
             lat = m.build_lattice(x, list(labels))
             exact, _, _ = forward_backward(lat, list(labels))
             assert scored[labels] == pytest.approx(exact, abs=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), T=st.integers(1, 3), vocab=st.integers(1, 2),
+           cap=st.integers(1, 2))
+    def test_unpruned_beam_scores_are_rescored_full_sums(self, seed, T, vocab, cap):
+        # every alignment of at most ``cap`` labels keeps within the per-frame
+        # cap, so without pruning the merged score of such a hypothesis is
+        # its full-sum log-probability
+        m = tiny_model(seed=seed, vocab=vocab)
+        x = np.random.default_rng(seed).normal(size=(T, 3))
+        nbest = beam_search(m, x, beam=10_000, max_symbols_per_frame=cap)
+        exact = rescore_nbest(m, x, nbest)
+        short = [i for i, h in enumerate(nbest.hypotheses) if len(h.labels) <= cap]
+        every = {labels for n in range(cap + 1) for labels in product(range(vocab), repeat=n)}
+        assert {nbest.hypotheses[i].labels for i in short} == every
+        for i in short:
+            assert nbest.hypotheses[i].score == pytest.approx(exact[i], abs=1e-9)
 
     def test_beam_must_be_positive(self, rng):
         with pytest.raises(DecodeError):

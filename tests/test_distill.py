@@ -1,8 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from transducer_distill import distill
+from transducer_distill.cli import GRID_ROWS
 from transducer_distill.data import Utterance
 from transducer_distill.distill import (
     CombinedLossConfig,
@@ -17,7 +20,13 @@ from transducer_distill.distill import (
     soft_kl_full,
 )
 from transducer_distill.decode import PseudoLabelRecord
-from transducer_distill.lattice import Lattice, LatticeShapeError, forward_backward
+from transducer_distill.lattice import (
+    Lattice,
+    LatticeShapeError,
+    forward_backward,
+    logsumexp,
+    rnnt_loss_with_grad,
+)
 from transducer_distill.model import EncoderConfig, TransducerModel
 
 from conftest import random_lattice
@@ -326,10 +335,6 @@ class TestDistillLossKind:
         with pytest.raises(DistillError):
             DistillLossKind(LossKind.FS_L1, shift_n=3)
 
-    def test_nbest_positive(self):
-        with pytest.raises(DistillError):
-            DistillLossKind(LossKind.FSNORM_L1, nbest_size=0)
-
 
 class TestCombinedLoss:
     @staticmethod
@@ -435,7 +440,7 @@ class TestCombinedLoss:
         cfg = CombinedLossConfig(0.0, 0.0, 1.0)
         with pytest.raises(DistillError, match="N-best"):
             combined_loss(
-                student, [unsup], DistillLossKind(LossKind.FSNORM_L1, nbest_size=4),
+                student, [unsup], DistillLossKind(LossKind.FSNORM_L1),
                 cfg, pseudo_labels=pseudo,
             )
 
@@ -459,8 +464,8 @@ class TestCombinedLoss:
             DistillLossKind(LossKind.SOFT_EFFICIENT),
             DistillLossKind(LossKind.FS_L1),
             DistillLossKind(LossKind.FS_MSE),
-            DistillLossKind(LossKind.FSNORM_L1, nbest_size=3),
-            DistillLossKind(LossKind.FSNORM_MSE, nbest_size=3),
+            DistillLossKind(LossKind.FSNORM_L1),
+            DistillLossKind(LossKind.FSNORM_MSE),
         ]:
             student.zero_grad()
             cfg = CombinedLossConfig(0.0, 0.0, 1.0)
@@ -481,3 +486,195 @@ class TestCombinedLossConfig:
     def test_rejects_negative(self):
         with pytest.raises(DistillError):
             CombinedLossConfig(-1.0, 0.0, 1.0)
+
+
+# ----- combined_loss against the per-term code it replaced -----
+#
+# The reference runs its own student forward (and full-sum loss) for every
+# term and builds the teacher lattice at every call; combined_loss shares
+# them.  Forward passes are pure, so the two must agree bit for bit.
+
+
+def reference_fs_norm_distill(teacher_scores, student_scores, target_index, kind):
+    t = np.asarray(teacher_scores, dtype=np.float64)
+    s = np.asarray(student_scores, dtype=np.float64)
+    diff = (s[target_index] - logsumexp(s)) - (t[target_index] - logsumexp(t))
+    if kind == "l1":
+        loss, dnorm = abs(diff), float(np.sign(diff))
+    else:
+        loss, dnorm = diff * diff, 2.0 * diff
+    grad = -np.exp(s - logsumexp(s))
+    grad[target_index] += 1.0
+    return float(loss), dnorm * grad
+
+
+def reference_rnnt_term(model, x, y, weight):
+    lat, cache = model.forward(x, y)
+    loss, g = rnnt_loss_with_grad(lat, y)
+    if weight != 0.0:
+        model.backward(cache, weight * g)
+    return loss
+
+
+def reference_soft_term(model, teacher_model, x, y, kind, weight):
+    student_lat, cache = model.forward(x, y)
+    teacher_lat = teacher_model.build_lattice(x, y)
+    if kind.shift_n > 0:
+        teacher_lat = shift_teacher(teacher_lat, kind.shift_n)
+    if kind.kind == LossKind.SOFT_FULL:
+        loss, g = soft_kl_full(teacher_lat, student_lat)
+    else:
+        loss, g = soft_kl_efficient(teacher_lat, student_lat, y)
+    if weight != 0.0:
+        model.backward(cache, weight * g)
+    return loss
+
+
+def reference_fs_term(model, x, record, kind, weight):
+    if kind.kind.is_norm:
+        teacher_scores = [score for _, score in record.nbest]
+        student_scores, caches, grads = [], [], []
+        for labels, _ in record.nbest:
+            lat, cache = model.forward(x, list(labels))
+            nll, g = rnnt_loss_with_grad(lat, list(labels))
+            student_scores.append(-nll)
+            caches.append(cache)
+            grads.append(g)
+        loss, dscores = reference_fs_norm_distill(
+            teacher_scores, student_scores, record.target_index(), kind.kind.fs_flavor
+        )
+        if weight != 0.0:
+            for dscore, cache, g in zip(dscores, caches, grads):
+                model.backward(cache, (-dscore * weight) * g)
+        return loss
+    y = list(record.labels)
+    lat, cache = model.forward(x, y)
+    student_nll, g = rnnt_loss_with_grad(lat, y)
+    loss, dstudent = fs_distill(-record.score, student_nll, kind.kind.fs_flavor)
+    if weight != 0.0:
+        model.backward(cache, (dstudent * weight) * g)
+    return loss
+
+
+def reference_combined_loss(model, batch, kind, config, pseudo_labels, teacher_model):
+    sums = {"supervised_rnnt": 0.0, "hard_on_pseudo": 0.0, "distill": 0.0}
+    counts = {"supervised_rnnt": 0, "hard_on_pseudo": 0, "distill": 0}
+    n_sup = max(sum(1 for u in batch if u.labels is not None), 1)
+    n_unsup = max(sum(1 for u in batch if u.labels is None), 1)
+    for utt in batch:
+        if utt.labels is not None:
+            if config.weight_supervised_rnnt > 0:
+                sums["supervised_rnnt"] += reference_rnnt_term(
+                    model, utt.frames, list(utt.labels), config.weight_supervised_rnnt / n_sup)
+                counts["supervised_rnnt"] += 1
+            continue
+        record = pseudo_labels[utt.utt_id]
+        if config.weight_hard_on_pseudo > 0:
+            sums["hard_on_pseudo"] += reference_rnnt_term(
+                model, utt.frames, list(record.labels), config.weight_hard_on_pseudo / n_unsup)
+            counts["hard_on_pseudo"] += 1
+        if config.weight_distill > 0 and kind.kind != LossKind.HARD:
+            weight = config.weight_distill / n_unsup
+            if kind.kind.is_soft:
+                sums["distill"] += reference_soft_term(
+                    model, teacher_model, utt.frames, list(record.labels), kind, weight)
+            else:
+                sums["distill"] += reference_fs_term(model, utt.frames, record, kind, weight)
+            counts["distill"] += 1
+    terms = {name: (sums[name] / counts[name] if counts[name] else 0.0) for name in sums}
+    total = (config.weight_supervised_rnnt * terms["supervised_rnnt"]
+             + config.weight_hard_on_pseudo * terms["hard_on_pseudo"]
+             + config.weight_distill * terms["distill"])
+    return total, terms
+
+
+def _sharing_setup(seed=0):
+    """A student, a teacher, two supervised and three unsupervised
+    utterances, and pseudo labels with N-best lists of 3 or 4 hypotheses
+    whose target is not always first (and, for one, the empty sequence)."""
+    rng = np.random.default_rng(seed)
+    enc = EncoderConfig(causal=False, left_context=1, right_context=1, subsample=1, hidden=6)
+    student = TransducerModel(vocab_size=3, feat_dim=2, encoder=enc, seed=seed + 1)
+    teacher = TransducerModel(vocab_size=3, feat_dim=2, encoder=enc, seed=seed + 2)
+    batch = [Utterance("s-0", rng.normal(size=(6, 2)), labels=(0, 1)),
+             Utterance("s-1", rng.normal(size=(5, 2)), labels=(2,))]
+    pseudo = {}
+    for i, target in enumerate([(1, 0), (2,), ()]):
+        x = rng.normal(size=(6, 2))
+        batch.append(Utterance(f"u-{i}", x, labels=None))
+        nbest = []
+        for labels in [(1, 0), (2,), (), (0, 2, 1)][: 3 + (i == 0)]:
+            score, _, _ = forward_backward(teacher.build_lattice(x, list(labels)), list(labels))
+            nbest.append((labels, float(score)))
+        nbest.sort(key=lambda e: (-e[1], e[0]))
+        score = dict(nbest)[target]
+        pseudo[f"u-{i}"] = PseudoLabelRecord(f"u-{i}", target, score, nbest)
+    return student, teacher, batch, pseudo
+
+
+def _loss_and_grads(fn, model, *args, **kwargs):
+    model.zero_grad()
+    total, terms = fn(model, *args, **kwargs)
+    return total, terms, {name: g.copy() for name, g in model.grads.items()}
+
+
+KIND_CASES = [(kind, shift) for kind in LossKind
+              for shift in ((0, 2) if kind.is_soft else (0,))]
+
+
+class TestCombinedLossSharing:
+    @pytest.mark.parametrize("kind,shift", KIND_CASES,
+                             ids=[f"{k.value}@{s}" for k, s in KIND_CASES])
+    @pytest.mark.parametrize("row", sorted(GRID_ROWS))
+    def test_equals_per_term_reference(self, kind, shift, row):
+        student, teacher, batch, pseudo = _sharing_setup()
+        kind = DistillLossKind(kind, shift_n=shift)
+        config = CombinedLossConfig(*GRID_ROWS[row][1])
+        want = _loss_and_grads(reference_combined_loss, student, batch, kind, config,
+                               pseudo, teacher)
+        memo = {}
+        # the second step reads every teacher lattice from the memo
+        for _ in range(2):
+            got = _loss_and_grads(combined_loss, student, batch, kind, config,
+                                  pseudo_labels=pseudo, teacher_model=teacher,
+                                  teacher_lattices=memo)
+            assert got[0] == want[0]
+            assert got[1] == want[1]
+            assert got[2].keys() == want[2].keys()
+            for name in want[2]:
+                assert np.array_equal(got[2][name], want[2][name]), name
+        if kind.kind.is_soft and config.weight_distill > 0:
+            assert sorted(memo) == [(f"u-{i}", labels)
+                                    for i, labels in enumerate([(1, 0), (2,), ()])]
+        else:
+            assert memo == {}
+
+    @pytest.mark.parametrize("kind,forwards_per_unsup", [
+        ("hard", 1), ("fs_l1", 1), ("soft_efficient", 1), ("fsnorm_l1", None),
+    ])
+    def test_one_student_pass_per_label_sequence(self, monkeypatch, kind, forwards_per_unsup):
+        student, teacher, batch, pseudo = _sharing_setup()
+        forwards, losses = Counter(), Counter()
+        real_forward, real_loss = student.forward, distill.rnnt_loss_with_grad
+
+        def forward(x, y):
+            forwards[(x.tobytes(), tuple(y))] += 1
+            return real_forward(x, y)
+
+        def loss(lat, y):
+            losses[(lat.log_probs.tobytes(), tuple(y))] += 1
+            return real_loss(lat, y)
+
+        student.forward = forward
+        monkeypatch.setattr(distill, "rnnt_loss_with_grad", loss)
+        combined_loss(student, batch, DistillLossKind(LossKind(kind)),
+                      CombinedLossConfig(1.0, 1.0, 1.0), pseudo_labels=pseudo,
+                      teacher_model=teacher)
+        assert set(forwards.values()) == {1}
+        sup = [u for u in batch if u.labels is not None]
+        unsup = [u for u in batch if u.labels is None]
+        if forwards_per_unsup is None:  # one pass per N-best hypothesis
+            assert len(forwards) == len(sup) + sum(len(pseudo[u.utt_id].nbest) for u in unsup)
+        else:
+            assert len(forwards) == len(sup) + forwards_per_unsup * len(unsup)
+        assert max(losses.values()) == 1

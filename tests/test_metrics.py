@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transducer_distill.data import Corpus, Utterance
 from transducer_distill.metrics import (
@@ -13,7 +15,22 @@ from transducer_distill.metrics import (
 )
 
 
+label_lists = st.lists(st.integers(0, 3), max_size=8)
+
+
 class TestEditDistance:
+    @settings(max_examples=100, deadline=None)
+    @given(a=label_lists, b=label_lists)
+    def test_identities(self, a, b):
+        assert edit_distance(a, a).errors == 0
+        ab, ba = edit_distance(a, b), edit_distance(b, a)
+        assert ab.errors == ba.errors
+        assert abs(len(a) - len(b)) <= ab.errors <= max(len(a), len(b))
+        # each reference label is kept, substituted or deleted, and each
+        # hypothesis label is kept, substituted or inserted
+        assert ab.reference_length == len(a)
+        assert len(a) - ab.deletions == len(b) - ab.insertions
+
     def test_identical_sequences(self):
         rep = edit_distance([1, 2, 3], [1, 2, 3])
         assert rep.wer == 0.0 and rep.errors == 0
