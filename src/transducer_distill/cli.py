@@ -81,12 +81,14 @@ DEFAULT_CONFIG = {
         "seed": 0,
     },
     "teacher": {
-        "preset": "L",
-        "encoder": {"causal": False, "left_context": 2, "right_context": 2, "subsample": 1},
+        # a named preset replaces ``quality``; null keeps it
+        "preset": None,
+        "quality": {"size": "L", "supervised_fraction": 1.0, "label_noise_rate": 0.0},
+        # a null width is the width of the teacher's size
+        "encoder": {"causal": False, "left_context": 2, "right_context": 2, "subsample": 1, "hidden": None},
     },
     "student": {
         "encoder": {"causal": False, "left_context": 2, "right_context": 2, "subsample": 1, "hidden": 16},
-        "init_checkpoint": None,
     },
     "train": {
         "steps": 300,
@@ -100,9 +102,14 @@ DEFAULT_CONFIG = {
         "kind": "fs_l1",
         "shift_n": 0,
         "weights": {"supervised": 1.0, "hard": 1.0, "distill": 1.0},
-        "reduction": "sum",
     },
 }
+
+# the type of each key whose default is null
+NULLABLE_TYPES = {"teacher.preset": str, "teacher.encoder.hidden": int}
+
+# keys accepted and dropped; perfbench/workloads.py still sends this one
+RETIRED_KEYS = {"distill.nbest_size"}
 
 
 class ConfigError(ValueError):
@@ -122,8 +129,52 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _fits(value, want: type) -> bool:
+    """Whether ``value`` is a ``want``: a bool is no int, and an int is a float."""
+    if isinstance(value, bool) or want is bool:
+        return isinstance(value, bool) and want is bool
+    return isinstance(value, (int, float) if want is float else want)
+
+
+def _resolve(default: dict, value, prefix: str = "") -> dict:
+    """``value`` merged over ``default``, checked against its keys and types."""
+    if not isinstance(value, dict):
+        where = f"key {prefix[:-1]}" if prefix else "root"
+        raise ConfigError(f"config {where} must be an object, got {value!r}")
+    unknown = sorted(k for k in value if k not in default and prefix + k not in RETIRED_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix}{unknown[0]}; valid: {sorted(default)}")
+    out = {}
+    for key, fallback in default.items():
+        name = prefix + key
+        v = value[key] if key in value else fallback
+        if isinstance(fallback, dict):
+            out[key] = _resolve(fallback, v, name + ".")
+            continue
+        want = NULLABLE_TYPES[name] if fallback is None else type(fallback)
+        if isinstance(fallback, list):
+            ok = isinstance(v, list) and all(_fits(e, type(fallback[0])) for e in v)
+        else:
+            ok = (v is None and fallback is None) or _fits(v, want)
+        if not ok:
+            like = " or null" if fallback is None else f" like {fallback!r}"
+            raise ConfigError(f"config key {name} takes {want.__name__} values{like}, got {v!r}")
+        out[key] = list(v) if isinstance(v, list) else v
+    return out
+
+
+def resolve_config(cfg: dict) -> dict:
+    """``cfg`` merged over ``DEFAULT_CONFIG``: every key present, none
+    unknown, each value of its default's type (``NULLABLE_TYPES`` where the
+    default is null).  Raises ConfigError otherwise."""
+    cfg = _resolve(DEFAULT_CONFIG, cfg)
+    if cfg["schema_version"] != 1:
+        raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r}")
+    return cfg
+
+
 def load_config(path=None, overrides=()) -> dict:
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    cfg = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as f:
@@ -134,15 +185,14 @@ def load_config(path=None, overrides=()) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
-        cfg = _deep_merge(cfg, user)
+        cfg = user
     for item in overrides:
-        cfg = _apply_override(cfg, item)
-    if cfg.get("schema_version") != 1:
-        raise ConfigError(f"unsupported schema_version {cfg.get('schema_version')!r}")
-    return cfg
+        cfg = _deep_merge(cfg, _override(item))
+    return resolve_config(cfg)
 
 
-def _apply_override(cfg: dict, item: str) -> dict:
+def _override(item: str) -> dict:
+    """``--set a.b=v`` as ``{"a": {"b": v}}``; ``v`` is JSON, else a string."""
     if "=" not in item:
         raise ConfigError(f"override {item!r} is not of the form key.path=value")
     dotted, raw = item.split("=", 1)
@@ -150,14 +200,9 @@ def _apply_override(cfg: dict, item: str) -> dict:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    keys = dotted.split(".")
-    node = cfg
-    for key in keys[:-1]:
-        if not isinstance(node.get(key), dict):
-            node[key] = {}
-        node = node[key]
-    node[keys[-1]] = value
-    return cfg
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
 
 
 def config_hash(cfg: dict) -> str:
@@ -181,47 +226,22 @@ def make_run_dir(command: str, cfg: dict, root=None) -> Path:
 
 
 def _data_spec(cfg: dict) -> data_mod.SyntheticSpec:
-    d = cfg["data"]
+    spec = {key: value for key, value in cfg["data"].items() if key != "num_eval"}
     try:
-        return data_mod.SyntheticSpec(
-            vocab_size=d["vocab_size"],
-            feat_dim=d["feat_dim"],
-            frames_per_label=tuple(d["frames_per_label"]),
-            noise_sigma=d["noise_sigma"],
-            label_len_range=tuple(d["label_len_range"]),
-            num_supervised=d["num_supervised"],
-            num_unsupervised=d["num_unsupervised"],
-            seed=d["seed"],
-        )
-    except (KeyError, data_mod.DataError) as e:
+        return data_mod.SyntheticSpec(**spec)
+    except data_mod.DataError as e:
         raise ConfigError(f"bad data section: {e}")
 
 
-def _teacher_encoder(cfg: dict) -> EncoderConfig:
-    t = cfg["teacher"]
-    enc = dict(t["encoder"])
-    if "hidden" not in enc:
-        preset = t.get("preset")
-        quality = TEACHER_PRESETS.get(preset, {}) if preset else {}
-        size = t.get("quality", {}).get("size", quality.get("size", "M"))
-        if size not in TEACHER_WIDTHS:
-            raise ConfigError(f"unknown teacher size {size!r}")
-        enc["hidden"] = TEACHER_WIDTHS[size]
-    return _encoder_from(enc, "teacher")
-
-
 def _teacher_quality(cfg: dict) -> dict:
-    t = cfg["teacher"]
-    preset = t.get("preset")
-    if preset is not None:
-        if preset not in TEACHER_PRESETS:
-            raise ConfigError(
-                f"unknown teacher preset {preset!r}; valid: {sorted(TEACHER_PRESETS)}"
-            )
-        quality = dict(TEACHER_PRESETS[preset])
-    else:
-        quality = {"size": "M", "supervised_fraction": 1.0, "label_noise_rate": 0.0}
-    quality.update(t.get("quality", {}))
+    """The teacher's size, supervised fraction and label noise: those of
+    ``teacher.preset``, or ``teacher.quality`` where the preset is null."""
+    preset = cfg["teacher"]["preset"]
+    if preset is not None and preset not in TEACHER_PRESETS:
+        raise ConfigError(f"unknown teacher preset {preset!r}; valid: {sorted(TEACHER_PRESETS)}")
+    quality = cfg["teacher"]["quality"] if preset is None else TEACHER_PRESETS[preset]
+    if quality["size"] not in TEACHER_WIDTHS:
+        raise ConfigError(f"unknown teacher size {quality['size']!r}; valid: {sorted(TEACHER_WIDTHS)}")
     if not 0 < quality["supervised_fraction"] <= 1:
         raise ConfigError("teacher supervised_fraction must be in (0, 1]")
     if not 0 <= quality["label_noise_rate"] < 1:
@@ -231,14 +251,8 @@ def _teacher_quality(cfg: dict) -> dict:
 
 def _encoder_from(enc: dict, who: str) -> EncoderConfig:
     try:
-        return EncoderConfig(
-            causal=enc["causal"],
-            left_context=enc["left_context"],
-            right_context=enc["right_context"],
-            subsample=enc.get("subsample", 1),
-            hidden=enc["hidden"],
-        )
-    except (KeyError, ValueError) as e:
+        return EncoderConfig(**enc)
+    except ValueError as e:
         raise ConfigError(f"bad {who} encoder config: {e}")
 
 
@@ -252,14 +266,14 @@ def _distill_kind(cfg: dict) -> DistillLossKind:
             f"{[k.value for k in LossKind]}"
         )
     try:
-        return DistillLossKind(kind=kind, shift_n=d.get("shift_n", 0))
+        return DistillLossKind(kind=kind, shift_n=d["shift_n"])
     except ValueError as e:
         raise ConfigError(str(e))
 
 
 def _nbest_size(cfg: dict) -> int:
     """``decode.nbest``, the one N-best size; normalized kinds need >= 2."""
-    nbest = cfg["decode"].get("nbest", 1)
+    nbest = cfg["decode"]["nbest"]
     if _distill_kind(cfg).kind.is_norm and nbest < 2:
         raise ConfigError(
             "normalized full-sum distillation needs an N-best list: set "
@@ -271,11 +285,7 @@ def _nbest_size(cfg: dict) -> int:
 def _combined_config(cfg: dict) -> CombinedLossConfig:
     w = cfg["distill"]["weights"]
     try:
-        return CombinedLossConfig(
-            weight_supervised_rnnt=w.get("supervised", 1.0),
-            weight_hard_on_pseudo=w.get("hard", 0.0),
-            weight_distill=w.get("distill", 0.0),
-        )
+        return CombinedLossConfig(w["supervised"], w["hard"], w["distill"])
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -283,7 +293,7 @@ def _combined_config(cfg: dict) -> CombinedLossConfig:
 def validate_distill_setup(cfg: dict, teacher_subsample: int) -> None:
     """Reject incompatible (kind, architecture) combinations before compute."""
     kind = _distill_kind(cfg)
-    student_sub = cfg["student"]["encoder"].get("subsample", 1)
+    student_sub = cfg["student"]["encoder"]["subsample"]
     if kind.kind.is_soft and teacher_subsample != student_sub:
         raise ConfigError(
             f"soft distillation requires equal time subsampling, got teacher "
@@ -292,8 +302,6 @@ def validate_distill_setup(cfg: dict, teacher_subsample: int) -> None:
             f"depend on the time dimension"
         )
     _nbest_size(cfg)
-    if kind.shift_n > 0 and not kind.kind.is_soft:
-        raise ConfigError("shift_n only applies to soft distillation")
 
 
 # ----- corpus artifacts -----
@@ -341,7 +349,7 @@ def load_corpora(data_dir) -> dict:
         ev = data_mod.read_corpus(paths[3], "eval")
         for utt in sup.utterances + unsup.utterances + ev.utterances:
             utt.frames.flags.writeable = False
-        _LAST_CORPORA[key] = {"sup": sup, "unsup": unsup, "eval": ev, "manifest": manifest}
+        _LAST_CORPORA[key] = {"sup": sup, "unsup": unsup, "eval": ev}
     return _LAST_CORPORA[key]
 
 
@@ -349,8 +357,9 @@ def load_corpora(data_dir) -> dict:
 
 
 def cmd_gen_data(cfg: dict, root=None) -> Path:
+    cfg = resolve_config(cfg)
     spec = _data_spec(cfg)
-    num_eval = cfg["data"].get("num_eval", 50)
+    num_eval = cfg["data"]["num_eval"]
     if num_eval < 1:
         raise ConfigError("num_eval must be >= 1")
     out = make_run_dir("gen-data", cfg, root)
@@ -370,33 +379,23 @@ def _train(model, sup, unsup, cfg, loss_fn, log_path) -> None:
     stream = data_mod.mix_batches(
         sup, unsup, train["batch_size"], train["sup_fraction"], seed=cfg["seed"]
     )
-    opt = SGD(lr=train["lr"], momentum=train.get("momentum", 0.9))
-    steps = train["steps"]
-    # tail parameter averaging smooths the fixed-step-size SGD oscillation;
-    # 0 keeps the final iterate
-    tail = min(train.get("average_tail", 0), steps)
-    tail_sum = None
+    opt = SGD(lr=train["lr"], momentum=train["momentum"])
     with open(log_path, "w", encoding="utf-8") as log:
-        for step in range(steps):
+        for step in range(train["steps"]):
             batch = next(stream)
             loss, terms = train_step(model, batch, loss_fn, opt)
             log.write(json.dumps({"step": step, "total": loss, "terms": terms}, sort_keys=True))
             log.write("\n")
-            if tail and step >= steps - tail:
-                if tail_sum is None:
-                    tail_sum = {k: v.copy() for k, v in model.params.items()}
-                else:
-                    for k, v in model.params.items():
-                        tail_sum[k] += v
-    if tail_sum is not None:
-        for k in model.params:
-            model.params[k] = tail_sum[k] / tail
 
 
 def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
+    cfg = resolve_config(cfg)
     corpora = load_corpora(data_dir)
     quality = _teacher_quality(cfg)
-    encoder = _teacher_encoder(cfg)
+    enc = dict(cfg["teacher"]["encoder"])
+    if enc["hidden"] is None:
+        enc["hidden"] = TEACHER_WIDTHS[quality["size"]]
+    encoder = _encoder_from(enc, "teacher")
     spec = _data_spec(cfg)
     out = make_run_dir("train-teacher", cfg, root)
 
@@ -426,10 +425,10 @@ def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
 
 
 def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
-    decode_cfg = cfg["decode"]
-    beam = decode_cfg.get("beam", 8)
+    cfg = resolve_config(cfg)
+    beam = cfg["decode"]["beam"]
     nbest_size = _nbest_size(cfg)
-    cap = decode_cfg.get("max_symbols_per_frame", 5)
+    cap = cfg["decode"]["max_symbols_per_frame"]
     if beam < 1 or nbest_size < 1:
         raise ConfigError("beam and nbest must be >= 1")
     teacher = load_checkpoint(checkpoint)
@@ -481,6 +480,7 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
                 teacher_lattices=None) -> Path:
     """Train one student.  Rows that share a teacher and corpus may share
     one ``teacher_lattices`` memo; by default each call makes its own."""
+    cfg = resolve_config(cfg)
     teacher = load_checkpoint(teacher_checkpoint)
     validate_distill_setup(cfg, teacher.encoder.subsample)
     kind = _distill_kind(cfg)
@@ -507,16 +507,7 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
     encoder = _encoder_from(cfg["student"]["encoder"], "student")
     out = make_run_dir("distill", cfg, root)
 
-    init = cfg["student"].get("init_checkpoint")
-    if init:
-        model = load_checkpoint(init)
-        if model.encoder != encoder:
-            raise ConfigError(
-                f"init checkpoint encoder {model.encoder} does not match the "
-                f"configured student encoder {encoder}"
-            )
-    else:
-        model = TransducerModel(spec.vocab_size, spec.feat_dim, encoder, seed=cfg["seed"] + 13)
+    model = TransducerModel(spec.vocab_size, spec.feat_dim, encoder, seed=cfg["seed"] + 13)
 
     needs_teacher = kind.kind.is_soft
     loss_fn = make_loss_fn(
@@ -524,7 +515,6 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
         weights,
         pseudo_labels=pseudo,
         teacher_model=teacher if needs_teacher else None,
-        reduction=cfg["distill"].get("reduction", "sum"),
         teacher_lattices={} if teacher_lattices is None else teacher_lattices,
     )
     _train(model, corpora["sup"], corpora["unsup"], cfg, loss_fn, out / "metrics.jsonl")
@@ -536,6 +526,7 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
 
 def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root=None) -> Path:
     """Train one student per standard experiment row and evaluate each."""
+    cfg = resolve_config(cfg)
     out = make_run_dir("distill-grid", cfg, root)
     summary, teacher_lattices = {}, {}
     for row, (kind_name, (w_sup, w_hard, w_distill)) in GRID_ROWS.items():
@@ -559,10 +550,11 @@ def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
 
 
 def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> Path:
+    cfg = resolve_config(cfg)
     model = load_checkpoint(checkpoint)
     corpora = load_corpora(data_dir)
     out = make_run_dir("evaluate", cfg, root)
-    cap = cfg["decode"].get("max_symbols_per_frame", 5)
+    cap = cfg["decode"]["max_symbols_per_frame"]
 
     reports = {}
     for name in sets:
@@ -578,7 +570,7 @@ def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> 
         metadata={
             "checkpoint": str(checkpoint),
             "distill_kind": cfg["distill"]["kind"],
-            "shift_n": cfg["distill"].get("shift_n", 0),
+            "shift_n": cfg["distill"]["shift_n"],
             "seed": cfg["seed"],
         },
     )
@@ -587,10 +579,11 @@ def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> 
 
 def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
                     shifts=None, root=None) -> Path:
+    cfg = resolve_config(cfg)
     kind = _distill_kind(cfg)
     if not kind.kind.is_soft:
         raise ConfigError("sweep-shift requires a soft distillation kind")
-    if not cfg["student"]["encoder"].get("causal", False):
+    if not cfg["student"]["encoder"]["causal"]:
         raise ConfigError("sweep-shift expects a causal student encoder")
     teacher = load_checkpoint(teacher_checkpoint)
     if teacher.encoder.causal:

@@ -91,7 +91,7 @@ def _check_same_shape(teacher: Lattice, student: Lattice) -> None:
         )
 
 
-def soft_kl_full(teacher: Lattice, student: Lattice, reduction: str = "sum"):
+def soft_kl_full(teacher: Lattice, student: Lattice):
     """KL(teacher || student) summed over every lattice node and label.
 
     Returns ``(loss, grad)`` with the gradient taken w.r.t. the student
@@ -107,12 +107,7 @@ def soft_kl_full(teacher: Lattice, student: Lattice, reduction: str = "sum"):
 
     grad = np.zeros_like(student.log_probs)
     grad[skip:] = -t_p
-    scale = 1.0
-    if reduction == "mean":
-        scale = 1.0 / max(node_kl.size, 1)
-    elif reduction != "sum":
-        raise DistillError(f"unknown reduction {reduction!r}")
-    return float(node_kl.sum()) * scale, grad * scale
+    return float(node_kl.sum()), grad
 
 
 def _three_class_log(lp: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -144,7 +139,7 @@ def _kl_term(log_p, log_q):
     return out
 
 
-def soft_kl_efficient(teacher: Lattice, student: Lattice, labels, reduction: str = "sum"):
+def soft_kl_efficient(teacher: Lattice, student: Lattice, labels):
     """Three-class soft distillation: match (target, blank, rest) at each node.
 
     The coarsened KL never exceeds the full KL (log-sum inequality).
@@ -182,13 +177,7 @@ def soft_kl_efficient(teacher: Lattice, student: Lattice, labels, reduction: str
     rows = np.arange(len(y))
     gview[:, rows, y] = -np.exp(t_tgt[:, rows])
     gview[:, :, blank] = -np.exp(t_blank)
-
-    scale = 1.0
-    if reduction == "mean":
-        scale = 1.0 / max(kl.size, 1)
-    elif reduction != "sum":
-        raise DistillError(f"unknown reduction {reduction!r}")
-    return loss * scale, grad * scale
+    return loss, grad
 
 
 def shift_teacher(teacher: Lattice, shift: int) -> Lattice:
@@ -306,7 +295,7 @@ def _rnnt_term(student, y):
 
 
 def _soft_term(student, teacher_model, teacher_lattices: dict, utt_id: str, y,
-               kind: DistillLossKind, reduction: str):
+               kind: DistillLossKind):
     student_lat, cache, _ = student.forward(y)
     key = (utt_id, tuple(y))
     if key not in teacher_lattices:
@@ -316,9 +305,9 @@ def _soft_term(student, teacher_model, teacher_lattices: dict, utt_id: str, y,
     if kind.shift_n > 0:
         teacher_lat = shift_teacher(teacher_lat, kind.shift_n)
     if kind.kind == LossKind.SOFT_FULL:
-        loss, g = soft_kl_full(teacher_lat, student_lat, reduction=reduction)
+        loss, g = soft_kl_full(teacher_lat, student_lat)
     else:
-        loss, g = soft_kl_efficient(teacher_lat, student_lat, list(y), reduction=reduction)
+        loss, g = soft_kl_efficient(teacher_lat, student_lat, list(y))
     return loss, [(1.0, cache, g)]
 
 
@@ -342,8 +331,7 @@ def _fs_term(student, record, kind: DistillLossKind):
 
 
 def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfig,
-                  pseudo_labels=None, teacher_model=None, reduction: str = "sum",
-                  accumulate: bool = True, teacher_lattices=None):
+                  pseudo_labels=None, teacher_model=None, teacher_lattices=None):
     """Weighted sum of supervised, hard-pseudo, and distillation terms.
 
     ``batch`` is a list of corpus utterances; those with ground-truth labels
@@ -366,7 +354,7 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
         loss, parts = term
         if not np.isfinite(loss):
             raise NonFiniteLossError(utt_id, loss)
-        if accumulate and weight != 0.0:
+        if weight != 0.0:
             for scale, cache, g in parts:
                 model.backward(cache, (scale * weight) * g)
         sums[name] += loss
@@ -395,7 +383,7 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
                 raise DistillError("soft distillation requires the teacher model")
             else:
                 term = _soft_term(student, teacher_model, teacher_lattices, utt.utt_id,
-                                  record.labels, kind, reduction)
+                                  record.labels, kind)
             add("distill", config.weight_distill / n_unsup, utt.utt_id, term)
 
     terms = {
@@ -409,12 +397,11 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
     return total, terms
 
 
-def make_loss_fn(kind, config, pseudo_labels=None, teacher_model=None, reduction="sum",
-                 teacher_lattices=None):
+def make_loss_fn(kind, config, pseudo_labels=None, teacher_model=None, teacher_lattices=None):
     """Bind a ``combined_loss`` closure usable with ``model.train_step``."""
 
     def loss_fn(model, batch):
         return combined_loss(model, batch, kind, config, pseudo_labels, teacher_model,
-                             reduction, teacher_lattices=teacher_lattices)
+                             teacher_lattices=teacher_lattices)
 
     return loss_fn

@@ -317,7 +317,7 @@ def _weak_teacher_config(seed):
         "train": {"steps": 600, "batch_size": 8, "lr": 0.05, "momentum": 0.9,
                   "sup_fraction": 1.0},
         "decode": {"beam": 8, "nbest": 4, "max_symbols_per_frame": 5},
-        "distill": {"kind": "hard", "nbest_size": 4,
+        "distill": {"kind": "hard",
                     "weights": {"supervised": 1.0, "hard": 1.0, "distill": 0.0}},
     }
 
@@ -416,7 +416,7 @@ def _causal_config(seed):
         "train": {"steps": 700, "batch_size": 8, "lr": 0.05, "momentum": 0.9,
                   "sup_fraction": 1.0},
         "decode": {"beam": 8, "nbest": 4, "max_symbols_per_frame": 5},
-        "distill": {"kind": "soft_efficient", "shift_n": 0, "nbest_size": 4,
+        "distill": {"kind": "soft_efficient", "shift_n": 0,
                     "weights": {"supervised": 1.0, "hard": 0.0, "distill": 0.3}},
     }
 

@@ -11,6 +11,8 @@ import pytest
 
 import transducer_distill
 from transducer_distill.cli import (
+    DEFAULT_CONFIG,
+    TEACHER_PRESETS,
     ConfigError,
     cmd_distill,
     cmd_evaluate,
@@ -21,6 +23,7 @@ from transducer_distill.cli import (
     config_hash,
     load_config,
     load_corpora,
+    resolve_config,
     validate_distill_setup,
 )
 from transducer_distill import cli
@@ -28,6 +31,7 @@ from transducer_distill.decode import DecodeError, read_pseudo_labels, write_pse
 from transducer_distill.model import load_checkpoint, ModelError, TransducerModel, EncoderConfig
 
 from conftest import rewrite_header
+from test_acceptance import _causal_config, _weak_teacher_config
 
 
 SMOKE_OVERRIDES = [
@@ -105,6 +109,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/cfg.json")
 
+    def test_object_override_merges_like_a_file(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"distill": {"weights": {"supervised": 1.0}}}))
+        from_set = load_config(overrides=['distill.weights={"supervised": 1.0}'])
+        assert from_set == load_config(p)
+        assert from_set["distill"]["weights"] == {"supervised": 1.0, "hard": 1.0, "distill": 1.0}
+
+    def test_table_and_acceptance_configs_resolve(self):
+        assert resolve_config(DEFAULT_CONFIG) == DEFAULT_CONFIG
+        for make in (_weak_teacher_config, _causal_config):
+            cfg = resolve_config(make(0))
+            assert resolve_config(cfg) == cfg
+            assert cfg["teacher"]["quality"] == make(0)["teacher"]["quality"]
+
     def test_hash_is_stable_and_sensitive(self):
         a = load_config()
         b = load_config()
@@ -173,6 +191,25 @@ class TestTrainTeacher:
         cfg["train"]["steps"] = 1
         ckpt = cmd_train_teacher(cfg, pipeline["data_dir"], root=tmp_path)
         assert load_checkpoint(ckpt).encoder.hidden == 12
+
+    @pytest.mark.parametrize("overrides, hidden, quality", [
+        ([], 28, TEACHER_PRESETS["L"]),
+        (["teacher.preset=S"], 12, TEACHER_PRESETS["S"]),
+        (["teacher.preset=S3"], 12, TEACHER_PRESETS["S3"]),
+        (['teacher.quality={"size": "S", "label_noise_rate": 0.3}'], 12,
+         {"size": "S", "supervised_fraction": 1.0, "label_noise_rate": 0.3}),
+        (["teacher.preset=S", 'teacher.quality={"size": "L", "supervised_fraction": 0.5}'],
+         12, TEACHER_PRESETS["S"]),
+        (["teacher.encoder.hidden=6"], 6, TEACHER_PRESETS["L"]),
+    ])
+    def test_quality_and_width(self, pipeline, tmp_path, overrides, hidden, quality):
+        """A named preset replaces ``teacher.quality``; a null encoder width
+        is the width of the quality's size."""
+        smoke = [o for o in SMOKE_OVERRIDES if not o.startswith("teacher.")]
+        cfg = load_config(overrides=smoke + ["train.steps=0"] + overrides)
+        assert cli._teacher_quality(cfg) == quality
+        ckpt = cmd_train_teacher(cfg, pipeline["data_dir"], root=tmp_path)
+        assert load_checkpoint(ckpt).encoder.hidden == hidden
 
     def test_unknown_preset_rejected(self, pipeline, tmp_path):
         cfg = smoke_config()
@@ -317,6 +354,23 @@ class TestDistillAndEvaluate:
         ])
         assert exit_code == 1
 
+    def test_partial_config_takes_the_table_defaults(self, pipeline, tmp_path):
+        """A partial dict given straight to ``cmd_*``: its distill section has
+        no ``shift_n`` and still sends the retired ``nbest_size``."""
+        full = smoke_config("distill.kind=hard")
+        partial = dict(full)
+        partial["distill"] = {"kind": "hard", "nbest_size": 2,
+                              "weights": full["distill"]["weights"]}
+        ckpt = cmd_distill(partial, pipeline["data_dir"], pipeline["teacher"],
+                           pipeline["pseudo"], root=tmp_path)
+        written = json.loads((ckpt.parent / "config.json").read_text())
+        assert written == full
+        assert written["distill"]["shift_n"] == DEFAULT_CONFIG["distill"]["shift_n"]
+        assert ckpt == cmd_distill(full, pipeline["data_dir"], pipeline["teacher"],
+                                   pipeline["pseudo"], root=tmp_path)
+        report = cmd_evaluate(partial, ckpt, pipeline["data_dir"], root=tmp_path)
+        assert json.loads(report.read_text())["metadata"]["shift_n"] == 0
+
 
 class TestLoadCorpora:
     @staticmethod
@@ -416,12 +470,25 @@ class TestExitCodes:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip()
 
-    def test_validation_error_exit_one(self, tmp_path):
-        result = run_cli(
-            "gen-data", "--run-root", str(tmp_path), "--set", "data.vocab_size=0"
-        )
-        assert result.returncode == 1
-        assert "error" in result.stderr
+    @pytest.mark.parametrize("args, key", [
+        (["--set", "data.vocab_size=0"], "vocab_size"),
+        (["--set", "train.stpes=999"], "train.stpes"),
+        (["--set", "data.num_supervised=abc"], "data.num_supervised"),
+        (["--set", "train.lr=fast"], "train.lr"),
+        (["--set", "decode.beam=true"], "decode.beam"),
+        (["--set", "teacher.encoder=5"], "teacher.encoder"),
+        (["--sets", "manifest"], "manifest"),
+    ], ids=["vocab_size=0", "stpes=999", "num_supervised=abc", "lr=fast", "beam=true",
+            "encoder=5", "sets=manifest"])
+    def test_validation_error_exit_one(self, pipeline, tmp_path, args, key):
+        if args[0] == "--sets":  # evaluate a set that the corpora lack
+            args = ["evaluate", "--data-dir", str(pipeline["data_dir"]),
+                    "--checkpoint", str(pipeline["teacher"]), *SMOKE_SET_ARGS, *args]
+        else:
+            args = ["gen-data", *args]
+        result = run_cli(*args, "--run-root", str(tmp_path))
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("error:") and key in result.stderr, result.stderr
 
     def test_missing_artifact_exit_one(self, tmp_path):
         result = run_cli(
