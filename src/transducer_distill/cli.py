@@ -2,9 +2,10 @@
 labeling, distillation, evaluation, and the teacher-shift sweep.
 
 Every command is a pure function of its JSON config (plus referenced
-artifacts); outputs land in a run directory named by the config hash, so
-rerunning an identical config reproduces byte-identical files.  Exit codes:
-0 success, 1 config/validation error, 2 runtime failure.
+artifacts); outputs land in a run directory named by the config hash (and,
+for ``evaluate``, by the checkpoint's bytes and the set names), so rerunning
+an identical config reproduces byte-identical files.  Exit codes: 0 success,
+1 config/validation error, 2 runtime failure.
 """
 
 import argparse
@@ -429,8 +430,8 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
     beam = cfg["decode"]["beam"]
     nbest_size = _nbest_size(cfg)
     cap = cfg["decode"]["max_symbols_per_frame"]
-    if beam < 1 or nbest_size < 1:
-        raise ConfigError("beam and nbest must be >= 1")
+    if min(beam, nbest_size, cap) < 1:
+        raise ConfigError("decode.beam, decode.nbest and decode.max_symbols_per_frame must be >= 1")
     teacher = load_checkpoint(checkpoint)
     corpora = load_corpora(data_dir)
     out = make_run_dir("pseudo-label", cfg, root)
@@ -551,10 +552,14 @@ def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
 
 def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> Path:
     cfg = resolve_config(cfg)
+    cap = cfg["decode"]["max_symbols_per_frame"]
+    if cap < 1:
+        raise ConfigError("decode.max_symbols_per_frame must be >= 1")
     model = load_checkpoint(checkpoint)
     corpora = load_corpora(data_dir)
-    out = make_run_dir("evaluate", cfg, root)
-    cap = cfg["decode"]["max_symbols_per_frame"]
+    # the checkpoint's bytes and the set names are inputs outside the config
+    inputs = {"checkpoint": hashlib.sha256(Path(checkpoint).read_bytes()).hexdigest(), "sets": list(sets)}
+    out = make_run_dir(f"evaluate-{config_hash(inputs)}", cfg, root)
 
     reports = {}
     for name in sets:

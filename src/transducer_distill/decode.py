@@ -1,10 +1,17 @@
-"""Greedy and beam-search decoding over a transducer model.
+"""Greedy and beam-search decoding, and full-sum N-best rescoring.
 
-Both decoders drive the model through its incremental interface
-(``predictor_start`` / ``predictor_advance`` / ``joint_log_probs``), so any
-object implementing those methods plus ``encode`` and ``vocab_size`` works.
-Ties are broken toward the lexicographically smaller label sequence so that
-decoding is deterministic.
+The decoders use the model's incremental interface: ``encode(x)`` gives the
+encoder frames projected into joint space, ``predictor_start`` /
+``predictor_advance`` a label prefix's predictor state, and
+``joint_log_probs(frames, state)`` the (n, K+1) log posteriors of a run of n
+projected frames under one state.  Each label prefix gets one joint call,
+over the frames from the first one it is decoded at; beam search keeps these
+per-prefix rows next to the prefix's state.  ``encode`` projects with a stack
+of vector-matrix products, which rounds each row as a per-frame product does,
+so a row is the same whatever frames share its call; the lattice path
+(``forward``, ``lattices``) keeps one matrix product over all frames, whose
+last bits differ, so that training keeps its float trajectory.  Ties go to the
+lexicographically smaller label sequence, so decoding is deterministic.
 """
 
 import heapq
@@ -63,23 +70,24 @@ def greedy_decode(model, x, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER
     """
     if max_symbols_per_frame < 1:
         raise DecodeError("max_symbols_per_frame must be >= 1")
-    enc = model.encode(x)
+    frames = model.encode(x)
     blank = model.vocab_size
     state = model.predictor_start()
-    labels = []
-    score = 0.0
-    for t in range(enc.shape[0]):
+    rows, t0 = model.joint_log_probs(frames, state), 0  # rows of state, from frame t0
+    labels, score = [], 0.0
+    for t in range(frames.shape[0]):
         for _ in range(max_symbols_per_frame):
-            logp = model.joint_log_probs(enc[t], state)
+            logp = rows[t - t0]
             k = int(np.argmax(logp))
             score += float(logp[k])
             if k == blank:
                 break
             labels.append(k)
             state = model.predictor_advance(state, k)
+            rows, t0 = model.joint_log_probs(frames[t:], state), t
         else:
             # cap hit: advance time, accounting for the blank we force
-            score += float(model.joint_log_probs(enc[t], state)[blank])
+            score += float(rows[t - t0][blank])
     return Hypothesis(labels=tuple(labels), score=score)
 
 
@@ -96,19 +104,21 @@ def beam_search(
     converge to the exact full-sum sequence log-probabilities.
 
     Each frame pops hypotheses best-first from a heap; a popped hypothesis
-    pushes its label extensions with their scores only.  The predictor state
-    of a label prefix is computed when a hypothesis carrying it is first
-    popped and reused for the rest of the utterance, which relies on the
-    predictor state depending on the label history alone.
+    pushes its label extensions with their scores only.  When a label prefix
+    is first popped, at frame t0, its predictor state and its joint rows for
+    frames t0..T'-1 are computed and kept for the rest of the utterance,
+    which relies on both depending on the label history alone.
     """
-    if beam < 1:
-        raise DecodeError("beam must be >= 1")
-    enc = model.encode(x)
+    if beam < 1 or max_symbols_per_frame < 1:
+        raise DecodeError("beam and max_symbols_per_frame must be >= 1")
+    frames = model.encode(x)
     blank = model.vocab_size
-    states = {(): model.predictor_start()}  # label prefix -> predictor state
+    start = model.predictor_start()
+    # label prefix -> (predictor state, t0, joint rows of frames t0.. as lists)
+    states = {(): (start, 0, model.joint_log_probs(frames, start).tolist())}
 
     kept = [((), 0.0)]
-    for t in range(enc.shape[0]):
+    for t in range(frames.shape[0]):
         # entries (-score, labels, push order, symbols emitted this frame):
         # exact ties go to the hypothesis pushed first
         heap = [(-score, labels, i, 0) for i, (labels, score) in enumerate(kept)]
@@ -118,21 +128,21 @@ def beam_search(
         while heap:
             neg_score, labels, _, emitted = heapq.heappop(heap)
             score = -neg_score
-            state = states.get(labels)
-            if state is None:
-                state = model.predictor_advance(states[labels[:-1]], labels[-1])
-                states[labels] = state
-            logp = model.joint_log_probs(enc[t], state)
+            entry = states.get(labels)
+            if entry is None:
+                state = model.predictor_advance(states[labels[:-1]][0], labels[-1])
+                entry = states[labels] = (state, t, model.joint_log_probs(frames[t:], state).tolist())
+            logp = entry[2][t - entry[1]]
 
             # blank terminates the frame for this hypothesis; merge
-            blank_score = score + float(logp[blank])
+            blank_score = score + logp[blank]
             existing = merged.get(labels)
             merged[labels] = (
                 blank_score if existing is None else float(np.logaddexp(existing, blank_score))
             )
 
             if emitted < max_symbols_per_frame:
-                for k, lp in enumerate(logp[:blank].tolist()):
+                for k, lp in enumerate(logp[:blank]):
                     heapq.heappush(heap, (-(score + lp), labels + (k,), pushed, emitted + 1))
                     pushed += 1
 
@@ -147,13 +157,10 @@ def beam_search(
 
 
 def rescore_nbest(model, x, nbest: NBestList) -> list:
-    """Exact full-sum log P(Y'|X) for every hypothesis, replacing beam scores."""
-    scores = []
-    for hyp in nbest.hypotheses:
-        lat = model.build_lattice(x, list(hyp.labels))
-        log_prob, _, _ = forward_backward(lat, list(hyp.labels))
-        scores.append(float(log_prob))
-    return scores
+    """Exact full-sum log P(Y'|X) of every hypothesis, from one encoder pass."""
+    label_seqs = [list(hyp.labels) for hyp in nbest.hypotheses]
+    return [float(forward_backward(lat, labels)[0])
+            for lat, labels in zip(model.lattices(x, label_seqs), label_seqs)]
 
 
 # ----- pseudo-label records -----

@@ -119,11 +119,16 @@ class TransducerModel:
         padded[left : left + T] = x
         return padded[index].reshape(T_out, cfg.window * self.feat_dim)
 
+    def _encoder_states(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Input windows and encoder states, shape (ceil(T / subsample), hidden)."""
+        xw = self._windows(self._check_features(x))
+        return xw, np.tanh(xw @ self.params["enc_w"].T + self.params["enc_b"])
+
     def encode(self, x) -> np.ndarray:
-        """Encoder states, shape (ceil(T / subsample), hidden)."""
-        x = self._check_features(x)
-        p = self.params
-        return np.tanh(self._windows(x) @ p["enc_w"].T + p["enc_b"])
+        """Encoder states projected into joint space, one row per frame, each
+        rounded as ``enc[t] @ joint_enc.T`` alone (see ``decode``)."""
+        _, enc = self._encoder_states(x)
+        return (enc[:, None, :] @ self.params["joint_enc"].T)[:, 0]
 
     def _check_features(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -157,37 +162,32 @@ class TransducerModel:
             h = np.tanh(row, out=row)
         return states, inputs
 
-    def forward(self, x, y):
-        """Build the output lattice and keep activations for ``backward``."""
-        x = self._check_features(x)
+    def _label_pass(self, enc_proj: np.ndarray, y):
+        """Lattice log posteriors of ``y`` over projected frames, and their activations."""
         y = self._check_labels(y)
         p = self.params
-
-        xw = self._windows(x)
-        enc = np.tanh(xw @ p["enc_w"].T + p["enc_b"])
         pred, inputs = self._predict_states(y)
-
-        joint = (enc @ p["joint_enc"].T)[:, None, :] + (pred @ p["joint_pred"].T)[None, :, :]
+        joint = enc_proj[:, None, :] + (pred @ p["joint_pred"].T)[None, :, :]
         joint += p["joint_b"]
         np.tanh(joint, out=joint)
-        logits = joint @ p["out_w"].T + p["out_b"]
-        m = logits.max(axis=-1, keepdims=True)
-        log_probs = logits - (np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)) + m)
+        log_probs = _log_softmax(joint @ p["out_w"].T + p["out_b"])
+        return log_probs, {"pred": pred, "inputs": inputs, "joint": joint}
 
-        cache = {
-            "xw": xw,
-            "enc": enc,
-            "pred": pred,
-            "inputs": inputs,
-            "joint": joint,
-            "probs": np.exp(log_probs),
-        }
+    def forward(self, x, y):
+        """Build the output lattice and keep activations for ``backward``."""
+        xw, enc = self._encoder_states(x)
+        log_probs, cache = self._label_pass(enc @ self.params["joint_enc"].T, y)
+        cache.update(xw=xw, enc=enc, probs=np.exp(log_probs))
         return Lattice(log_probs), cache
 
     def build_lattice(self, x, y) -> Lattice:
         """Normalized log posteriors P(k|t,u) of shape T' x (U+1) x (K+1)."""
-        lat, _ = self.forward(x, y)
-        return lat
+        return self.forward(x, y)[0]
+
+    def lattices(self, x, label_seqs) -> list:
+        """``build_lattice`` of each label sequence, from one encoder pass."""
+        enc_proj = self._encoder_states(x)[1] @ self.params["joint_enc"].T
+        return [Lattice(self._label_pass(enc_proj, y)[0]) for y in label_seqs]
 
     # ----- backward -----
 
@@ -252,13 +252,16 @@ class TransducerModel:
             p["embed"][label] @ p["pred_w"].T + state @ p["pred_r"].T + p["pred_b"]
         )
 
-    def joint_log_probs(self, enc_frame: np.ndarray, pred_state: np.ndarray) -> np.ndarray:
-        """Log posteriors over K+1 outputs for one (frame, predictor state)."""
+    def joint_log_probs(self, frames: np.ndarray, pred_state: np.ndarray) -> np.ndarray:
+        """Log posteriors (n, K+1) of n projected frames under one predictor state."""
         p = self.params
-        a = np.tanh(enc_frame @ p["joint_enc"].T + pred_state @ p["joint_pred"].T + p["joint_b"])
-        z = a @ p["out_w"].T + p["out_b"]
-        m = z.max()
-        return z - (np.log(np.exp(z - m).sum()) + m)
+        a = np.tanh(frames + pred_state @ p["joint_pred"].T + p["joint_b"])
+        return _log_softmax((a[:, None, :] @ p["out_w"].T)[:, 0] + p["out_b"])
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    m = z.max(axis=-1, keepdims=True)
+    return z - (np.log(np.exp(z - m).sum(axis=-1, keepdims=True)) + m)
 
 
 class SGD:

@@ -28,7 +28,9 @@ from transducer_distill.cli import (
 )
 from transducer_distill import cli
 from transducer_distill.decode import DecodeError, read_pseudo_labels, write_pseudo_labels
-from transducer_distill.model import load_checkpoint, ModelError, TransducerModel, EncoderConfig
+from transducer_distill.model import (
+    load_checkpoint, save_checkpoint, ModelError, TransducerModel, EncoderConfig,
+)
 
 from conftest import rewrite_header
 from test_acceptance import _causal_config, _weak_teacher_config
@@ -342,6 +344,25 @@ class TestDistillAndEvaluate:
         r2 = cmd_evaluate(cfg, pipeline["teacher"], pipeline["data_dir"], root=tmp_path)
         assert r2.read_bytes() == first
 
+    def test_evaluate_run_dir_keyed_by_sets_and_checkpoint(self, pipeline, tmp_path):
+        cfg, data_dir = smoke_config(), pipeline["data_dir"]
+        unsup = cmd_evaluate(cfg, pipeline["teacher"], data_dir, sets=("unsup",), root=tmp_path)
+        sup = cmd_evaluate(cfg, pipeline["teacher"], data_dir, sets=("sup",), root=tmp_path)
+        assert unsup != sup
+        assert list(json.loads(unsup.read_text())["sets"]) == ["unsup"]
+        assert list(json.loads(sup.read_text())["sets"]) == ["sup"]
+
+        model = load_checkpoint(pipeline["teacher"])
+        model.params["out_b"][0] += 1.0
+        other = tmp_path / "other.ckpt"
+        save_checkpoint(model, other)
+        first = cmd_evaluate(cfg, pipeline["teacher"], data_dir, sets=("unsup",), root=tmp_path)
+        second = cmd_evaluate(cfg, other, data_dir, sets=("unsup",), root=tmp_path)
+        assert first == unsup and second != first
+        assert json.loads(first.read_text())["metadata"]["checkpoint"] == str(pipeline["teacher"])
+        assert json.loads(second.read_text())["metadata"]["checkpoint"] == str(other)
+        assert len(list(tmp_path.glob("evaluate-*/report.json"))) == 3
+
     def test_checkpoint_without_encoder_exits_one(self, pipeline, tmp_path):
         broken = tmp_path / "no-encoder.ckpt"
         broken.write_bytes(rewrite_header(pipeline["teacher"].read_bytes(),
@@ -489,6 +510,19 @@ class TestExitCodes:
         result = run_cli(*args, "--run-root", str(tmp_path))
         assert result.returncode == 1, result.stderr
         assert result.stderr.startswith("error:") and key in result.stderr, result.stderr
+
+    @pytest.mark.parametrize("command", ["pseudo-label", "evaluate"])
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_symbol_cap_below_one_exits_one_before_loading(self, tmp_path, capsys, command, cap):
+        # neither input exists: a check after loading would report a missing file
+        exit_code = cli.main([
+            command, "--data-dir", str(tmp_path / "nope"),
+            "--checkpoint", str(tmp_path / "nope.ckpt"), "--run-root", str(tmp_path / "runs"),
+            "--set", f"decode.max_symbols_per_frame={cap}",
+        ])
+        assert exit_code == 1
+        assert "max_symbols_per_frame must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_missing_artifact_exit_one(self, tmp_path):
         result = run_cli(

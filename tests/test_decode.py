@@ -39,10 +39,9 @@ class TableModel:
     def predictor_advance(self, state, label):
         return state + 1
 
-    def joint_log_probs(self, enc_frame, state):
-        t = int(enc_frame[0])
-        row = self.table[t][min(state, len(self.table[t]) - 1)]
-        return np.log(np.asarray(row, dtype=np.float64))
+    def joint_log_probs(self, frames, state):
+        rows = [self.table[t][min(state, len(self.table[t]) - 1)] for t in frames[:, 0].astype(int)]
+        return np.log(np.asarray(rows, dtype=np.float64))
 
 
 def blank_heavy_table(T, K=2, p_blank=0.95):
@@ -82,7 +81,7 @@ def reference_beam_search(model, x, beam, max_symbols_per_frame=5):
             best = min(open_hyps, key=key)
             open_hyps.remove(best)
             labels, score, state, emitted = best
-            logp = model.joint_log_probs(enc[t], state)
+            logp = model.joint_log_probs(enc[t : t + 1], state)[0]
             blank_score = score + float(logp[blank])
             if labels in merged:
                 merged[labels][1] = float(np.logaddexp(merged[labels][1], blank_score))
@@ -123,8 +122,82 @@ class CountingModel:
         self.advances[labels + (label,)] += 1
         return labels + (label,), self.model.predictor_advance(inner, label)
 
-    def joint_log_probs(self, enc_frame, state):
-        return self.model.joint_log_probs(enc_frame, state[1])
+    def joint_log_probs(self, frames, state):
+        return self.model.joint_log_probs(frames, state[1])
+
+
+class PerFrameReference:
+    """A decoder model computed from the raw parameters one frame at a time:
+    ``joint`` is ``enc[t] @ joint_enc.T + state @ joint_pred.T + joint_b``
+    through tanh, the output layer and a log-softmax, for one encoder frame."""
+
+    def __init__(self, model):
+        self.p = model.params
+        self.cfg = model.encoder
+        self.vocab_size = model.vocab_size
+
+    def encode(self, x):
+        """Encoder states (not projected), windows gathered frame by frame."""
+        c, F = self.cfg, x.shape[1]
+        xw = np.zeros((-(-x.shape[0] // c.subsample), c.window * F))
+        for t in range(xw.shape[0]):
+            first = (t + 1) * c.subsample - 1 - c.left_context
+            for j in range(c.window):
+                if 0 <= first + j < x.shape[0]:
+                    xw[t, j * F : (j + 1) * F] = x[first + j]
+        return np.tanh(xw @ self.p["enc_w"].T + self.p["enc_b"])
+
+    def predictor_start(self):
+        p = self.p
+        return np.tanh(p["embed"][self.vocab_size] @ p["pred_w"].T + p["pred_b"])
+
+    def predictor_advance(self, state, label):
+        p = self.p
+        return np.tanh(p["embed"][label] @ p["pred_w"].T + state @ p["pred_r"].T + p["pred_b"])
+
+    def joint(self, enc_frame, state):
+        p = self.p
+        a = np.tanh(enc_frame @ p["joint_enc"].T + state @ p["joint_pred"].T + p["joint_b"])
+        z = a @ p["out_w"].T + p["out_b"]
+        m = z.max()
+        return z - (np.log(np.exp(z - m).sum()) + m)
+
+    def joint_log_probs(self, frames, state):
+        return np.array([self.joint(frame, state) for frame in frames])
+
+
+def reference_greedy(model, x, max_symbols_per_frame):
+    """Frame-synchronous argmax decoding with one joint call per (frame, state)."""
+    enc = model.encode(x)
+    blank = model.vocab_size
+    state = model.predictor_start()
+    labels, score = [], 0.0
+    for t in range(enc.shape[0]):
+        for _ in range(max_symbols_per_frame):
+            logp = model.joint(enc[t], state)
+            k = int(np.argmax(logp))
+            score += float(logp[k])
+            if k == blank:
+                break
+            labels.append(k)
+            state = model.predictor_advance(state, k)
+        else:
+            score += float(model.joint(enc[t], state)[blank])
+    return tuple(labels), score
+
+
+def random_model(seed, hidden, subsample, causal, vocab=4, feat_dim=3):
+    cfg = EncoderConfig(causal=causal, left_context=2, right_context=0 if causal else 1,
+                        subsample=subsample, hidden=hidden)
+    m = TransducerModel(vocab_size=vocab, feat_dim=feat_dim, encoder=cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for value in m.params.values():  # weights large enough to make labels win
+        value *= rng.uniform(5.0, 15.0)
+    return m
+
+
+MODEL_SHAPES = [(hidden, subsample, causal) for hidden in (8, 16, 28)
+                for subsample in (1, 2) for causal in (False, True)]
 
 
 def tiny_model(seed=0, vocab=2, hidden=4, T_feat=2):
@@ -220,6 +293,11 @@ class TestBeamSearch:
         with pytest.raises(DecodeError):
             beam_search(tiny_model(), rng.normal(size=(2, 3)), beam=0)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_must_be_positive(self, rng, cap):
+        with pytest.raises(DecodeError, match="max_symbols_per_frame"):
+            beam_search(tiny_model(), rng.normal(size=(2, 3)), beam=4, max_symbols_per_frame=cap)
+
     @pytest.mark.parametrize("beam", [1, 3, 8])
     @pytest.mark.parametrize("cap", [1, 2, 5])
     def test_equals_eager_reference_on_random_models(self, beam, cap):
@@ -266,6 +344,68 @@ class TestBeamSearch:
         for hyp in nbest.hypotheses:
             for u in range(1, len(hyp.labels) + 1):
                 assert m.advances[hyp.labels[:u]] == 1
+
+
+class TestPerFrameEquality:
+    """The decoders read joint rows from one call per label prefix; their
+    labels and scores equal a per-frame decoder's, bit for bit."""
+
+    @pytest.mark.parametrize("hidden, subsample, causal", MODEL_SHAPES)
+    def test_joint_rows_equal_per_frame_formula(self, hidden, subsample, causal):
+        m = random_model(hidden, hidden, subsample, causal)
+        ref = PerFrameReference(m)
+        x = np.random.default_rng(hidden).normal(size=(9, 3))
+        frames, enc = m.encode(x), ref.encode(x)
+        assert np.array_equal(frames, np.array([e @ m.params["joint_enc"].T for e in enc]))
+        state = ref.predictor_advance(ref.predictor_start(), 1)
+        for t0 in range(frames.shape[0]):
+            rows = m.joint_log_probs(frames[t0:], state)
+            assert np.array_equal(rows, [ref.joint(e, state) for e in enc[t0:]])
+
+    @pytest.mark.parametrize("hidden, subsample, causal", MODEL_SHAPES)
+    def test_greedy_equals_per_frame_reference(self, hidden, subsample, causal):
+        for seed in range(4):
+            m = random_model(seed, hidden, subsample, causal)
+            x = np.random.default_rng(seed).normal(size=(int(5 + 2 * seed), 3))
+            for cap in (1, 3, 5):
+                hyp = greedy_decode(m, x, cap)
+                assert (hyp.labels, hyp.score) == reference_greedy(PerFrameReference(m), x, cap)
+
+    @pytest.mark.parametrize("hidden, subsample, causal", MODEL_SHAPES)
+    def test_beam_search_equals_per_frame_reference(self, hidden, subsample, causal):
+        for seed in range(2):
+            m = random_model(seed, hidden, subsample, causal)
+            x = np.random.default_rng(seed).normal(size=(int(4 + 3 * seed), 3))
+            for beam, cap in product((1, 4, 8), (1, 3, 5)):
+                nbest = beam_search(m, x, beam, cap)
+                got = [(h.labels, h.score) for h in nbest.hypotheses]
+                assert got == reference_beam_search(PerFrameReference(m), x, beam, cap)
+
+    @pytest.mark.parametrize("cap", [1, 3, 5])
+    def test_cap_hit_on_every_frame(self, cap):
+        # a label beats blank everywhere, so no hypothesis is pruned before
+        # its frame's cap; two labels keep the search small
+        m = random_model(3, 8, 1, False, vocab=2)
+        m.params["out_b"][m.blank] = -50.0
+        x = np.random.default_rng(3).normal(size=(6, 3))
+        ref = PerFrameReference(m)
+        hyp = greedy_decode(m, x, cap)
+        assert len(hyp.labels) == cap * 6
+        assert (hyp.labels, hyp.score) == reference_greedy(ref, x, cap)
+        for beam in (1, 4, 8):
+            nbest = beam_search(m, x, beam, cap)
+            got = [(h.labels, h.score) for h in nbest.hypotheses]
+            assert got == reference_beam_search(ref, x, beam, cap)
+
+    @pytest.mark.parametrize("hidden, subsample, causal", MODEL_SHAPES)
+    def test_rescore_equals_forward_backward_of_each_lattice(self, hidden, subsample, causal):
+        m = random_model(5, hidden, subsample, causal)
+        x = np.random.default_rng(5).normal(size=(8, 3))
+        nbest = beam_search(m, x, 8, 3)
+        assert len(nbest) > 1
+        expected = [float(forward_backward(m.build_lattice(x, list(h.labels)), list(h.labels))[0])
+                    for h in nbest.hypotheses]
+        assert rescore_nbest(m, x, nbest) == expected
 
 
 class TestRescore:

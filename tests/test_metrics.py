@@ -94,7 +94,7 @@ class _FixedDecoder:
     def predictor_advance(self, state, label):
         return state
 
-    def joint_log_probs(self, enc_frame, state):  # pragma: no cover
+    def joint_log_probs(self, frames, state):  # pragma: no cover
         raise NotImplementedError
 
 
