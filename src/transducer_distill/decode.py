@@ -4,11 +4,10 @@ The decoders use the model's incremental interface: ``encode(x)`` gives the
 encoder frames projected into joint space, ``predictor_start`` /
 ``predictor_advance`` a label prefix's predictor state, and
 ``joint_log_probs(frames, state)`` the (n, K+1) log posteriors of a run of n
-projected frames under one state.  Each label prefix gets one joint call,
-over the frames from the first one it is decoded at; beam search keeps these
-per-prefix rows next to the prefix's state.  ``encode`` projects with a stack
-of vector-matrix products, which rounds each row as a per-frame product does,
-so a row is the same whatever frames share its call; the lattice path
+projected frames under one state; the decoders ask for a label prefix's rows
+over runs of frames, not frame by frame.  ``encode`` projects with a stack of
+vector-matrix products, which rounds each row as a per-frame product does, so
+a row is the same whatever frames share its call; the lattice path
 (``forward``, ``lattices``) keeps one matrix product over all frames, whose
 last bits differ, so that training keeps its float trajectory.  Ties go to the
 lexicographically smaller label sequence, so decoding is deterministic.
@@ -73,9 +72,11 @@ def greedy_decode(model, x, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER
     frames = model.encode(x)
     blank = model.vocab_size
     state = model.predictor_start()
-    rows, t0 = model.joint_log_probs(frames, state), 0  # rows of state, from frame t0
+    rows, t0 = model.joint_log_probs(frames[:1], state), 0  # rows of state, from frame t0
     labels, score = [], 0.0
     for t in range(frames.shape[0]):
+        if t - t0 == len(rows):  # the state outlived its frame: rows for the rest
+            rows, t0 = model.joint_log_probs(frames[t:], state), t
         for _ in range(max_symbols_per_frame):
             logp = rows[t - t0]
             k = int(np.argmax(logp))
@@ -84,7 +85,7 @@ def greedy_decode(model, x, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER
                 break
             labels.append(k)
             state = model.predictor_advance(state, k)
-            rows, t0 = model.joint_log_probs(frames[t:], state), t
+            rows, t0 = model.joint_log_probs(frames[t : t + 1], state), t
         else:
             # cap hit: advance time, accounting for the blank we force
             score += float(rows[t - t0][blank])
@@ -104,18 +105,16 @@ def beam_search(
     converge to the exact full-sum sequence log-probabilities.
 
     Each frame pops hypotheses best-first from a heap; a popped hypothesis
-    pushes its label extensions with their scores only.  When a label prefix
-    is first popped, at frame t0, its predictor state and its joint rows for
-    frames t0..T'-1 are computed and kept for the rest of the utterance,
-    which relies on both depending on the label history alone.
+    pushes its label extensions with their scores only.  A prefix's predictor
+    state is kept for the utterance and its rows for frames t..T'-1 (from a pop
+    at frame t) while it is popped frame after frame: both depend on its labels.
     """
     if beam < 1 or max_symbols_per_frame < 1:
         raise DecodeError("beam and max_symbols_per_frame must be >= 1")
     frames = model.encode(x)
     blank = model.vocab_size
-    start = model.predictor_start()
-    # label prefix -> (predictor state, t0, joint rows of frames t0.. as lists)
-    states = {(): (start, 0, model.joint_log_probs(frames, start).tolist())}
+    states = {(): model.predictor_start()}  # label prefix -> predictor state
+    rows: dict[tuple, tuple] = {}  # label prefix -> (t0, joint rows of frames t0.. as lists)
 
     kept = [((), 0.0)]
     for t in range(frames.shape[0]):
@@ -128,11 +127,12 @@ def beam_search(
         while heap:
             neg_score, labels, _, emitted = heapq.heappop(heap)
             score = -neg_score
-            entry = states.get(labels)
+            entry = rows.get(labels)
             if entry is None:
-                state = model.predictor_advance(states[labels[:-1]][0], labels[-1])
-                entry = states[labels] = (state, t, model.joint_log_probs(frames[t:], state).tolist())
-            logp = entry[2][t - entry[1]]
+                if labels not in states:
+                    states[labels] = model.predictor_advance(states[labels[:-1]], labels[-1])
+                entry = rows[labels] = (t, model.joint_log_probs(frames[t:], states[labels]).tolist())
+            logp = entry[1][t - entry[0]]
 
             # blank terminates the frame for this hypothesis; merge
             blank_score = score + logp[blank]
@@ -151,6 +151,7 @@ def beam_search(
                 if sum(1 for s in merged.values() if s > frontier) >= beam:
                     break
         kept = sorted(merged.items(), key=lambda e: (-e[1], e[0]))[:beam]
+        rows = {labels: rows[labels] for labels in merged}  # this frame's pops
 
     hyps = [Hypothesis(labels=labels, score=score) for labels, score in kept]
     return NBestList(hypotheses=hyps, beam_size=beam)

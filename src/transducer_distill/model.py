@@ -125,8 +125,7 @@ class TransducerModel:
         return xw, np.tanh(xw @ self.params["enc_w"].T + self.params["enc_b"])
 
     def encode(self, x) -> np.ndarray:
-        """Encoder states projected into joint space, one row per frame, each
-        rounded as ``enc[t] @ joint_enc.T`` alone (see ``decode``)."""
+        """Encoder states projected into joint space, each row rounded as ``enc[t] @ joint_enc.T``."""
         _, enc = self._encoder_states(x)
         return (enc[:, None, :] @ self.params["joint_enc"].T)[:, 0]
 

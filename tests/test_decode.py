@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import Counter
 from itertools import product
 
@@ -20,6 +21,27 @@ from transducer_distill.decode import (
 )
 from transducer_distill.lattice import forward_backward
 from transducer_distill.model import EncoderConfig, TransducerModel
+
+
+def stacked_products_are_per_row():
+    """Whether this numpy/BLAS build rounds each row of a stacked
+    ``(n, 1, H) @ (H, H')`` product as the lone vector-matrix product of that
+    row.  The decoders' bit-for-bit equality with a per-frame decoder rests on
+    it; it held with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas64) on an
+    x86-64 Xeon, and matrix-product dispatch is not a numpy guarantee."""
+    rng = np.random.default_rng(0)
+    for n, h, h_out in [(1, 8, 8), (9, 16, 16), (40, 28, 7), (13, 5, 33)]:
+        a, w = rng.normal(size=(n, h)), rng.normal(size=(h_out, h))
+        if not np.array_equal((a[:, None, :] @ w.T)[:, 0], np.array([row @ w.T for row in a])):
+            return False
+    return True
+
+
+per_row_products = pytest.mark.skipif(
+    not stacked_products_are_per_row(),
+    reason="this numpy/BLAS build rounds a stacked vector-matrix product unlike "
+    "per-row products, so bitwise equality with a per-frame decoder does not hold",
+)
 
 
 class TableModel:
@@ -126,6 +148,51 @@ class CountingModel:
         return self.model.joint_log_probs(frames, state[1])
 
 
+class RowList(list):
+    """A list of joint rows whose freeing a finalizer can see."""
+
+
+class TrackedRows(np.ndarray):
+    """Joint rows whose ``tolist()`` is a ``RowList`` counted by ``owner``."""
+
+    def tolist(self):
+        rows = RowList(self.view(np.ndarray).tolist())
+        self.owner.live += 1
+        weakref.finalize(rows, self.owner.free)
+        return rows
+
+
+class RowTrackingModel:
+    """Wraps a decoder model and records each joint call as (first frame,
+    frames asked for, row lists handed out by ``tolist()`` and still alive)."""
+
+    def __init__(self, model):
+        self.model = model
+        self.vocab_size = model.vocab_size
+        self.live = 0
+        self.calls = []
+
+    def free(self):
+        self.live -= 1
+
+    def encode(self, x):
+        frames = self.model.encode(x)
+        self.n_frames = frames.shape[0]
+        return frames
+
+    def predictor_start(self):
+        return self.model.predictor_start()
+
+    def predictor_advance(self, state, label):
+        return self.model.predictor_advance(state, label)
+
+    def joint_log_probs(self, frames, state):
+        self.calls.append((self.n_frames - len(frames), len(frames), self.live))
+        rows = self.model.joint_log_probs(frames, state).view(TrackedRows)
+        rows.owner = self
+        return rows
+
+
 class PerFrameReference:
     """A decoder model computed from the raw parameters one frame at a time:
     ``joint`` is ``enc[t] @ joint_enc.T + state @ joint_pred.T + joint_b``
@@ -196,6 +263,14 @@ def random_model(seed, hidden, subsample, causal, vocab=4, feat_dim=3):
     return m
 
 
+def cap_hit_model():
+    """A model whose labels beat blank everywhere, so every frame hits the
+    cap; two labels keep the search small."""
+    m = random_model(3, 8, 1, False, vocab=2)
+    m.params["out_b"][m.blank] = -50.0
+    return m
+
+
 MODEL_SHAPES = [(hidden, subsample, causal) for hidden in (8, 16, 28)
                 for subsample in (1, 2) for causal in (False, True)]
 
@@ -232,6 +307,18 @@ class TestGreedy:
     def test_cap_must_be_positive(self):
         with pytest.raises(DecodeError):
             greedy_decode(TableModel(blank_heavy_table(2)), None, max_symbols_per_frame=0)
+
+    @pytest.mark.parametrize("cap", [1, 3, 5])
+    def test_rows_grow_with_labels_plus_frames_per_surviving_state(self, cap):
+        # after an advance greedy asks for its frame's row alone; it asks for
+        # the frames that remain only once a state outlives its frame
+        m = RowTrackingModel(cap_hit_model())
+        n_frames = 8
+        hyp = greedy_decode(m, np.random.default_rng(3).normal(size=(n_frames, 3)), cap)
+        assert len(hyp.labels) == cap * n_frames
+        assert all(n == 1 or t0 + n == n_frames for t0, n, _ in m.calls)
+        rows = sum(n for _, n, _ in m.calls)
+        assert rows == 1 + len(hyp.labels) + n_frames * (n_frames - 1) // 2
 
 
 class TestBeamSearch:
@@ -298,6 +385,7 @@ class TestBeamSearch:
         with pytest.raises(DecodeError, match="max_symbols_per_frame"):
             beam_search(tiny_model(), rng.normal(size=(2, 3)), beam=4, max_symbols_per_frame=cap)
 
+    @per_row_products
     @pytest.mark.parametrize("beam", [1, 3, 8])
     @pytest.mark.parametrize("cap", [1, 2, 5])
     def test_equals_eager_reference_on_random_models(self, beam, cap):
@@ -345,7 +433,22 @@ class TestBeamSearch:
             for u in range(1, len(hyp.labels) + 1):
                 assert m.advances[hyp.labels[:u]] == 1
 
+    def test_rows_alive_do_not_grow_with_utterance_length(self):
+        # rows are kept only for the prefixes popped in the frame before, so
+        # on a model whose frames all look alike the rows alive at any joint
+        # call stay flat as the utterance grows, while the calls grow with it
+        def run(n_frames, beam):
+            m = RowTrackingModel(TableModel([[[0.3, 0.25, 0.2, 0.25]]] * n_frames))
+            beam_search(m, None, beam, 3)
+            return len(m.calls), max(live for _, _, live in m.calls)
 
+        for beam in (4, 8):
+            (calls_short, live_short), (calls_long, live_long) = run(20, beam), run(80, beam)
+            assert calls_long > 2 * calls_short
+            assert live_long <= live_short
+
+
+@per_row_products
 class TestPerFrameEquality:
     """The decoders read joint rows from one call per label prefix; their
     labels and scores equal a per-frame decoder's, bit for bit."""
@@ -383,10 +486,8 @@ class TestPerFrameEquality:
 
     @pytest.mark.parametrize("cap", [1, 3, 5])
     def test_cap_hit_on_every_frame(self, cap):
-        # a label beats blank everywhere, so no hypothesis is pruned before
-        # its frame's cap; two labels keep the search small
-        m = random_model(3, 8, 1, False, vocab=2)
-        m.params["out_b"][m.blank] = -50.0
+        # no hypothesis is pruned before its frame's cap
+        m = cap_hit_model()
         x = np.random.default_rng(3).normal(size=(6, 3))
         ref = PerFrameReference(m)
         hyp = greedy_decode(m, x, cap)
@@ -397,6 +498,8 @@ class TestPerFrameEquality:
             got = [(h.labels, h.score) for h in nbest.hypotheses]
             assert got == reference_beam_search(ref, x, beam, cap)
 
+
+class TestRescore:
     @pytest.mark.parametrize("hidden, subsample, causal", MODEL_SHAPES)
     def test_rescore_equals_forward_backward_of_each_lattice(self, hidden, subsample, causal):
         m = random_model(5, hidden, subsample, causal)
@@ -407,8 +510,6 @@ class TestPerFrameEquality:
                     for h in nbest.hypotheses]
         assert rescore_nbest(m, x, nbest) == expected
 
-
-class TestRescore:
     def test_singleton_equals_forward_backward(self, rng):
         m = tiny_model(seed=2)
         x = rng.normal(size=(3, 3))

@@ -1,8 +1,8 @@
 """Per-call cost of the transducer_distill layers at one fixed shape.
 
-    python3 tools/percall.py [--src DIR] [--blocks 30]
+    python3 tools/percall.py [--src DIR]
 
-Prints, for each layer, the best over ``--blocks`` blocks of the mean cost
+Prints, for each layer, the best over ``BLOCKS`` blocks of the mean cost
 of one call, in microseconds, at T=14 input frames, U=5 labels, K=6 labels
 plus blank and hidden width H=16 (a 5-frame window over 8 features).  The
 model is an untrained one, so beam search pops many hypotheses per frame.
@@ -21,13 +21,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 T, U, K, H, FEAT = 14, 5, 6, 16, 8
+BLOCKS = 30
 
 
-def best_us(fn, calls, blocks):
-    """Best over ``blocks`` of the mean seconds of ``calls`` calls, in µs."""
+def best_us(fn, calls):
+    """Best over ``BLOCKS`` of the mean seconds of ``calls`` calls, in µs."""
     fn()
     best = float("inf")
-    for _ in range(blocks):
+    for _ in range(BLOCKS):
         t0 = time.perf_counter()
         for _ in range(calls):
             fn()
@@ -67,15 +68,14 @@ def main(argv=None):
     default_src = Path(__file__).resolve().parents[1] / "src"
     parser.add_argument("--src", default=str(default_src),
                         help="directory holding the transducer_distill package")
-    parser.add_argument("--blocks", type=int, default=30, help="timed blocks per layer")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     import transducer_distill as td
     import transducer_distill.lattice  # noqa: F401  (td.lattice)
 
-    print(f"# {td.__file__}: T={T} U={U} K={K} H={H}, best of {args.blocks} blocks")
+    print(f"# {td.__file__}: T={T} U={U} K={K} H={H}, best of {BLOCKS} blocks")
     for name, calls, fn in layers(td):
-        print(f"{name:28s} {best_us(fn, calls, args.blocks):10.1f} us")
+        print(f"{name:28s} {best_us(fn, calls):10.1f} us")
     return 0
 
 
