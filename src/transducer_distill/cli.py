@@ -2,10 +2,10 @@
 labeling, distillation, evaluation, and the teacher-shift sweep.
 
 Every command is a pure function of its JSON config (plus referenced
-artifacts); outputs land in a run directory named by the config hash (and,
-for ``evaluate``, by the checkpoint's bytes and the set names), so rerunning
-an identical config reproduces byte-identical files.  Exit codes: 0 success,
-1 config/validation error, 2 runtime failure.
+artifacts); outputs land in a run directory named by the config hash and
+the sha256 of the input files (and, for ``evaluate``, the set names), so
+rerunning an identical config on identical inputs reproduces byte-identical
+files.  Exit codes: 0 success, 1 config/validation error, 2 runtime failure.
 """
 
 import argparse
@@ -217,13 +217,27 @@ def run_root(explicit=None) -> Path:
     return Path(os.environ.get(RUN_ROOT_ENV, "runs"))
 
 
-def make_run_dir(command: str, cfg: dict, root=None) -> Path:
-    out = run_root(root) / f"{command}-{config_hash(cfg)}"
+def make_run_dir(command: str, cfg: dict, root=None, inputs=(), sets=()) -> Path:
+    """``<command>-<config hash>``, then ``-<hash>`` of the sha256 of each
+    input file and of ``sets`` when the command reads any."""
+    name = f"{command}-{config_hash(cfg)}"
+    if inputs:
+        name += "-" + config_hash([_sha256(p) for p in inputs] + list(sets))
+    out = run_root(root) / name
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.json", "w", encoding="utf-8") as f:
         json.dump(cfg, f, indent=2, sort_keys=True)
         f.write("\n")
     return out
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _inputs(data_dir, *files) -> tuple:
+    """A command's input files: ``files`` and the corpus manifest."""
+    return (*files, Path(data_dir) / "manifest.json")
 
 
 def _data_spec(cfg: dict) -> data_mod.SyntheticSpec:
@@ -305,6 +319,16 @@ def validate_distill_setup(cfg: dict, teacher_subsample: int) -> None:
     _nbest_size(cfg)
 
 
+def _check_shifts(shifts, unsup, subsample: int) -> None:
+    """Reject a shift at or past the teacher frames of the shortest
+    unsupervised utterance, before any training reaches it."""
+    short = min(unsup.utterances, key=lambda u: len(u.frames))
+    frames = -(-len(short.frames) // subsample)
+    if max(shifts) >= frames:
+        raise ConfigError(f"shift {max(shifts)} >= {frames} teacher frames of the shortest "
+                          f"unsupervised utterance {short.utt_id}")
+
+
 # ----- corpus artifacts -----
 
 
@@ -340,8 +364,7 @@ def load_corpora(data_dir) -> dict:
     manifest = json.loads(raw)
     paths = [data_dir / manifest["files"][k]
              for k in ("supervised", "unsupervised", "unsup_refs", "eval")]
-    key = (hashlib.sha256(raw).hexdigest(),
-           *(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths))
+    key = (hashlib.sha256(raw).hexdigest(), *map(_sha256, paths))
     if key not in _LAST_CORPORA:
         _LAST_CORPORA.clear()
         sup = data_mod.read_corpus(paths[0], "sup")
@@ -398,7 +421,7 @@ def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
         enc["hidden"] = TEACHER_WIDTHS[quality["size"]]
     encoder = _encoder_from(enc, "teacher")
     spec = _data_spec(cfg)
-    out = make_run_dir("train-teacher", cfg, root)
+    out = make_run_dir("train-teacher", cfg, root, _inputs(data_dir))
 
     sup = corpora["sup"]
     if quality["supervised_fraction"] < 1.0:
@@ -434,7 +457,7 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
         raise ConfigError("decode.beam, decode.nbest and decode.max_symbols_per_frame must be >= 1")
     teacher = load_checkpoint(checkpoint)
     corpora = load_corpora(data_dir)
-    out = make_run_dir("pseudo-label", cfg, root)
+    out = make_run_dir("pseudo-label", cfg, root, _inputs(data_dir, checkpoint))
 
     # the teacher decodes raw features: no dropout or augmentation exists
     # anywhere in this pipeline, matching the distillation protocol
@@ -487,6 +510,7 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
     kind = _distill_kind(cfg)
     weights = _combined_config(cfg)
     corpora = load_corpora(data_dir)
+    _check_shifts([kind.shift_n], corpora["unsup"], teacher.encoder.subsample)
     pseudo = read_pseudo_labels(pseudo_label_file)
     if weights.weight_hard_on_pseudo > 0 or weights.weight_distill > 0:
         missing = [u.utt_id for u in corpora["unsup"].utterances if u.utt_id not in pseudo]
@@ -506,7 +530,8 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
 
     spec = _data_spec(cfg)
     encoder = _encoder_from(cfg["student"]["encoder"], "student")
-    out = make_run_dir("distill", cfg, root)
+    out = make_run_dir("distill", cfg, root,
+                       _inputs(data_dir, teacher_checkpoint, pseudo_label_file))
 
     model = TransducerModel(spec.vocab_size, spec.feat_dim, encoder, seed=cfg["seed"] + 13)
 
@@ -528,7 +553,8 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
 def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root=None) -> Path:
     """Train one student per standard experiment row and evaluate each."""
     cfg = resolve_config(cfg)
-    out = make_run_dir("distill-grid", cfg, root)
+    out = make_run_dir("distill-grid", cfg, root,
+                       _inputs(data_dir, teacher_checkpoint, pseudo_label_file))
     summary, teacher_lattices = {}, {}
     for row, (kind_name, (w_sup, w_hard, w_distill)) in GRID_ROWS.items():
         row_cfg = json.loads(json.dumps(cfg))
@@ -557,9 +583,7 @@ def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> 
         raise ConfigError("decode.max_symbols_per_frame must be >= 1")
     model = load_checkpoint(checkpoint)
     corpora = load_corpora(data_dir)
-    # the checkpoint's bytes and the set names are inputs outside the config
-    inputs = {"checkpoint": hashlib.sha256(Path(checkpoint).read_bytes()).hexdigest(), "sets": list(sets)}
-    out = make_run_dir(f"evaluate-{config_hash(inputs)}", cfg, root)
+    out = make_run_dir("evaluate", cfg, root, _inputs(data_dir, checkpoint), sets)
 
     reports = {}
     for name in sets:
@@ -595,8 +619,13 @@ def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
         raise ConfigError("sweep-shift expects a non-causal teacher")
     if shifts is None:
         shifts = list(range(0, 4))
+    if not shifts or min(shifts) < 0:
+        raise ConfigError(f"sweep-shift needs one or more shifts >= 0, got {list(shifts)}; "
+                          f"--max-shift must be >= 0")
+    _check_shifts(shifts, load_corpora(data_dir)["unsup"], teacher.encoder.subsample)
 
-    out = make_run_dir("sweep-shift", cfg, root)
+    out = make_run_dir("sweep-shift", cfg, root,
+                       _inputs(data_dir, teacher_checkpoint, pseudo_label_file))
     rows, teacher_lattices = [], {}
     for n in shifts:
         run_cfg = json.loads(json.dumps(cfg))

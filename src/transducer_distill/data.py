@@ -63,18 +63,11 @@ class Corpus:
     def utt_ids(self):
         return [u.utt_id for u in self.utterances]
 
-    def reference_labels(self, utt_id: str) -> tuple:
-        """Ground truth for evaluation; reaches hidden references of
-        unsupervised splits that training code must never see."""
-        for utt in self.utterances:
-            if utt.utt_id == utt_id:
-                if utt.labels is not None:
-                    return utt.labels
-                break
-        ref = self.hidden_refs.get(utt_id)
-        if ref is None:
-            raise DataError(f"no reference labels for utterance {utt_id!r}")
-        return ref
+    def references(self) -> dict:
+        """Ground truth for evaluation, by utterance id; reaches hidden
+        references of unsupervised splits that training code must never see."""
+        visible = {u.utt_id: u.labels for u in self.utterances if u.labels is not None}
+        return {**self.hidden_refs, **visible}
 
 
 def label_templates(spec: SyntheticSpec) -> np.ndarray:
@@ -88,12 +81,13 @@ def _sample_utterance(spec, templates, rng, utt_id: str) -> tuple:
     length = int(rng.integers(lo, hi + 1))
     labels = tuple(int(v) for v in rng.integers(0, spec.vocab_size, size=length))
     a, b = spec.frames_per_label
-    rows = []
-    for lab in labels:
-        repeats = int(rng.integers(a, b + 1))
-        noise = rng.normal(size=(repeats, spec.feat_dim)) * spec.noise_sigma
-        rows.append(templates[lab] + noise)
-    frames = np.round(np.concatenate(rows, axis=0), 9)
+    repeats, noise = [], []
+    for _ in labels:  # the RNG draws stay label by label
+        repeats.append(int(rng.integers(a, b + 1)))
+        noise.append(rng.normal(size=(repeats[-1], spec.feat_dim)))
+    # the same product and sum per element as scaling each label's noise alone
+    frames = templates[np.repeat(labels, repeats)] + np.concatenate(noise) * spec.noise_sigma
+    frames = np.round(frames, 9)
     return Utterance(utt_id=utt_id, frames=frames, labels=labels), labels
 
 
@@ -219,13 +213,12 @@ def _batch_stream(supervised, unsupervised, batch_size, sup_fraction, seed):
 
 def write_corpus(path, corpus: Corpus) -> None:
     """Line-delimited records {utt_id, frames, labels?}; frame values are
-    9-decimal fixed-point so files re-read value-exactly."""
+    rounded to 9 decimals once per utterance, so files re-read value-exactly.
+    ``np.round(v, 9)`` is a fixed point of ``round(v, 9)`` on generated
+    frames, so this writes the bytes of a per-value ``round``."""
     with open(path, "w", encoding="utf-8") as f:
         for utt in corpus.utterances:
-            rec = {
-                "utt_id": utt.utt_id,
-                "frames": [[round(float(v), 9) for v in row] for row in utt.frames],
-            }
+            rec = {"utt_id": utt.utt_id, "frames": np.round(utt.frames, 9).tolist()}
             if utt.labels is not None:
                 rec["labels"] = list(utt.labels)
             f.write(json.dumps(rec, sort_keys=True))

@@ -94,10 +94,13 @@ def evaluate(model, corpus, decoder: str = "greedy", beam: int = 8,
     """
     if not corpus.utterances:
         raise MetricsError(f"cannot evaluate empty corpus {corpus.split!r}")
+    refs = corpus.references()
     total = WerReport()
     per_utt = {}
     for utt in corpus.utterances:
-        ref = corpus.reference_labels(utt.utt_id)
+        ref = refs.get(utt.utt_id)
+        if ref is None:
+            raise MetricsError(f"no reference labels for utterance {utt.utt_id!r}")
         if decoder == "greedy":
             hyp = greedy_decode(model, utt.frames, max_symbols_per_frame)
         elif decoder == "beam":
@@ -118,17 +121,21 @@ def macro_average(reports) -> float:
     return sum(r.wer for r in reports) / len(reports)
 
 
+def _counts(rep: WerReport) -> dict:
+    return {"substitutions": rep.substitutions, "deletions": rep.deletions,
+            "insertions": rep.insertions, "reference_length": rep.reference_length}
+
+
 def write_report(path, sets: dict, metadata: dict | None = None) -> None:
-    """Report file: per-set WER and error counts plus experiment metadata."""
+    """Report file: per-set WER and error counts, each utterance's counts,
+    plus experiment metadata."""
     payload = {
         "schema_version": 1,
         "sets": {
             name: {
                 "wer": rep.wer,
-                "substitutions": rep.total.substitutions,
-                "deletions": rep.total.deletions,
-                "insertions": rep.total.insertions,
-                "reference_length": rep.total.reference_length,
+                **_counts(rep.total),
+                "per_utterance": {u: _counts(r) for u, r in rep.per_utterance.items()},
             }
             for name, rep in sets.items()
         },

@@ -363,6 +363,24 @@ class TestDistillAndEvaluate:
         assert json.loads(second.read_text())["metadata"]["checkpoint"] == str(other)
         assert len(list(tmp_path.glob("evaluate-*/report.json"))) == 3
 
+    def test_run_dirs_keyed_by_input_files(self, pipeline, tmp_path):
+        cfg, data_dir = smoke_config(), pipeline["data_dir"]
+        model = load_checkpoint(pipeline["teacher"])
+        model.params["out_b"][0] += 1.0
+        other = tmp_path / "other.ckpt"
+        save_checkpoint(model, other)
+        first = cmd_pseudo_label(cfg, pipeline["teacher"], data_dir, root=tmp_path)
+        second = cmd_pseudo_label(cfg, other, data_dir, root=tmp_path)
+        assert first.parent != second.parent
+        assert first == cmd_pseudo_label(cfg, pipeline["teacher"], data_dir, root=tmp_path)
+        assert len(list(tmp_path.glob("pseudo-label-*/pseudo_labels.jsonl"))) == 2
+
+        hard = smoke_config("distill.kind=hard")
+        a = cmd_distill(hard, data_dir, pipeline["teacher"], first, root=tmp_path)
+        b = cmd_distill(hard, data_dir, pipeline["teacher"], second, root=tmp_path)
+        assert a.parent != b.parent
+        assert a == cmd_distill(hard, data_dir, pipeline["teacher"], first, root=tmp_path)
+
     def test_checkpoint_without_encoder_exits_one(self, pipeline, tmp_path):
         broken = tmp_path / "no-encoder.ckpt"
         broken.write_bytes(rewrite_header(pipeline["teacher"].read_bytes(),
@@ -450,6 +468,46 @@ class TestSweepShift:
         lines = table.read_text().splitlines()
         assert lines[0] == "shift\twer"
         assert [int(l.split("\t")[0]) for l in lines[1:]] == [0, 1, 2]
+
+    SOFT_CAUSAL = ["--set", "distill.kind=soft_efficient", "--set", "student.encoder.causal=true",
+                   "--set", "student.encoder.right_context=0"]
+
+    def shift_args(self, pipeline, tmp_path, command):
+        return [command, "--data-dir", str(pipeline["data_dir"]),
+                "--teacher", str(pipeline["teacher"]), "--pseudo-labels", str(pipeline["pseudo"]),
+                "--run-root", str(tmp_path), *SMOKE_SET_ARGS, *self.SOFT_CAUSAL]
+
+    @staticmethod
+    def shortest_unsup(pipeline):
+        utts = load_corpora(pipeline["data_dir"])["unsup"].utterances
+        return min(utts, key=lambda u: len(u.frames))
+
+    def test_negative_max_shift_exits_one(self, pipeline, tmp_path, capsys):
+        args = self.shift_args(pipeline, tmp_path, "sweep-shift") + ["--max-shift", "-1"]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--max-shift" in err, err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["sweep-shift", "distill"])
+    def test_shift_past_shortest_utterance_exits_one_before_training(
+            self, pipeline, tmp_path, capsys, command):
+        short = self.shortest_unsup(pipeline)
+        frames = len(short.frames)  # the teacher does not subsample
+        args = self.shift_args(pipeline, tmp_path, command)
+        args += (["--max-shift", str(frames)] if command == "sweep-shift"
+                 else ["--set", f"distill.shift_n={frames}"])
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: shift {frames} >= {frames} teacher frames"), err
+        assert short.utt_id in err
+        assert not list(tmp_path.iterdir())
+
+    def test_shift_below_shortest_utterance_trains(self, pipeline, tmp_path, capsys):
+        frames = len(self.shortest_unsup(pipeline).frames)
+        args = self.shift_args(pipeline, tmp_path, "distill")
+        assert cli.main(args + ["--set", f"distill.shift_n={frames - 1}"]) == 0
+        assert capsys.readouterr().out.strip().endswith("student.ckpt")
 
     def test_builds_each_teacher_lattice_once(self, pipeline, tmp_path, monkeypatch):
         builds = Counter()

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from transducer_distill import data as data_mod
 from transducer_distill.data import (
     Corpus,
     DataError,
@@ -69,7 +72,7 @@ class TestGenerate:
             assert utt.labels is None
         # truth is reachable only through the evaluation interface
         first = unsup.utterances[0].utt_id
-        ref = unsup.reference_labels(first)
+        ref = unsup.references()[first]
         assert isinstance(ref, tuple) and len(ref) >= 2
 
     def test_split_disjointness(self):
@@ -201,6 +204,93 @@ class TestCorpusFiles:
         path = tmp_path / "unsup.jsonl"
         write_corpus(path, unsup)
         assert b'"labels"' not in path.read_bytes()
+
+
+def reference_split(s, tag, size, stream):
+    """(utt_id, labels, frames) of each utterance, drawn and summed label by
+    label the way the generator did before it summed once per utterance."""
+    templates = data_mod.label_templates(s)
+    rng = np.random.default_rng([s.seed, stream])
+    out = []
+    for i in range(size):
+        lo, hi = s.label_len_range
+        length = int(rng.integers(lo, hi + 1))
+        labels = tuple(int(v) for v in rng.integers(0, s.vocab_size, size=length))
+        a, b = s.frames_per_label
+        rows = []
+        for lab in labels:
+            repeats = int(rng.integers(a, b + 1))
+            noise = rng.normal(size=(repeats, s.feat_dim)) * s.noise_sigma
+            rows.append(templates[lab] + noise)
+        out.append((f"{tag}-{i:05d}", labels, np.round(np.concatenate(rows, axis=0), 9)))
+    return out
+
+
+def reference_write(path, corpus):
+    """The per-value writer: Python's ``round(v, 9)`` on every frame value."""
+    with open(path, "w", encoding="utf-8") as f:
+        for utt in corpus.utterances:
+            rec = {"utt_id": utt.utt_id,
+                   "frames": [[round(float(v), 9) for v in row] for row in utt.frames]}
+            if utt.labels is not None:
+                rec["labels"] = list(utt.labels)
+            f.write(json.dumps(rec, sort_keys=True))
+            f.write("\n")
+
+
+SPECS = {
+    "default": {},
+    "noise 0": {"noise_sigma": 0.0},
+    "equal frame bounds": {"frames_per_label": (3, 3), "noise_sigma": 1.0},
+    "unequal frame bounds": {"frames_per_label": (1, 5), "feat_dim": 8, "seed": 2000},
+    "small noise": {"noise_sigma": 3e-6, "seed": 3},
+    "large noise": {"noise_sigma": 700.0, "seed": 4},
+}
+
+
+class TestPerUtteranceRounding:
+    """The generator sums and the writer rounds once per utterance; both
+    keep the values, and the files the bytes, of the per-label forms."""
+
+    @pytest.mark.parametrize("large_templates", [False, True], ids=["templates", "large templates"])
+    @pytest.mark.parametrize("overrides", SPECS.values(), ids=SPECS.keys())
+    def test_write_corpus_bytes_equal_per_value_writer(self, tmp_path, monkeypatch,
+                                                       overrides, large_templates):
+        if large_templates:
+            templates = data_mod.label_templates
+            monkeypatch.setattr(data_mod, "label_templates", lambda s: templates(s) * 1e3)
+        sup, unsup = generate(spec(**overrides))
+        for corpus in (sup, unsup):
+            ours, ref = tmp_path / "ours.jsonl", tmp_path / "ref.jsonl"
+            write_corpus(ours, corpus)
+            reference_write(ref, corpus)
+            assert ours.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("overrides", SPECS.values(), ids=SPECS.keys())
+    def test_generate_split_equals_per_label_generator(self, overrides):
+        s = spec(**overrides)
+        corpus = generate_split(s, "eval", 12, stream=3)
+        want = reference_split(s, "eval", 12, stream=3)
+        assert len(corpus) == len(want)
+        for utt, (utt_id, labels, frames) in zip(corpus.utterances, want):
+            assert (utt.utt_id, utt.labels) == (utt_id, labels)
+            assert utt.frames.shape == frames.shape
+            assert (utt.frames == frames).all()
+
+    def test_unrounded_frames_reread_value_exactly(self, tmp_path):
+        rng = np.random.default_rng(11)
+        frames = [rng.normal(size=(5, 3)) * 10.0 ** e for e in range(-7, 5)]
+        corpus = Corpus("sup", [Utterance(f"u{i}", x, (1,)) for i, x in enumerate(frames)])
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, corpus)
+        again = tmp_path / "again.jsonl"
+        loaded = read_corpus(path, "sup")
+        write_corpus(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+        for x, utt in zip(frames, loaded.utterances):
+            assert not np.array_equal(utt.frames, x)
+            assert np.array_equal(utt.frames, np.round(x, 9))
+            assert np.abs(utt.frames - x).max() < 6e-10
 
 
 class TestSpecValidation:

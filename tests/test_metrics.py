@@ -138,6 +138,44 @@ class TestEvaluate:
         assert report.wer == pytest.approx(0.1)
         assert set(report.per_utterance) == {"A", "B"}
 
+    def test_report_keeps_per_utterance_counts(self, monkeypatch, tmp_path):
+        # A: one hidden reference, one substitution and one insertion;
+        # B: a visible reference, one deletion
+        corpus = Corpus(
+            split="eval",
+            utterances=[
+                Utterance("A", np.zeros((1, 1)), labels=None),
+                Utterance("B", np.ones((1, 1)), labels=(4, 5, 6)),
+            ],
+            hidden_refs={"A": (1, 2)},
+        )
+        hyps = {0.0: (1, 3, 3), 1.0: (4, 6)}
+        import transducer_distill.metrics as metrics_mod
+
+        class Hyp:
+            def __init__(self, labels):
+                self.labels = labels
+
+        monkeypatch.setattr(metrics_mod, "greedy_decode",
+                            lambda model, x, cap: Hyp(hyps[float(x[0, 0])]))
+        report = evaluate(None, corpus)
+        path = tmp_path / "report.json"
+        write_report(path, {"eval": report})
+        import json
+
+        got = json.loads(path.read_text())["sets"]["eval"]
+        assert got["per_utterance"] == {
+            "A": {"substitutions": 1, "deletions": 0, "insertions": 1, "reference_length": 2},
+            "B": {"substitutions": 0, "deletions": 1, "insertions": 0, "reference_length": 3},
+        }
+        assert (got["substitutions"], got["deletions"], got["insertions"]) == (1, 1, 1)
+        assert got["wer"] == pytest.approx(3 / 5)
+
+    def test_missing_reference_rejected(self):
+        corpus = Corpus(split="eval", utterances=[Utterance("A", np.zeros((1, 1)))])
+        with pytest.raises(MetricsError, match="'A'"):
+            evaluate(None, corpus)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(MetricsError):
             evaluate(None, Corpus(split="eval", utterances=[]))

@@ -6,6 +6,8 @@ Prints, for each layer, the best over ``BLOCKS`` blocks of the mean cost
 of one call, in microseconds, at T=14 input frames, U=5 labels, K=6 labels
 plus blank and hidden width H=16 (a 5-frame window over 8 features).  The
 model is an untrained one, so beam search pops many hypotheses per frame.
+The last row writes a generated 100-utterance corpus (3 to 6 labels of 2 to
+4 frames each) to ``os.devnull``.
 ``--src`` names the directory that holds the ``transducer_distill`` package
 (default: this repository's ``src``), so two trees can be timed with the
 same script.  BLAS is pinned to one thread.
@@ -51,6 +53,10 @@ def layers(td):
     _, grad = td.lattice.rnnt_loss_with_grad(lat, y)
     nbest = td.beam_search(model, x, 8)
     four = td.NBestList(nbest.hypotheses[:4], beam_size=4)
+    spec = td.SyntheticSpec(vocab_size=K, feat_dim=FEAT, frames_per_label=(2, 4),
+                            noise_sigma=0.4, label_len_range=(3, 6),
+                            num_supervised=100, num_unsupervised=1, seed=0)
+    corpus, _ = td.generate(spec)
     return [
         ("forward", 200, lambda: model.forward(x, y)),
         ("forward_backward", 200, lambda: td.forward_backward(lat, y)),
@@ -60,6 +66,7 @@ def layers(td):
         ("greedy decoding", 50, lambda: td.greedy_decode(model, x)),
         ("beam search, beam 8", 5, lambda: td.beam_search(model, x, 8)),
         ("rescoring of a 4-best list", 50, lambda: td.rescore_nbest(model, x, four)),
+        ("write_corpus, 100 utterances", 3, lambda: td.data.write_corpus(os.devnull, corpus)),
     ]
 
 
