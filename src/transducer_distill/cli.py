@@ -58,13 +58,22 @@ TEACHER_PRESETS = {
     "S3": {"size": "S", "supervised_fraction": 0.3, "label_noise_rate": 0.30},
 }
 
+# the standard experiment grid: each row's overrides of the config
 GRID_ROWS = {
-    "student": ("hard", (1.0, 0.0, 0.0)),
-    "hard": ("hard", (1.0, 1.0, 0.0)),
-    "hard_soft": ("soft_efficient", (1.0, 1.0, 1.0)),
-    "soft": ("soft_efficient", (1.0, 0.0, 1.0)),
-    "fs_l1": ("fs_l1", (1.0, 1.0, 1.0)),
-    "fsnorm_l1": ("fsnorm_l1", (1.0, 1.0, 1.0)),
+    # the supervised-only baseline trains on pure supervised batches
+    "student": {"distill": {"kind": "hard",
+                            "weights": {"supervised": 1.0, "hard": 0.0, "distill": 0.0}},
+                "train": {"sup_fraction": 1.0}},
+    "hard": {"distill": {"kind": "hard",
+                         "weights": {"supervised": 1.0, "hard": 1.0, "distill": 0.0}}},
+    "hard_soft": {"distill": {"kind": "soft_efficient",
+                              "weights": {"supervised": 1.0, "hard": 1.0, "distill": 1.0}}},
+    "soft": {"distill": {"kind": "soft_efficient",
+                         "weights": {"supervised": 1.0, "hard": 0.0, "distill": 1.0}}},
+    "fs_l1": {"distill": {"kind": "fs_l1",
+                          "weights": {"supervised": 1.0, "hard": 1.0, "distill": 1.0}}},
+    "fsnorm_l1": {"distill": {"kind": "fsnorm_l1",
+                              "weights": {"supervised": 1.0, "hard": 1.0, "distill": 1.0}}},
 }
 
 DEFAULT_CONFIG = {
@@ -362,8 +371,11 @@ def load_corpora(data_dir) -> dict:
         raise ConfigError(f"no corpus manifest at {manifest_path}")
     raw = manifest_path.read_bytes()
     manifest = json.loads(raw)
-    paths = [data_dir / manifest["files"][k]
-             for k in ("supervised", "unsupervised", "unsup_refs", "eval")]
+    names = ("supervised", "unsupervised", "unsup_refs", "eval")
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, dict) or not all(isinstance(files.get(k), str) for k in names):
+        raise ConfigError(f"corpus manifest {manifest_path} must name the files of {list(names)}")
+    paths = [data_dir / files[k] for k in names]
     key = (hashlib.sha256(raw).hexdigest(), *map(_sha256, paths))
     if key not in _LAST_CORPORA:
         _LAST_CORPORA.clear()
@@ -438,10 +450,8 @@ def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
     )
     # pure-supervised stream: mixer with fraction 1.0 never draws unsupervised
     empty = data_mod.Corpus(split="unused", utterances=[])
-    train_cfg = dict(cfg)
-    train_cfg["train"] = dict(cfg["train"])
-    train_cfg["train"]["sup_fraction"] = 1.0
-    _train(model, sup, empty, train_cfg, loss_fn, out / "train_log.jsonl")
+    _train(model, sup, empty, _deep_merge(cfg, {"train": {"sup_fraction": 1.0}}), loss_fn,
+           out / "train_log.jsonl")
 
     ckpt = out / "teacher.ckpt"
     save_checkpoint(model, ckpt)
@@ -550,26 +560,28 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
     return ckpt
 
 
+def run_rows(cfg: dict, rows: dict, data_dir, teacher_checkpoint, pseudo_label_file,
+             root=None) -> dict:
+    """Train and evaluate one student per row; a row is a name mapped to the
+    overrides merged over ``cfg``.  The rows share one teacher-lattice memo.
+    Returns each row's eval WER by name."""
+    wers, teacher_lattices = {}, {}
+    for name, overrides in rows.items():
+        row_cfg = _deep_merge(cfg, overrides)
+        # through the module global, which a caller may rebind to observe rows
+        ckpt = cmd_distill(row_cfg, data_dir, teacher_checkpoint, pseudo_label_file, root=root,
+                           teacher_lattices=teacher_lattices)
+        with open(cmd_evaluate(row_cfg, ckpt, data_dir, root=root), encoding="utf-8") as f:
+            wers[name] = json.load(f)["sets"]["eval"]["wer"]
+    return wers
+
+
 def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root=None) -> Path:
-    """Train one student per standard experiment row and evaluate each."""
+    """Train one student per ``GRID_ROWS`` row and evaluate each."""
     cfg = resolve_config(cfg)
     out = make_run_dir("distill-grid", cfg, root,
                        _inputs(data_dir, teacher_checkpoint, pseudo_label_file))
-    summary, teacher_lattices = {}, {}
-    for row, (kind_name, (w_sup, w_hard, w_distill)) in GRID_ROWS.items():
-        row_cfg = json.loads(json.dumps(cfg))
-        row_cfg["distill"]["kind"] = kind_name
-        row_cfg["distill"]["weights"] = {
-            "supervised": w_sup, "hard": w_hard, "distill": w_distill,
-        }
-        if w_hard == 0.0 and w_distill == 0.0:
-            # the supervised-only baseline row trains on pure supervised batches
-            row_cfg["train"]["sup_fraction"] = 1.0
-        ckpt = cmd_distill(row_cfg, data_dir, teacher_checkpoint, pseudo_label_file, root=out,
-                           teacher_lattices=teacher_lattices)
-        report = cmd_evaluate(row_cfg, ckpt, data_dir, root=out)
-        with open(report, encoding="utf-8") as f:
-            summary[row] = json.load(f)["sets"]["eval"]["wer"]
+    summary = run_rows(cfg, GRID_ROWS, data_dir, teacher_checkpoint, pseudo_label_file, root=out)
     with open(out / "grid_summary.json", "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -590,8 +602,7 @@ def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> 
         corpus = corpora.get(name)
         if corpus is None or not corpus.utterances:
             raise ConfigError(f"no utterances in evaluation set {name!r}")
-        reports[name] = metrics_mod.evaluate(model, corpus, decoder="greedy",
-                                             max_symbols_per_frame=cap)
+        reports[name] = metrics_mod.evaluate(model, corpus, max_symbols_per_frame=cap)
     report_path = out / "report.json"
     metrics_mod.write_report(
         report_path,
@@ -617,33 +628,26 @@ def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
     teacher = load_checkpoint(teacher_checkpoint)
     if teacher.encoder.causal:
         raise ConfigError("sweep-shift expects a non-causal teacher")
-    if shifts is None:
-        shifts = list(range(0, 4))
+    shifts = list(range(0, 4)) if shifts is None else list(shifts)
+    if any(type(n) is not int for n in shifts) or len(set(shifts)) != len(shifts):
+        raise ConfigError(f"sweep-shift needs distinct integer shifts, got {shifts}")
     if not shifts or min(shifts) < 0:
-        raise ConfigError(f"sweep-shift needs one or more shifts >= 0, got {list(shifts)}; "
+        raise ConfigError(f"sweep-shift needs one or more shifts >= 0, got {shifts}; "
                           f"--max-shift must be >= 0")
     _check_shifts(shifts, load_corpora(data_dir)["unsup"], teacher.encoder.subsample)
 
     out = make_run_dir("sweep-shift", cfg, root,
                        _inputs(data_dir, teacher_checkpoint, pseudo_label_file))
-    rows, teacher_lattices = [], {}
-    for n in shifts:
-        run_cfg = json.loads(json.dumps(cfg))
-        run_cfg["distill"]["shift_n"] = int(n)
-        ckpt = cmd_distill(run_cfg, data_dir, teacher_checkpoint, pseudo_label_file, root=out,
-                           teacher_lattices=teacher_lattices)
-        report = cmd_evaluate(run_cfg, ckpt, data_dir, root=out)
-        with open(report, encoding="utf-8") as f:
-            wer = json.load(f)["sets"]["eval"]["wer"]
-        rows.append((int(n), wer))
+    wers = run_rows(cfg, {n: {"distill": {"shift_n": n}} for n in shifts},
+                    data_dir, teacher_checkpoint, pseudo_label_file, root=out)
 
     table = out / "shift_sweep.tsv"
     with open(table, "w", encoding="utf-8") as f:
         f.write("shift\twer\n")
-        for n, wer in rows:
+        for n, wer in wers.items():
             f.write(f"{n}\t{wer!r}\n")
     with open(out / "shift_sweep.json", "w", encoding="utf-8") as f:
-        json.dump({"rows": [{"shift": n, "wer": w} for n, w in rows]}, f,
+        json.dump({"rows": [{"shift": n, "wer": w} for n, w in wers.items()]}, f,
                   indent=2, sort_keys=True)
         f.write("\n")
     return table
@@ -733,7 +737,7 @@ def main(argv=None) -> int:
                                   root=args.run_root)
         else:  # pragma: no cover
             raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError, FileNotFoundError) as e:
+    except (ConfigError, ValueError, FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure

@@ -119,13 +119,11 @@ def generate(spec: SyntheticSpec):
     return supervised, unsupervised
 
 
-def corrupt_labels(corpus: Corpus, rate: float, seed: int, vocab_size: int | None = None) -> Corpus:
+def corrupt_labels(corpus: Corpus, rate: float, seed: int, vocab_size: int) -> Corpus:
     """Randomly substitute / delete / insert labels (0.8 / 0.1 / 0.1 of the
     corruption rate respectively), deterministic per seed."""
     if not 0 <= rate < 1:
         raise DataError(f"corruption rate {rate} outside [0, 1)")
-    if vocab_size is None:
-        vocab_size = _vocab_of(corpus)
     rng = np.random.default_rng(seed)
     out = []
     for utt in corpus.utterances:
@@ -145,14 +143,6 @@ def corrupt_labels(corpus: Corpus, rate: float, seed: int, vocab_size: int | Non
                     new.append(int(rng.integers(0, vocab_size)))
         out.append(Utterance(utt.utt_id, utt.frames, tuple(new)))
     return Corpus(split=corpus.split, utterances=out, hidden_refs=dict(corpus.hidden_refs))
-
-
-def _vocab_of(corpus: Corpus) -> int:
-    top = 0
-    for utt in corpus.utterances:
-        if utt.labels:
-            top = max(top, max(utt.labels) + 1)
-    return max(top, 2)
 
 
 def subsample_corpus(corpus: Corpus, fraction: float, seed: int) -> Corpus:

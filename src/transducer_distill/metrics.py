@@ -3,7 +3,8 @@
 import json
 from dataclasses import dataclass, field
 
-from .decode import beam_search, greedy_decode
+# beam_search is not called here; perfbench/spans.py times metrics.beam_search
+from .decode import beam_search, greedy_decode  # noqa: F401
 
 
 class MetricsError(ValueError):
@@ -84,9 +85,8 @@ class EvalReport:
         return self.total.wer
 
 
-def evaluate(model, corpus, decoder: str = "greedy", beam: int = 8,
-             max_symbols_per_frame: int = 5) -> EvalReport:
-    """Decode every utterance and pool errors over the whole corpus.
+def evaluate(model, corpus, max_symbols_per_frame: int = 5) -> EvalReport:
+    """Greedy-decode every utterance and pool errors over the whole corpus.
 
     Corpus WER is total errors / total reference labels, not the mean of
     per-utterance rates.  References come through the corpus evaluation
@@ -101,12 +101,7 @@ def evaluate(model, corpus, decoder: str = "greedy", beam: int = 8,
         ref = refs.get(utt.utt_id)
         if ref is None:
             raise MetricsError(f"no reference labels for utterance {utt.utt_id!r}")
-        if decoder == "greedy":
-            hyp = greedy_decode(model, utt.frames, max_symbols_per_frame)
-        elif decoder == "beam":
-            hyp = beam_search(model, utt.frames, beam, max_symbols_per_frame).top()
-        else:
-            raise MetricsError(f"unknown decoder {decoder!r}")
+        hyp = greedy_decode(model, utt.frames, max_symbols_per_frame)
         rep = edit_distance(ref, hyp.labels)
         per_utt[utt.utt_id] = rep
         total = total + rep

@@ -22,6 +22,7 @@ from transducer_distill.cli import (
     cmd_sweep_shift,
     cmd_train_teacher,
     load_config,
+    run_rows,
 )
 from transducer_distill.data import Utterance
 from transducer_distill.decode import PseudoLabelRecord
@@ -352,13 +353,13 @@ def weak_teacher_wers(tmp_path_factory):
             "fs_l1": ("fs_l1", {"supervised": 1.0, "hard": 0.0, "distill": 1.0}),
             "fsnorm_l1": ("fsnorm_l1", {"supervised": 1.0, "hard": 0.0, "distill": 1.0}),
         }
-        for row, (kind, weights) in grid.items():
-            run_cfg = json.loads(json.dumps(cfg))
-            run_cfg["train"] = _student_train_section()
-            run_cfg["distill"]["kind"] = kind
-            run_cfg["distill"]["weights"] = weights
-            ckpt = cmd_distill(run_cfg, data_dir, teacher, pseudo, root=root)
-            rows[row].append(_wer_of(cmd_evaluate(run_cfg, ckpt, data_dir, root=root)))
+        wers = run_rows(cfg, {
+            row: {"train": _student_train_section(),
+                  "distill": {"kind": kind, "weights": weights}}
+            for row, (kind, weights) in grid.items()
+        }, data_dir, teacher, pseudo, root=root)
+        for row, wer in wers.items():
+            rows[row].append(wer)
     rows["elapsed"] = time.monotonic() - start
     return rows
 
@@ -433,21 +434,18 @@ def causal_sweep_wers(tmp_path_factory):
         pseudo = cmd_pseudo_label(cfg, teacher, data_dir, root=root)
         rows["teacher"].append(_wer_of(cmd_evaluate(cfg, teacher, data_dir, root=root)))
 
-        sweep_cfg = json.loads(json.dumps(cfg))
-        sweep_cfg["train"] = {"steps": 500, "batch_size": 16, "lr": 0.02,
-                              "momentum": 0.9, "sup_fraction": 0.1}
+        sweep_cfg = {**cfg, "train": {"steps": 500, "batch_size": 16, "lr": 0.02,
+                                      "momentum": 0.9, "sup_fraction": 0.1}}
         table = cmd_sweep_shift(sweep_cfg, data_dir, teacher, pseudo,
                                 shifts=[0, 1, 2, 3], root=root)
         with open(table.parent / "shift_sweep.json", encoding="utf-8") as f:
             sweep = {row["shift"]: row["wer"] for row in json.load(f)["rows"]}
         rows["soft"].append(sweep)
 
-        fs_cfg = json.loads(json.dumps(sweep_cfg))
-        fs_cfg["distill"]["kind"] = "fs_l1"
-        fs_cfg["distill"]["shift_n"] = 0
-        fs_cfg["distill"]["weights"] = {"supervised": 1.0, "hard": 1.0, "distill": 1.0}
-        ckpt = cmd_distill(fs_cfg, data_dir, teacher, pseudo, root=root)
-        rows["fs_l1"].append(_wer_of(cmd_evaluate(fs_cfg, ckpt, data_dir, root=root)))
+        fs_row = {"distill": {"kind": "fs_l1", "shift_n": 0,
+                              "weights": {"supervised": 1.0, "hard": 1.0, "distill": 1.0}}}
+        fs = run_rows(sweep_cfg, {"fs_l1": fs_row}, data_dir, teacher, pseudo, root=root)
+        rows["fs_l1"].append(fs["fs_l1"])
     return rows
 
 

@@ -12,9 +12,11 @@ import pytest
 import transducer_distill
 from transducer_distill.cli import (
     DEFAULT_CONFIG,
+    GRID_ROWS,
     TEACHER_PRESETS,
     ConfigError,
     cmd_distill,
+    cmd_distill_grid,
     cmd_evaluate,
     cmd_gen_data,
     cmd_pseudo_label,
@@ -448,6 +450,43 @@ class TestLoadCorpora:
         assert exit_code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("drop", ["files", "eval"])
+    def test_manifest_without_a_file_exits_one(self, pipeline, tmp_path, capsys, drop):
+        data = self.copy_data(pipeline, tmp_path)
+        manifest = json.loads((data / "manifest.json").read_text())
+        del (manifest if drop == "files" else manifest["files"])[drop]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        exit_code = cli.main([
+            "evaluate", "--data-dir", str(data), "--checkpoint", str(pipeline["teacher"]),
+            "--run-root", str(tmp_path / "runs"), *SMOKE_SET_ARGS,
+        ])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corpus manifest") and "must name the files" in err, err
+
+
+class TestDistillGrid:
+    def test_grid_runs_each_row_and_summarizes_its_wer(self, pipeline, tmp_path, capsys):
+        exit_code = cli.main([
+            "distill", "--grid", "--data-dir", str(pipeline["data_dir"]),
+            "--teacher", str(pipeline["teacher"]), "--pseudo-labels", str(pipeline["pseudo"]),
+            "--run-root", str(tmp_path), *SMOKE_SET_ARGS,
+        ])
+        assert exit_code == 0
+        out = Path(capsys.readouterr().out.strip())
+        summary = json.loads((out / "grid_summary.json").read_text())
+        assert sorted(summary) == sorted(GRID_ROWS)
+        # a row's distill and evaluate directories are named by its config
+        hashes = {name: config_hash(resolve_config(cli._deep_merge(pipeline["cfg"], overrides)))
+                  for name, overrides in GRID_ROWS.items()}
+        for name, row_hash in hashes.items():
+            [report] = out.glob(f"evaluate-{row_hash}-*/report.json")
+            assert summary[name] == json.loads(report.read_text())["sets"]["eval"]["wer"]
+        [config] = out.glob(f"distill-{hashes['student']}-*/config.json")
+        student = json.loads(config.read_text())
+        assert student["train"]["sup_fraction"] == 1.0
+        assert student["distill"]["weights"] == {"supervised": 1.0, "hard": 0.0, "distill": 0.0}
+
 
 class TestSweepShift:
     def test_requires_soft_kind(self, pipeline, tmp_path):
@@ -482,6 +521,20 @@ class TestSweepShift:
         utts = load_corpora(pipeline["data_dir"])["unsup"].utterances
         return min(utts, key=lambda u: len(u.frames))
 
+    @pytest.mark.parametrize("shifts", [[0, 1.5], [0, 1, 1], [True]])
+    def test_duplicate_or_non_integer_shifts_rejected_before_training(
+            self, pipeline, tmp_path, monkeypatch, shifts):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "cmd_distill", no_training)
+        cfg = smoke_config("distill.kind=soft_efficient", "student.encoder.causal=true",
+                           "student.encoder.right_context=0")
+        with pytest.raises(ConfigError, match="distinct integer shifts"):
+            cmd_sweep_shift(cfg, pipeline["data_dir"], pipeline["teacher"],
+                            pipeline["pseudo"], shifts=shifts, root=tmp_path)
+        assert not list(tmp_path.iterdir())
+
     def test_negative_max_shift_exits_one(self, pipeline, tmp_path, capsys):
         args = self.shift_args(pipeline, tmp_path, "sweep-shift") + ["--max-shift", "-1"]
         assert cli.main(args) == 1
@@ -509,7 +562,8 @@ class TestSweepShift:
         assert cli.main(args + ["--set", f"distill.shift_n={frames - 1}"]) == 0
         assert capsys.readouterr().out.strip().endswith("student.ckpt")
 
-    def test_builds_each_teacher_lattice_once(self, pipeline, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["grid", "sweep"])
+    def test_builds_each_teacher_lattice_once(self, pipeline, tmp_path, monkeypatch, command):
         builds = Counter()
         real_load = cli.load_checkpoint
 
@@ -532,12 +586,16 @@ class TestSweepShift:
             "student.encoder.right_context=0",
             "student.encoder.left_context=3",
         )
-        cmd_sweep_shift(cfg, pipeline["data_dir"], pipeline["teacher"],
-                        pipeline["pseudo"], shifts=[0, 1, 2], root=tmp_path)
+        if command == "grid":  # the rows hard_soft and soft are soft
+            cmd_distill_grid(cfg, pipeline["data_dir"], pipeline["teacher"],
+                             pipeline["pseudo"], root=tmp_path)
+        else:
+            cmd_sweep_shift(cfg, pipeline["data_dir"], pipeline["teacher"],
+                            pipeline["pseudo"], shifts=[0, 1, 2], root=tmp_path)
         unsup = load_corpora(pipeline["data_dir"])["unsup"].utterances
         built = [x for x, _ in builds]
-        # 5 steps of about 4 unsupervised utterances per shift visit each of
-        # the 8 utterances several times; each lattice is built on the first
+        # 5 steps of about 4 unsupervised utterances per soft row visit each
+        # of the 8 utterances several times; each lattice is built on the first
         assert set(builds.values()) == {1}
         assert len(set(built)) == len(built)
         assert set(built) <= {u.frames.tobytes() for u in unsup}
@@ -592,6 +650,19 @@ class TestExitCodes:
         # A child that cannot import the package also exits 1; the CLI's own
         # validation message is what tells the two apart.
         assert result.stderr.startswith("error:"), result.stderr
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--pseudo-labels"])
+    def test_directory_as_input_file_exits_one(self, pipeline, tmp_path, capsys, flag):
+        if flag == "--checkpoint":
+            args = ["evaluate", "--checkpoint", str(tmp_path)]
+        else:
+            args = ["distill", "--teacher", str(pipeline["teacher"]),
+                    "--pseudo-labels", str(tmp_path), "--set", "distill.kind=fs_l1"]
+        exit_code = cli.main([*args, "--data-dir", str(pipeline["data_dir"]),
+                              "--run-root", str(tmp_path / "runs"), *SMOKE_SET_ARGS])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Is a directory" in err, err
 
     def test_env_var_controls_run_root(self, tmp_path):
         env = dict(os.environ)

@@ -90,15 +90,17 @@ class TestGenerate:
 
 class TestCorruptLabels:
     def test_zero_rate_is_identity(self):
-        sup, _ = generate(spec())
-        out = corrupt_labels(sup, 0.0, seed=3)
+        s = spec()
+        sup, _ = generate(s)
+        out = corrupt_labels(sup, 0.0, seed=3, vocab_size=s.vocab_size)
         for a, b in zip(sup.utterances, out.utterances):
             assert a.labels == b.labels
 
     def test_deterministic(self):
-        sup, _ = generate(spec())
-        a = corrupt_labels(sup, 0.3, seed=3)
-        b = corrupt_labels(sup, 0.3, seed=3)
+        s = spec()
+        sup, _ = generate(s)
+        a = corrupt_labels(sup, 0.3, seed=3, vocab_size=s.vocab_size)
+        b = corrupt_labels(sup, 0.3, seed=3, vocab_size=s.vocab_size)
         for x, y in zip(a.utterances, b.utterances):
             assert x.labels == y.labels
 
@@ -118,9 +120,10 @@ class TestCorruptLabels:
         assert abs(errors / total - rate) < 0.02
 
     def test_requires_labels(self):
-        _, unsup = generate(spec())
+        s = spec()
+        _, unsup = generate(s)
         with pytest.raises(DataError):
-            corrupt_labels(unsup, 0.1, seed=0)
+            corrupt_labels(unsup, 0.1, seed=0, vocab_size=s.vocab_size)
 
 
 class TestSubsample:

@@ -622,7 +622,8 @@ class TestCombinedLossSharing:
     def test_equals_per_term_reference(self, kind, shift, row):
         student, teacher, batch, pseudo = _sharing_setup()
         kind = DistillLossKind(kind, shift_n=shift)
-        config = CombinedLossConfig(*GRID_ROWS[row][1])
+        w = GRID_ROWS[row]["distill"]["weights"]
+        config = CombinedLossConfig(w["supervised"], w["hard"], w["distill"])
         want = _loss_and_grads(reference_combined_loss, student, batch, kind, config,
                                pseudo, teacher)
         memo = {}
