@@ -16,7 +16,7 @@ from .lattice import (
     rnnt_loss,
 )
 from .model import EncoderConfig, SGD, TransducerModel, load_checkpoint, save_checkpoint, train_step
-from .decode import Hypothesis, NBestList, beam_search, greedy_decode, rescore_nbest
+from .decode import beam_search, greedy_decode, rescore_nbest
 from .distill import (
     CombinedLossConfig,
     DistillLossKind,
@@ -45,8 +45,6 @@ __all__ = [
     "train_step",
     "save_checkpoint",
     "load_checkpoint",
-    "Hypothesis",
-    "NBestList",
     "greedy_decode",
     "beam_search",
     "rescore_nbest",

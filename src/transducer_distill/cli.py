@@ -20,6 +20,7 @@ import numpy as np
 from . import data as data_mod
 from . import metrics as metrics_mod
 from .decode import (
+    DEFAULT_MAX_SYMBOLS_PER_FRAME,
     DecodeError,
     PseudoLabelRecord,
     beam_search,
@@ -107,7 +108,7 @@ DEFAULT_CONFIG = {
         "momentum": 0.9,
         "sup_fraction": 0.10,
     },
-    "decode": {"beam": 8, "nbest": 4, "max_symbols_per_frame": 5},
+    "decode": {"beam": 8, "nbest": 4, "max_symbols_per_frame": DEFAULT_MAX_SYMBOLS_PER_FRAME},
     "distill": {
         "kind": "fs_l1",
         "shift_n": 0,
@@ -176,11 +177,56 @@ def _resolve(default: dict, value, prefix: str = "") -> dict:
 def resolve_config(cfg: dict) -> dict:
     """``cfg`` merged over ``DEFAULT_CONFIG``: every key present, none
     unknown, each value of its default's type (``NULLABLE_TYPES`` where the
-    default is null).  Raises ConfigError otherwise."""
+    default is null) and in its range (``_check_values``).  Raises
+    ConfigError otherwise."""
     cfg = _resolve(DEFAULT_CONFIG, cfg)
     if cfg["schema_version"] != 1:
         raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r}")
+    _check_values(cfg)
     return cfg
+
+
+def _check_values(cfg: dict) -> None:
+    """Every range and cross-key check of a typed config, so that each
+    command rejects a bad value before it reads any input.  The dataclasses
+    own their sections' ranges; each error names the section or key."""
+    preset = cfg["teacher"]["preset"]
+    if preset is not None and preset not in TEACHER_PRESETS:
+        raise ConfigError(f"unknown teacher.preset {preset!r}; valid: {sorted(TEACHER_PRESETS)}")
+    quality = _teacher_quality(cfg)
+    if quality["size"] not in TEACHER_WIDTHS:
+        raise ConfigError(f"unknown teacher.quality.size {quality['size']!r}; "
+                          f"valid: {sorted(TEACHER_WIDTHS)}")
+    if not 0 < quality["supervised_fraction"] <= 1:
+        raise ConfigError("teacher.quality.supervised_fraction must be in (0, 1]")
+    if not 0 <= quality["label_noise_rate"] < 1:
+        raise ConfigError("teacher.quality.label_noise_rate must be in [0, 1)")
+    if cfg["distill"]["kind"] not in {k.value for k in LossKind}:
+        raise ConfigError(f"unknown distill.kind {cfg['distill']['kind']!r}; "
+                          f"valid: {[k.value for k in LossKind]}")
+    for section, build in [("data", _data_spec),
+                           ("teacher.encoder", lambda c: _encoder(c, "teacher")),
+                           ("student.encoder", lambda c: _encoder(c, "student")),
+                           ("distill", _distill_kind),
+                           ("distill.weights", _combined_config)]:
+        try:
+            build(cfg)
+        except ValueError as e:
+            raise ConfigError(f"bad {section} config: {e}") from None
+    # (key, low, high) of the keys that no dataclass owns; None is unbounded
+    for key, low, high in [("data.num_eval", 1, None), ("train.steps", 0, None),
+                           ("train.batch_size", 1, None), ("train.sup_fraction", 0, 1),
+                           *((f"decode.{name}", 1, None) for name in cfg["decode"])]:
+        section, name = key.split(".")
+        value = cfg[section][name]
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ConfigError(f"config key {key} must be {bound}, got {value!r}")
+    if LossKind(cfg["distill"]["kind"]).is_norm and cfg["decode"]["nbest"] < 2:
+        raise ConfigError(
+            "normalized full-sum distillation needs an N-best list: set "
+            "decode.nbest >= 2 (a single hypothesis normalizes to a constant)"
+        )
 
 
 def load_config(path=None, overrides=()) -> dict:
@@ -226,12 +272,12 @@ def run_root(explicit=None) -> Path:
     return Path(os.environ.get(RUN_ROOT_ENV, "runs"))
 
 
-def make_run_dir(command: str, cfg: dict, root=None, inputs=(), sets=()) -> Path:
-    """``<command>-<config hash>``, then ``-<hash>`` of the sha256 of each
-    input file and of ``sets`` when the command reads any."""
+def make_run_dir(command: str, cfg: dict, root=None, inputs=()) -> Path:
+    """``<command>-<config hash>``, then ``-<hash>`` of ``inputs`` when the
+    command reads any: the sha256 of each input file, then any set names."""
     name = f"{command}-{config_hash(cfg)}"
     if inputs:
-        name += "-" + config_hash([_sha256(p) for p in inputs] + list(sets))
+        name += "-" + config_hash(list(inputs))
     out = run_root(root) / name
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.json", "w", encoding="utf-8") as f:
@@ -244,88 +290,51 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _inputs(data_dir, *files) -> tuple:
-    """A command's input files: ``files`` and the corpus manifest."""
-    return (*files, Path(data_dir) / "manifest.json")
+def _inputs(digests, *files) -> tuple:
+    """A command's input hashes: the corpus ``digests`` of ``load_corpora``
+    and the sha256 of each of ``files``."""
+    return (*digests, *map(_sha256, files))
 
 
 def _data_spec(cfg: dict) -> data_mod.SyntheticSpec:
-    spec = {key: value for key, value in cfg["data"].items() if key != "num_eval"}
-    try:
-        return data_mod.SyntheticSpec(**spec)
-    except data_mod.DataError as e:
-        raise ConfigError(f"bad data section: {e}")
+    return data_mod.SyntheticSpec(**{k: v for k, v in cfg["data"].items() if k != "num_eval"})
 
 
 def _teacher_quality(cfg: dict) -> dict:
     """The teacher's size, supervised fraction and label noise: those of
     ``teacher.preset``, or ``teacher.quality`` where the preset is null."""
     preset = cfg["teacher"]["preset"]
-    if preset is not None and preset not in TEACHER_PRESETS:
-        raise ConfigError(f"unknown teacher preset {preset!r}; valid: {sorted(TEACHER_PRESETS)}")
-    quality = cfg["teacher"]["quality"] if preset is None else TEACHER_PRESETS[preset]
-    if quality["size"] not in TEACHER_WIDTHS:
-        raise ConfigError(f"unknown teacher size {quality['size']!r}; valid: {sorted(TEACHER_WIDTHS)}")
-    if not 0 < quality["supervised_fraction"] <= 1:
-        raise ConfigError("teacher supervised_fraction must be in (0, 1]")
-    if not 0 <= quality["label_noise_rate"] < 1:
-        raise ConfigError("teacher label_noise_rate must be in [0, 1)")
-    return quality
+    return cfg["teacher"]["quality"] if preset is None else TEACHER_PRESETS[preset]
 
 
-def _encoder_from(enc: dict, who: str) -> EncoderConfig:
-    try:
-        return EncoderConfig(**enc)
-    except ValueError as e:
-        raise ConfigError(f"bad {who} encoder config: {e}")
+def _encoder(cfg: dict, who: str) -> EncoderConfig:
+    """The encoder of ``who``; a null width is that of the teacher's size."""
+    enc = dict(cfg[who]["encoder"])
+    if enc["hidden"] is None:
+        enc["hidden"] = TEACHER_WIDTHS[_teacher_quality(cfg)["size"]]
+    return EncoderConfig(**enc)
 
 
 def _distill_kind(cfg: dict) -> DistillLossKind:
-    d = cfg["distill"]
-    try:
-        kind = LossKind(d["kind"])
-    except ValueError:
-        raise ConfigError(
-            f"unknown distillation kind {d['kind']!r}; valid: "
-            f"{[k.value for k in LossKind]}"
-        )
-    try:
-        return DistillLossKind(kind=kind, shift_n=d["shift_n"])
-    except ValueError as e:
-        raise ConfigError(str(e))
-
-
-def _nbest_size(cfg: dict) -> int:
-    """``decode.nbest``, the one N-best size; normalized kinds need >= 2."""
-    nbest = cfg["decode"]["nbest"]
-    if _distill_kind(cfg).kind.is_norm and nbest < 2:
-        raise ConfigError(
-            "normalized full-sum distillation needs an N-best list: set "
-            "decode.nbest >= 2 (a single hypothesis normalizes to a constant)"
-        )
-    return nbest
+    return DistillLossKind(LossKind(cfg["distill"]["kind"]), cfg["distill"]["shift_n"])
 
 
 def _combined_config(cfg: dict) -> CombinedLossConfig:
     w = cfg["distill"]["weights"]
-    try:
-        return CombinedLossConfig(w["supervised"], w["hard"], w["distill"])
-    except ValueError as e:
-        raise ConfigError(str(e))
+    return CombinedLossConfig(w["supervised"], w["hard"], w["distill"])
 
 
 def validate_distill_setup(cfg: dict, teacher_subsample: int) -> None:
-    """Reject incompatible (kind, architecture) combinations before compute."""
-    kind = _distill_kind(cfg)
+    """Reject a soft kind whose teacher and student subsample time
+    differently: the one check that needs the teacher checkpoint."""
     student_sub = cfg["student"]["encoder"]["subsample"]
-    if kind.kind.is_soft and teacher_subsample != student_sub:
+    if LossKind(cfg["distill"]["kind"]).is_soft and teacher_subsample != student_sub:
         raise ConfigError(
             f"soft distillation requires equal time subsampling, got teacher "
             f"{teacher_subsample} vs student {student_sub}; use a sequence-level "
             f"full-sum kind (fs_l1/fs_mse/fsnorm_l1/fsnorm_mse), which does not "
             f"depend on the time dimension"
         )
-    _nbest_size(cfg)
 
 
 def _check_shifts(shifts, unsup, subsample: int) -> None:
@@ -362,9 +371,10 @@ def _write_manifest(out: Path, cfg: dict, counts: dict) -> None:
 _LAST_CORPORA = {}
 
 
-def load_corpora(data_dir) -> dict:
-    """The parsed corpora of ``data_dir``, shared by every call that finds
-    the same file bytes; their frame arrays are read-only."""
+def load_corpora(data_dir) -> tuple:
+    """The parsed corpora of ``data_dir`` by split name, shared by every
+    call that finds the same file bytes (their frame arrays are read-only),
+    and the sha256 of the manifest and of each corpus file."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
@@ -386,7 +396,7 @@ def load_corpora(data_dir) -> dict:
         for utt in sup.utterances + unsup.utterances + ev.utterances:
             utt.frames.flags.writeable = False
         _LAST_CORPORA[key] = {"sup": sup, "unsup": unsup, "eval": ev}
-    return _LAST_CORPORA[key]
+    return _LAST_CORPORA[key], key
 
 
 # ----- commands -----
@@ -395,13 +405,10 @@ def load_corpora(data_dir) -> dict:
 def cmd_gen_data(cfg: dict, root=None) -> Path:
     cfg = resolve_config(cfg)
     spec = _data_spec(cfg)
-    num_eval = cfg["data"]["num_eval"]
-    if num_eval < 1:
-        raise ConfigError("num_eval must be >= 1")
     out = make_run_dir("gen-data", cfg, root)
 
     sup, unsup = data_mod.generate(spec)
-    ev = data_mod.generate_split(spec, "eval", num_eval, stream=3)
+    ev = data_mod.generate_split(spec, "eval", cfg["data"]["num_eval"], stream=3)
     data_mod.write_corpus(out / "sup.jsonl", sup)
     data_mod.write_corpus(out / "unsup.jsonl", unsup)
     data_mod.write_hidden_refs(out / "unsup_refs.jsonl", unsup)
@@ -426,14 +433,10 @@ def _train(model, sup, unsup, cfg, loss_fn, log_path) -> None:
 
 def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
     cfg = resolve_config(cfg)
-    corpora = load_corpora(data_dir)
+    corpora, digests = load_corpora(data_dir)
     quality = _teacher_quality(cfg)
-    enc = dict(cfg["teacher"]["encoder"])
-    if enc["hidden"] is None:
-        enc["hidden"] = TEACHER_WIDTHS[quality["size"]]
-    encoder = _encoder_from(enc, "teacher")
     spec = _data_spec(cfg)
-    out = make_run_dir("train-teacher", cfg, root, _inputs(data_dir))
+    out = make_run_dir("train-teacher", cfg, root, digests)
 
     sup = corpora["sup"]
     if quality["supervised_fraction"] < 1.0:
@@ -444,7 +447,8 @@ def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
             vocab_size=spec.vocab_size,
         )
 
-    model = TransducerModel(spec.vocab_size, spec.feat_dim, encoder, seed=cfg["seed"] + 7)
+    model = TransducerModel(spec.vocab_size, spec.feat_dim, _encoder(cfg, "teacher"),
+                            seed=cfg["seed"] + 7)
     loss_fn = make_loss_fn(
         DistillLossKind(LossKind.HARD), CombinedLossConfig(1.0, 0.0, 0.0)
     )
@@ -460,14 +464,11 @@ def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
 
 def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
     cfg = resolve_config(cfg)
-    beam = cfg["decode"]["beam"]
-    nbest_size = _nbest_size(cfg)
+    beam, nbest_size = cfg["decode"]["beam"], cfg["decode"]["nbest"]
     cap = cfg["decode"]["max_symbols_per_frame"]
-    if min(beam, nbest_size, cap) < 1:
-        raise ConfigError("decode.beam, decode.nbest and decode.max_symbols_per_frame must be >= 1")
     teacher = load_checkpoint(checkpoint)
-    corpora = load_corpora(data_dir)
-    out = make_run_dir("pseudo-label", cfg, root, _inputs(data_dir, checkpoint))
+    corpora, digests = load_corpora(data_dir)
+    out = make_run_dir("pseudo-label", cfg, root, _inputs(digests, checkpoint))
 
     # the teacher decodes raw features: no dropout or augmentation exists
     # anywhere in this pipeline, matching the distillation protocol
@@ -476,26 +477,20 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
     for utt in corpora["unsup"].utterances:
         try:
             nbest = beam_search(teacher, utt.frames, beam, cap)
-            top = nbest.top()
+            top = nbest[0][0]
             rescored = rescore_nbest(teacher, utt.frames, nbest)
             pairs = sorted(
-                zip((h.labels for h in nbest.hypotheses), rescored),
+                zip((labels for labels, _ in nbest), rescored),
                 key=lambda e: (-e[1], e[0]),
             )
             # the stored list always retains the pseudo label itself
-            top_pair = next(p for p in pairs if p[0] == top.labels)
+            top_pair = next(p for p in pairs if p[0] == top)
             keep = pairs[:nbest_size]
             if top_pair not in keep:
                 keep = keep[: nbest_size - 1] + [top_pair]
                 keep.sort(key=lambda e: (-e[1], e[0]))
-            records.append(
-                PseudoLabelRecord(
-                    utt_id=utt.utt_id,
-                    labels=top.labels,
-                    score=float(top_pair[1]),
-                    nbest=[(labels, float(score)) for labels, score in keep],
-                )
-            )
+            records.append(PseudoLabelRecord(utt_id=utt.utt_id, labels=top,
+                                             score=top_pair[1], nbest=keep))
         except (DecodeError, ModelError, LatticeError) as e:
             # an utterance the teacher cannot decode must not kill the run
             failures.append({"utt_id": utt.utt_id, "error": str(e)})
@@ -519,7 +514,7 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
     validate_distill_setup(cfg, teacher.encoder.subsample)
     kind = _distill_kind(cfg)
     weights = _combined_config(cfg)
-    corpora = load_corpora(data_dir)
+    corpora, digests = load_corpora(data_dir)
     _check_shifts([kind.shift_n], corpora["unsup"], teacher.encoder.subsample)
     pseudo = read_pseudo_labels(pseudo_label_file)
     if weights.weight_hard_on_pseudo > 0 or weights.weight_distill > 0:
@@ -539,11 +534,11 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
             )
 
     spec = _data_spec(cfg)
-    encoder = _encoder_from(cfg["student"]["encoder"], "student")
     out = make_run_dir("distill", cfg, root,
-                       _inputs(data_dir, teacher_checkpoint, pseudo_label_file))
+                       _inputs(digests, teacher_checkpoint, pseudo_label_file))
 
-    model = TransducerModel(spec.vocab_size, spec.feat_dim, encoder, seed=cfg["seed"] + 13)
+    model = TransducerModel(spec.vocab_size, spec.feat_dim, _encoder(cfg, "student"),
+                            seed=cfg["seed"] + 13)
 
     needs_teacher = kind.kind.is_soft
     loss_fn = make_loss_fn(
@@ -579,8 +574,9 @@ def run_rows(cfg: dict, rows: dict, data_dir, teacher_checkpoint, pseudo_label_f
 def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root=None) -> Path:
     """Train one student per ``GRID_ROWS`` row and evaluate each."""
     cfg = resolve_config(cfg)
+    _, digests = load_corpora(data_dir)
     out = make_run_dir("distill-grid", cfg, root,
-                       _inputs(data_dir, teacher_checkpoint, pseudo_label_file))
+                       _inputs(digests, teacher_checkpoint, pseudo_label_file))
     summary = run_rows(cfg, GRID_ROWS, data_dir, teacher_checkpoint, pseudo_label_file, root=out)
     with open(out / "grid_summary.json", "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
@@ -590,19 +586,16 @@ def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
 
 def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> Path:
     cfg = resolve_config(cfg)
-    cap = cfg["decode"]["max_symbols_per_frame"]
-    if cap < 1:
-        raise ConfigError("decode.max_symbols_per_frame must be >= 1")
     model = load_checkpoint(checkpoint)
-    corpora = load_corpora(data_dir)
-    out = make_run_dir("evaluate", cfg, root, _inputs(data_dir, checkpoint), sets)
-
-    reports = {}
+    corpora, digests = load_corpora(data_dir)
     for name in sets:
-        corpus = corpora.get(name)
-        if corpus is None or not corpus.utterances:
+        if name not in corpora or not corpora[name].utterances:
             raise ConfigError(f"no utterances in evaluation set {name!r}")
-        reports[name] = metrics_mod.evaluate(model, corpus, max_symbols_per_frame=cap)
+    out = make_run_dir("evaluate", cfg, root, (*_inputs(digests, checkpoint), *sets))
+
+    cap = cfg["decode"]["max_symbols_per_frame"]
+    reports = {name: metrics_mod.evaluate(model, corpora[name], max_symbols_per_frame=cap)
+               for name in sets}
     report_path = out / "report.json"
     metrics_mod.write_report(
         report_path,
@@ -634,10 +627,11 @@ def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
     if not shifts or min(shifts) < 0:
         raise ConfigError(f"sweep-shift needs one or more shifts >= 0, got {shifts}; "
                           f"--max-shift must be >= 0")
-    _check_shifts(shifts, load_corpora(data_dir)["unsup"], teacher.encoder.subsample)
+    corpora, digests = load_corpora(data_dir)
+    _check_shifts(shifts, corpora["unsup"], teacher.encoder.subsample)
 
     out = make_run_dir("sweep-shift", cfg, root,
-                       _inputs(data_dir, teacher_checkpoint, pseudo_label_file))
+                       _inputs(digests, teacher_checkpoint, pseudo_label_file))
     wers = run_rows(cfg, {n: {"distill": {"shift_n": n}} for n in shifts},
                     data_dir, teacher_checkpoint, pseudo_label_file, root=out)
 

@@ -28,41 +28,8 @@ class DecodeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    labels: tuple
-    score: float
-
-
-@dataclass
-class NBestList:
-    hypotheses: list
-    beam_size: int
-
-    def __post_init__(self):
-        if self.beam_size < 1:
-            raise DecodeError("beam_size must be >= 1")
-        if len(self.hypotheses) > self.beam_size:
-            raise DecodeError("more hypotheses than beam_size")
-        seen = set()
-        prev = np.inf
-        for hyp in self.hypotheses:
-            if hyp.labels in seen:
-                raise DecodeError(f"duplicate hypothesis {hyp.labels}")
-            seen.add(hyp.labels)
-            if hyp.score > prev + 1e-12:
-                raise DecodeError("hypotheses not sorted by descending score")
-            prev = hyp.score
-
-    def top(self) -> Hypothesis:
-        return self.hypotheses[0]
-
-    def __len__(self):
-        return len(self.hypotheses)
-
-
-def greedy_decode(model, x, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER_FRAME) -> Hypothesis:
-    """Frame-synchronous argmax decoding.
+def greedy_decode(model, x, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER_FRAME) -> tuple:
+    """Frame-synchronous argmax decoding; returns the pair (labels, score).
 
     Emits the argmax label while it beats blank (capped per frame), then
     advances time; the score accumulates the chosen log-probabilities.
@@ -89,7 +56,7 @@ def greedy_decode(model, x, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER
         else:
             # cap hit: advance time, accounting for the blank we force
             score += float(rows[t - t0][blank])
-    return Hypothesis(labels=tuple(labels), score=score)
+    return tuple(labels), score
 
 
 def beam_search(
@@ -97,8 +64,9 @@ def beam_search(
     x,
     beam: int,
     max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER_FRAME,
-) -> NBestList:
-    """Time-synchronous transducer beam search with hypothesis merging.
+) -> list:
+    """Time-synchronous transducer beam search with hypothesis merging;
+    returns at most ``beam`` (labels, score) pairs, best first.
 
     Hypotheses carrying identical label sequences are merged by log-adding
     their scores, so with a beam wide enough to avoid pruning the scores
@@ -152,14 +120,13 @@ def beam_search(
                     break
         kept = sorted(merged.items(), key=lambda e: (-e[1], e[0]))[:beam]
         rows = {labels: rows[labels] for labels in merged}  # this frame's pops
-
-    hyps = [Hypothesis(labels=labels, score=score) for labels, score in kept]
-    return NBestList(hypotheses=hyps, beam_size=beam)
+    return kept
 
 
-def rescore_nbest(model, x, nbest: NBestList) -> list:
-    """Exact full-sum log P(Y'|X) of every hypothesis, from one encoder pass."""
-    label_seqs = [list(hyp.labels) for hyp in nbest.hypotheses]
+def rescore_nbest(model, x, nbest: list) -> list:
+    """Exact full-sum log P(Y'|X) of every (labels, score) pair's labels,
+    from one encoder pass."""
+    label_seqs = [list(labels) for labels, _ in nbest]
     return [float(forward_backward(lat, labels)[0])
             for lat, labels in zip(model.lattices(x, label_seqs), label_seqs)]
 

@@ -4,7 +4,7 @@ import json
 from dataclasses import dataclass, field
 
 # beam_search is not called here; perfbench/spans.py times metrics.beam_search
-from .decode import beam_search, greedy_decode  # noqa: F401
+from .decode import DEFAULT_MAX_SYMBOLS_PER_FRAME, beam_search, greedy_decode  # noqa: F401
 
 
 class MetricsError(ValueError):
@@ -85,7 +85,7 @@ class EvalReport:
         return self.total.wer
 
 
-def evaluate(model, corpus, max_symbols_per_frame: int = 5) -> EvalReport:
+def evaluate(model, corpus, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER_FRAME) -> EvalReport:
     """Greedy-decode every utterance and pool errors over the whole corpus.
 
     Corpus WER is total errors / total reference labels, not the mean of
@@ -101,8 +101,8 @@ def evaluate(model, corpus, max_symbols_per_frame: int = 5) -> EvalReport:
         ref = refs.get(utt.utt_id)
         if ref is None:
             raise MetricsError(f"no reference labels for utterance {utt.utt_id!r}")
-        hyp = greedy_decode(model, utt.frames, max_symbols_per_frame)
-        rep = edit_distance(ref, hyp.labels)
+        labels, _ = greedy_decode(model, utt.frames, max_symbols_per_frame)
+        rep = edit_distance(ref, labels)
         per_utt[utt.utt_id] = rep
         total = total + rep
     return EvalReport(total=total, per_utterance=per_utt)

@@ -135,9 +135,8 @@ class TestConfig:
         assert config_hash(a) != config_hash(c)
 
     def test_unknown_kind_rejected(self):
-        cfg = smoke_config("distill.kind=banana")
         with pytest.raises(ConfigError, match="banana"):
-            validate_distill_setup(cfg, teacher_subsample=1)
+            smoke_config("distill.kind=banana")
 
     def test_soft_with_subsample_mismatch_rejected(self):
         cfg = smoke_config("distill.kind=soft_efficient", "student.encoder.subsample=2")
@@ -149,9 +148,8 @@ class TestConfig:
         validate_distill_setup(cfg, teacher_subsample=1)
 
     def test_fsnorm_single_hypothesis_rejected(self):
-        cfg = smoke_config("distill.kind=fsnorm_l1", "decode.nbest=1")
         with pytest.raises(ConfigError, match="nbest"):
-            validate_distill_setup(cfg, teacher_subsample=1)
+            smoke_config("distill.kind=fsnorm_l1", "decode.nbest=1")
 
 
 class TestGenData:
@@ -239,12 +237,14 @@ class TestPseudoLabel:
         assert again.read_bytes() == before
 
     def test_fsnorm_requires_nbest(self, pipeline, tmp_path):
-        cfg = smoke_config("distill.kind=fsnorm_l1", "decode.nbest=1")
+        cfg = smoke_config("distill.kind=fsnorm_l1")
+        cfg["decode"]["nbest"] = 1  # a dict given straight to the command
         with pytest.raises(ConfigError, match="nbest"):
             cmd_pseudo_label(cfg, pipeline["teacher"], pipeline["data_dir"], root=tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_decode_error_skips_utterance(self, pipeline, tmp_path, monkeypatch):
-        bad = load_corpora(pipeline["data_dir"])["unsup"].utterances[0]
+        bad = load_corpora(pipeline["data_dir"])[0]["unsup"].utterances[0]
         real = cli.beam_search
 
         def failing(model, x, *args):
@@ -421,8 +421,9 @@ class TestLoadCorpora:
         return data
 
     def test_same_bytes_share_one_parse_with_read_only_frames(self, pipeline, tmp_path):
-        first = load_corpora(pipeline["data_dir"])
-        again = load_corpora(self.copy_data(pipeline, tmp_path))
+        first, digests = load_corpora(pipeline["data_dir"])
+        again, again_digests = load_corpora(self.copy_data(pipeline, tmp_path))
+        assert again_digests == digests
         assert again is first
         utts = [u for name in ("sup", "unsup", "eval") for u in again[name].utterances]
         assert utts and not any(u.frames.flags.writeable for u in utts)
@@ -431,12 +432,25 @@ class TestLoadCorpora:
 
     def test_rewritten_file_is_parsed_again(self, pipeline, tmp_path):
         data = self.copy_data(pipeline, tmp_path)
-        before = load_corpora(data)
+        before, _ = load_corpora(data)
         path = data / "eval.jsonl"
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-        after = load_corpora(data)
+        after, _ = load_corpora(data)
         assert after is not before
         assert after["eval"].utt_ids() == before["eval"].utt_ids()[:-1]
+
+    def test_rewritten_file_gets_a_new_run_dir(self, pipeline, tmp_path):
+        data, runs, cfg = self.copy_data(pipeline, tmp_path), tmp_path / "runs", smoke_config()
+        first = cmd_evaluate(cfg, pipeline["teacher"], data, root=runs)
+        report = first.read_bytes()
+        path = data / "eval.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        second = cmd_evaluate(cfg, pipeline["teacher"], data, root=runs)
+        assert second.parent != first.parent
+        assert first.read_bytes() == report
+        lengths = [json.loads(r)["sets"]["eval"]["reference_length"]
+                   for r in (report, second.read_bytes())]
+        assert lengths[1] < lengths[0]
 
     def test_truncated_file_exits_one(self, pipeline, tmp_path, capsys):
         data = self.copy_data(pipeline, tmp_path)
@@ -518,7 +532,7 @@ class TestSweepShift:
 
     @staticmethod
     def shortest_unsup(pipeline):
-        utts = load_corpora(pipeline["data_dir"])["unsup"].utterances
+        utts = load_corpora(pipeline["data_dir"])[0]["unsup"].utterances
         return min(utts, key=lambda u: len(u.frames))
 
     @pytest.mark.parametrize("shifts", [[0, 1.5], [0, 1, 1], [True]])
@@ -592,7 +606,7 @@ class TestSweepShift:
         else:
             cmd_sweep_shift(cfg, pipeline["data_dir"], pipeline["teacher"],
                             pipeline["pseudo"], shifts=[0, 1, 2], root=tmp_path)
-        unsup = load_corpora(pipeline["data_dir"])["unsup"].utterances
+        unsup = load_corpora(pipeline["data_dir"])[0]["unsup"].utterances
         built = [x for x, _ in builds]
         # 5 steps of about 4 unsupervised utterances per soft row visit each
         # of the 8 utterances several times; each lattice is built on the first
@@ -626,6 +640,61 @@ class TestExitCodes:
         result = run_cli(*args, "--run-root", str(tmp_path))
         assert result.returncode == 1, result.stderr
         assert result.stderr.startswith("error:") and key in result.stderr, result.stderr
+        assert not list(tmp_path.glob("evaluate-*"))
+
+    # each command's arguments and input flags; no input it names exists
+    COMMANDS = {
+        "gen-data": (["gen-data"], []),
+        "train-teacher": (["train-teacher"], ["--data-dir"]),
+        "pseudo-label": (["pseudo-label"], ["--data-dir", "--checkpoint"]),
+        "distill": (["distill"], ["--data-dir", "--teacher", "--pseudo-labels"]),
+        "distill-grid": (["distill", "--grid"], ["--data-dir", "--teacher", "--pseudo-labels"]),
+        "evaluate": (["evaluate"], ["--data-dir", "--checkpoint"]),
+        "sweep-shift": (["sweep-shift"], ["--data-dir", "--teacher", "--pseudo-labels"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("overrides, key", [
+        (["data.vocab_size=0"], "vocab_size"),
+        (["data.num_eval=0"], "data.num_eval"),
+        (["teacher.preset=XXL"], "teacher.preset"),
+        (["teacher.quality.size=XL"], "teacher.quality.size"),
+        (["teacher.quality.supervised_fraction=0"], "teacher.quality.supervised_fraction"),
+        (["teacher.quality.label_noise_rate=1"], "teacher.quality.label_noise_rate"),
+        (["teacher.encoder.subsample=0"], "teacher.encoder"),
+        (["student.encoder.causal=true"], "student.encoder"),
+        (["distill.kind=banana"], "distill.kind"),
+        (["distill.shift_n=1"], "shift_n"),
+        (["distill.weights.hard=-1"], "distill.weights"),
+        (["train.steps=-5"], "train.steps"),
+        (["train.batch_size=0"], "train.batch_size"),
+        (["train.sup_fraction=1.5"], "train.sup_fraction"),
+        (["train.sup_fraction=-0.1"], "train.sup_fraction"),
+        (["decode.beam=0"], "decode.beam"),
+        (["decode.nbest=0"], "decode.nbest"),
+        (["decode.max_symbols_per_frame=0"], "decode.max_symbols_per_frame"),
+        (["distill.kind=fsnorm_l1", "decode.nbest=1"], "decode.nbest >= 2"),
+    ], ids=lambda v: ",".join(v) if isinstance(v, list) else None)
+    def test_bad_value_exits_one_before_reading_input(self, tmp_path, capsys, monkeypatch,
+                                                      command, overrides, key):
+        # load_config checks as well; with it merging only, each command's
+        # own check must fire, before it reads an input or makes a run dir
+        def merge_only(path, items):
+            cfg = {}
+            for item in items:
+                cfg = cli._deep_merge(cfg, cli._override(item))
+            return cfg
+
+        monkeypatch.setattr(cli, "load_config", merge_only)
+        args, flags = self.COMMANDS[command]
+        exit_code = cli.main([
+            *args, *(a for flag in flags for a in (flag, str(tmp_path / "nope"))),
+            "--run-root", str(tmp_path / "runs"), *(a for o in overrides for a in ("--set", o)),
+        ])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err, err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["pseudo-label", "evaluate"])
     @pytest.mark.parametrize("cap", [0, -3])

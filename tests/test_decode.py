@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from transducer_distill.decode import (
     DecodeError,
-    Hypothesis,
-    NBestList,
     beam_search,
     greedy_decode,
     read_pseudo_labels,
@@ -283,9 +281,9 @@ def tiny_model(seed=0, vocab=2, hidden=4, T_feat=2):
 class TestGreedy:
     def test_blank_dominant_model_emits_nothing(self):
         m = TableModel(blank_heavy_table(T=4))
-        hyp = greedy_decode(m, x=None)
-        assert hyp.labels == ()
-        assert hyp.score == pytest.approx(4 * math.log(0.95))
+        labels, score = greedy_decode(m, x=None)
+        assert labels == ()
+        assert score == pytest.approx(4 * math.log(0.95))
 
     def test_forced_single_label(self):
         # 'a' (=0) dominates at (0,0); blank everywhere else
@@ -293,16 +291,16 @@ class TestGreedy:
             [[0.8, 0.1, 0.1], [0.05, 0.05, 0.9]],
             [[0.05, 0.05, 0.9], [0.05, 0.05, 0.9]],
         ]
-        hyp = greedy_decode(TableModel(a_first), x=None)
-        assert hyp.labels == (0,)
-        assert hyp.score == pytest.approx(math.log(0.8) + 2 * math.log(0.9))
+        labels, score = greedy_decode(TableModel(a_first), x=None)
+        assert labels == (0,)
+        assert score == pytest.approx(math.log(0.8) + 2 * math.log(0.9))
 
     def test_cap_limits_symbols_per_frame(self):
         # a label always dominates, so only the cap stops emission
         label_heavy = [[[0.9, 0.05, 0.05]] for _ in range(3)]
-        hyp = greedy_decode(TableModel(label_heavy), x=None, max_symbols_per_frame=1)
-        assert len(hyp.labels) <= 3
-        assert hyp.labels == (0, 0, 0)
+        labels, _ = greedy_decode(TableModel(label_heavy), x=None, max_symbols_per_frame=1)
+        assert len(labels) <= 3
+        assert labels == (0, 0, 0)
 
     def test_cap_must_be_positive(self):
         with pytest.raises(DecodeError):
@@ -314,11 +312,11 @@ class TestGreedy:
         # the frames that remain only once a state outlives its frame
         m = RowTrackingModel(cap_hit_model())
         n_frames = 8
-        hyp = greedy_decode(m, np.random.default_rng(3).normal(size=(n_frames, 3)), cap)
-        assert len(hyp.labels) == cap * n_frames
+        labels, _ = greedy_decode(m, np.random.default_rng(3).normal(size=(n_frames, 3)), cap)
+        assert len(labels) == cap * n_frames
         assert all(n == 1 or t0 + n == n_frames for t0, n, _ in m.calls)
         rows = sum(n for _, n, _ in m.calls)
-        assert rows == 1 + len(hyp.labels) + n_frames * (n_frames - 1) // 2
+        assert rows == 1 + len(labels) + n_frames * (n_frames - 1) // 2
 
 
 class TestBeamSearch:
@@ -327,22 +325,22 @@ class TestBeamSearch:
         x = rng.normal(size=(4, 3))
         nbest = beam_search(m, x, beam=8)
         assert len(nbest) <= 8
-        scores = [h.score for h in nbest.hypotheses]
+        scores = [score for _, score in nbest]
         assert scores == sorted(scores, reverse=True)
-        assert len({h.labels for h in nbest.hypotheses}) == len(nbest)
+        assert len({labels for labels, _ in nbest}) == len(nbest)
 
     def test_beam_one_equals_greedy_on_peaked_model(self, rng):
         for seed in range(10):
             table = peaked_table(np.random.default_rng(seed), T=4, U_max=3, K=3)
             m = TableModel(table)
             greedy = greedy_decode(m, None)
-            top = beam_search(m, None, beam=1).top()
-            assert top.labels == greedy.labels
+            [top] = beam_search(m, None, beam=1)
+            assert top[0] == greedy[0]
 
     def test_beam_monotonicity(self, rng):
         m = tiny_model(seed=7)
         x = rng.normal(size=(5, 3))
-        best = [beam_search(m, x, beam=b).top().score for b in (1, 2, 4, 8)]
+        best = [beam_search(m, x, beam=b)[0][1] for b in (1, 2, 4, 8)]
         for lo, hi in zip(best, best[1:]):
             assert hi >= lo - 1e-12
 
@@ -352,7 +350,7 @@ class TestBeamSearch:
         m = tiny_model(seed=11, vocab=2)
         x = rng.normal(size=(2, 3))
         nbest = beam_search(m, x, beam=200, max_symbols_per_frame=3)
-        scored = {h.labels: h.score for h in nbest.hypotheses}
+        scored = dict(nbest)
         for labels in [(), (0,), (1,), (0, 1), (1, 0), (0, 0), (1, 1),
                        (0, 0, 0), (0, 1, 0), (1, 1, 1), (1, 0, 1)]:
             lat = m.build_lattice(x, list(labels))
@@ -370,11 +368,11 @@ class TestBeamSearch:
         x = np.random.default_rng(seed).normal(size=(T, 3))
         nbest = beam_search(m, x, beam=10_000, max_symbols_per_frame=cap)
         exact = rescore_nbest(m, x, nbest)
-        short = [i for i, h in enumerate(nbest.hypotheses) if len(h.labels) <= cap]
+        short = [i for i, (labels, _) in enumerate(nbest) if len(labels) <= cap]
         every = {labels for n in range(cap + 1) for labels in product(range(vocab), repeat=n)}
-        assert {nbest.hypotheses[i].labels for i in short} == every
+        assert {nbest[i][0] for i in short} == every
         for i in short:
-            assert nbest.hypotheses[i].score == pytest.approx(exact[i], abs=1e-9)
+            assert nbest[i][1] == pytest.approx(exact[i], abs=1e-9)
 
     def test_beam_must_be_positive(self, rng):
         with pytest.raises(DecodeError):
@@ -394,8 +392,7 @@ class TestBeamSearch:
             m = tiny_model(seed=seed, vocab=int(rng.integers(2, 5)), hidden=5)
             x = rng.normal(size=(int(rng.integers(2, 7)), 3))
             nbest = beam_search(m, x, beam=beam, max_symbols_per_frame=cap)
-            got = [(h.labels, h.score) for h in nbest.hypotheses]
-            assert got == reference_beam_search(m, x, beam, cap)
+            assert nbest == reference_beam_search(m, x, beam, cap)
 
     @pytest.mark.parametrize("beam", [1, 3, 8])
     @pytest.mark.parametrize("cap", [1, 2, 5])
@@ -406,8 +403,7 @@ class TestBeamSearch:
                                  p_top=float(rng.uniform(0.4, 0.95)))
             m = TableModel(table)
             nbest = beam_search(m, None, beam=beam, max_symbols_per_frame=cap)
-            got = [(h.labels, h.score) for h in nbest.hypotheses]
-            assert got == reference_beam_search(m, None, beam, cap)
+            assert nbest == reference_beam_search(m, None, beam, cap)
 
     def test_exact_score_ties_match_eager_reference(self):
         # dyadic probabilities make hypotheses tie exactly on score, so the
@@ -419,8 +415,7 @@ class TestBeamSearch:
             for beam in (1, 2, 3, 5):
                 for cap in (1, 2):
                     nbest = beam_search(m, None, beam=beam, max_symbols_per_frame=cap)
-                    got = [(h.labels, h.score) for h in nbest.hypotheses]
-                    assert got == reference_beam_search(m, None, beam, cap)
+                    assert nbest == reference_beam_search(m, None, beam, cap)
 
     @pytest.mark.parametrize("beam", [1, 4, 8])
     def test_advances_each_label_prefix_at_most_once(self, rng, beam):
@@ -429,9 +424,9 @@ class TestBeamSearch:
         nbest = beam_search(m, x, beam=beam)
         assert m.advances
         assert max(m.advances.values()) == 1
-        for hyp in nbest.hypotheses:
-            for u in range(1, len(hyp.labels) + 1):
-                assert m.advances[hyp.labels[:u]] == 1
+        for labels, _ in nbest:
+            for u in range(1, len(labels) + 1):
+                assert m.advances[labels[:u]] == 1
 
     def test_rows_alive_do_not_grow_with_utterance_length(self):
         # rows are kept only for the prefixes popped in the frame before, so
@@ -471,8 +466,7 @@ class TestPerFrameEquality:
             m = random_model(seed, hidden, subsample, causal)
             x = np.random.default_rng(seed).normal(size=(int(5 + 2 * seed), 3))
             for cap in (1, 3, 5):
-                hyp = greedy_decode(m, x, cap)
-                assert (hyp.labels, hyp.score) == reference_greedy(PerFrameReference(m), x, cap)
+                assert greedy_decode(m, x, cap) == reference_greedy(PerFrameReference(m), x, cap)
 
     @pytest.mark.parametrize("hidden, subsample, causal", MODEL_SHAPES)
     def test_beam_search_equals_per_frame_reference(self, hidden, subsample, causal):
@@ -481,8 +475,7 @@ class TestPerFrameEquality:
             x = np.random.default_rng(seed).normal(size=(int(4 + 3 * seed), 3))
             for beam, cap in product((1, 4, 8), (1, 3, 5)):
                 nbest = beam_search(m, x, beam, cap)
-                got = [(h.labels, h.score) for h in nbest.hypotheses]
-                assert got == reference_beam_search(PerFrameReference(m), x, beam, cap)
+                assert nbest == reference_beam_search(PerFrameReference(m), x, beam, cap)
 
     @pytest.mark.parametrize("cap", [1, 3, 5])
     def test_cap_hit_on_every_frame(self, cap):
@@ -491,12 +484,11 @@ class TestPerFrameEquality:
         x = np.random.default_rng(3).normal(size=(6, 3))
         ref = PerFrameReference(m)
         hyp = greedy_decode(m, x, cap)
-        assert len(hyp.labels) == cap * 6
-        assert (hyp.labels, hyp.score) == reference_greedy(ref, x, cap)
+        assert len(hyp[0]) == cap * 6
+        assert hyp == reference_greedy(ref, x, cap)
         for beam in (1, 4, 8):
             nbest = beam_search(m, x, beam, cap)
-            got = [(h.labels, h.score) for h in nbest.hypotheses]
-            assert got == reference_beam_search(ref, x, beam, cap)
+            assert nbest == reference_beam_search(ref, x, beam, cap)
 
 
 class TestRescore:
@@ -506,15 +498,14 @@ class TestRescore:
         x = np.random.default_rng(5).normal(size=(8, 3))
         nbest = beam_search(m, x, 8, 3)
         assert len(nbest) > 1
-        expected = [float(forward_backward(m.build_lattice(x, list(h.labels)), list(h.labels))[0])
-                    for h in nbest.hypotheses]
+        expected = [float(forward_backward(m.build_lattice(x, list(labels)), list(labels))[0])
+                    for labels, _ in nbest]
         assert rescore_nbest(m, x, nbest) == expected
 
     def test_singleton_equals_forward_backward(self, rng):
         m = tiny_model(seed=2)
         x = rng.normal(size=(3, 3))
-        nbest = NBestList([Hypothesis(labels=(1, 0), score=-3.0)], beam_size=1)
-        (score,) = rescore_nbest(m, x, nbest)
+        (score,) = rescore_nbest(m, x, [((1, 0), -3.0)])
         lat = m.build_lattice(x, [1, 0])
         exact, _, _ = forward_backward(lat, [1, 0])
         assert score == pytest.approx(exact, abs=1e-12)
@@ -522,8 +513,7 @@ class TestRescore:
     def test_empty_hypothesis_scores_blank_row(self, rng):
         m = tiny_model(seed=2)
         x = rng.normal(size=(3, 3))
-        nbest = NBestList([Hypothesis(labels=(), score=-1.0)], beam_size=1)
-        (score,) = rescore_nbest(m, x, nbest)
+        (score,) = rescore_nbest(m, x, [((), -1.0)])
         lat = m.build_lattice(x, [])
         expected = float(np.sum(lat.log_probs[:, 0, m.vocab_size]))
         assert score == pytest.approx(expected, abs=1e-12)
@@ -535,23 +525,9 @@ class TestRescore:
         scores = rescore_nbest(m, x, nbest)
         from transducer_distill.lattice import brute_force_log_prob
 
-        for hyp, s in zip(nbest.hypotheses, scores):
-            lat = m.build_lattice(x, list(hyp.labels))
-            assert s == pytest.approx(brute_force_log_prob(lat, list(hyp.labels)), abs=1e-9)
-
-
-class TestNBestInvariants:
-    def test_rejects_duplicates(self):
-        with pytest.raises(DecodeError):
-            NBestList(
-                [Hypothesis((0,), -1.0), Hypothesis((0,), -2.0)], beam_size=4
-            )
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(DecodeError):
-            NBestList(
-                [Hypothesis((0,), -2.0), Hypothesis((1,), -1.0)], beam_size=4
-            )
+        for (labels, _), s in zip(nbest, scores):
+            lat = m.build_lattice(x, list(labels))
+            assert s == pytest.approx(brute_force_log_prob(lat, list(labels)), abs=1e-9)
 
 
 class TestPseudoLabelFile:

@@ -112,13 +112,9 @@ class TestEvaluate:
 
         import transducer_distill.metrics as metrics_mod
 
-        class Hyp:
-            def __init__(self, labels):
-                self.labels = labels
-
         monkeypatch.setattr(
             metrics_mod, "greedy_decode",
-            lambda model, x, cap: Hyp(hyps[model.current]),
+            lambda model, x, cap: (hyps[model.current], 0.0),
         )
 
         class Switchable:
@@ -130,7 +126,7 @@ class TestEvaluate:
         def decode(model_, x, cap):
             for utt in corpus.utterances:
                 if utt.frames is x:
-                    return Hyp(hyps[utt.utt_id])
+                    return hyps[utt.utt_id], 0.0
             raise AssertionError
 
         monkeypatch.setattr(metrics_mod, "greedy_decode", decode)
@@ -152,12 +148,8 @@ class TestEvaluate:
         hyps = {0.0: (1, 3, 3), 1.0: (4, 6)}
         import transducer_distill.metrics as metrics_mod
 
-        class Hyp:
-            def __init__(self, labels):
-                self.labels = labels
-
         monkeypatch.setattr(metrics_mod, "greedy_decode",
-                            lambda model, x, cap: Hyp(hyps[float(x[0, 0])]))
+                            lambda model, x, cap: (hyps[float(x[0, 0])], 0.0))
         report = evaluate(None, corpus)
         path = tmp_path / "report.json"
         write_report(path, {"eval": report})

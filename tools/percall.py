@@ -51,8 +51,7 @@ def layers(td):
     lat, cache = model.forward(x, y)
     t_lat = teacher.build_lattice(x, y)
     _, grad = td.lattice.rnnt_loss_with_grad(lat, y)
-    nbest = td.beam_search(model, x, 8)
-    four = td.NBestList(nbest.hypotheses[:4], beam_size=4)
+    four = td.beam_search(model, x, 8)[:4]
     spec = td.SyntheticSpec(vocab_size=K, feat_dim=FEAT, frames_per_label=(2, 4),
                             noise_sigma=0.4, label_len_range=(3, 6),
                             num_supervised=100, num_unsupervised=1, seed=0)
