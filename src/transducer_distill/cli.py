@@ -385,14 +385,20 @@ def load_corpora(data_dir) -> tuple:
     files = manifest.get("files") if isinstance(manifest, dict) else None
     if not isinstance(files, dict) or not all(isinstance(files.get(k), str) for k in names):
         raise ConfigError(f"corpus manifest {manifest_path} must name the files of {list(names)}")
+    spec = manifest.get("spec")
+    if not isinstance(spec, dict) or not all(
+            type(spec.get(k)) is int for k in ("vocab_size", "feat_dim")):
+        raise ConfigError(f"corpus manifest {manifest_path} must give the integers "
+                          f"spec.vocab_size and spec.feat_dim")
     paths = [data_dir / files[k] for k in names]
     key = (hashlib.sha256(raw).hexdigest(), *map(_sha256, paths))
     if key not in _LAST_CORPORA:
         _LAST_CORPORA.clear()
-        sup = data_mod.read_corpus(paths[0], "sup")
-        unsup = data_mod.read_corpus(paths[1], "unsup")
-        unsup.hidden_refs.update(data_mod.read_hidden_refs(paths[2]))
-        ev = data_mod.read_corpus(paths[3], "eval")
+        vocab, feat = spec["vocab_size"], spec["feat_dim"]
+        sup = data_mod.read_corpus(paths[0], "sup", vocab, feat)
+        unsup = data_mod.read_corpus(paths[1], "unsup", vocab, feat)
+        unsup.hidden_refs.update(data_mod.read_hidden_refs(paths[2], vocab))
+        ev = data_mod.read_corpus(paths[3], "eval", vocab, feat)
         for utt in sup.utterances + unsup.utterances + ev.utterances:
             utt.frames.flags.writeable = False
         _LAST_CORPORA[key] = {"sup": sup, "unsup": unsup, "eval": ev}
@@ -516,7 +522,8 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
     weights = _combined_config(cfg)
     corpora, digests = load_corpora(data_dir)
     _check_shifts([kind.shift_n], corpora["unsup"], teacher.encoder.subsample)
-    pseudo = read_pseudo_labels(pseudo_label_file)
+    spec = _data_spec(cfg)
+    pseudo = read_pseudo_labels(pseudo_label_file, spec.vocab_size)
     if weights.weight_hard_on_pseudo > 0 or weights.weight_distill > 0:
         missing = [u.utt_id for u in corpora["unsup"].utterances if u.utt_id not in pseudo]
         if missing:
@@ -533,7 +540,6 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
                 f"decode.nbest >= 2"
             )
 
-    spec = _data_spec(cfg)
     out = make_run_dir("distill", cfg, root,
                        _inputs(digests, teacher_checkpoint, pseudo_label_file))
 
@@ -591,7 +597,8 @@ def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> 
     for name in sets:
         if name not in corpora or not corpora[name].utterances:
             raise ConfigError(f"no utterances in evaluation set {name!r}")
-    out = make_run_dir("evaluate", cfg, root, (*_inputs(digests, checkpoint), *sets))
+    checkpoint_sha256 = _sha256(checkpoint)
+    out = make_run_dir("evaluate", cfg, root, (*digests, checkpoint_sha256, *sets))
 
     cap = cfg["decode"]["max_symbols_per_frame"]
     reports = {name: metrics_mod.evaluate(model, corpora[name], max_symbols_per_frame=cap)
@@ -601,7 +608,8 @@ def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> 
         report_path,
         reports,
         metadata={
-            "checkpoint": str(checkpoint),
+            "checkpoint": Path(checkpoint).name,
+            "checkpoint_sha256": checkpoint_sha256,
             "distill_kind": cfg["distill"]["kind"],
             "shift_n": cfg["distill"]["shift_n"],
             "seed": cfg["seed"],

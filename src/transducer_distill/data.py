@@ -215,18 +215,61 @@ def write_corpus(path, corpus: Corpus) -> None:
             f.write("\n")
 
 
-def read_corpus(path, split: str) -> Corpus:
-    utterances = []
+class RecordError(DataError):
+    """A malformed record of a JSON-lines file; the message names the file and line."""
+
+
+def read_records(path, keys):
+    """``(place, record)`` of each line of a JSON-lines file, where ``place``
+    is ``"<path>:<line>"`` and each record is an object holding ``keys``."""
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            obj = json.loads(line)
-            utterances.append(
-                Utterance(
-                    utt_id=obj["utt_id"],
-                    frames=np.asarray(obj["frames"], dtype=np.float64),
-                    labels=tuple(obj["labels"]) if "labels" in obj else None,
-                )
+        for number, line in enumerate(f, 1):
+            place = f"{path}:{number}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise RecordError(f"{place}: not a JSON record ({e})") from None
+            if not isinstance(obj, dict):
+                raise RecordError(f"{place}: not a JSON object")
+            missing = [k for k in keys if k not in obj]
+            if missing:
+                raise RecordError(f"{place}: record lacks the keys {missing}")
+            yield place, obj
+
+
+def record_labels(value, place: str, vocab_size=None) -> tuple:
+    """A record's label list as a tuple of integers, each in [0, vocab_size) if given."""
+    if not isinstance(value, list) or not all(type(k) is int for k in value):
+        raise RecordError(f"{place}: labels must be a list of integers, got {value!r}")
+    if vocab_size is not None and not all(0 <= k < vocab_size for k in value):
+        raise RecordError(f"{place}: labels {value} leave the range [0, {vocab_size})")
+    return tuple(value)
+
+
+def _record_frames(value, place: str, feat_dim=None) -> np.ndarray:
+    try:
+        frames = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged rows or non-numbers
+        frames = np.empty(0)
+    if (frames.ndim != 2 or frames.shape[0] < 1 or feat_dim not in (None, frames.shape[1])
+            or not np.all(np.isfinite(frames))):
+        raise RecordError(f"{place}: frames must be one or more rows of "
+                          f"{feat_dim or 'equally many'} finite numbers")
+    return frames
+
+
+def read_corpus(path, split: str, vocab_size=None, feat_dim=None) -> Corpus:
+    """Read a corpus file, checking each record: frames of ``feat_dim``
+    columns and labels in [0, ``vocab_size``), where given."""
+    utterances = []
+    for place, obj in read_records(path, ("utt_id", "frames")):
+        utterances.append(
+            Utterance(
+                utt_id=obj["utt_id"],
+                frames=_record_frames(obj["frames"], place, feat_dim),
+                labels=record_labels(obj["labels"], place, vocab_size) if "labels" in obj else None,
             )
+        )
     return Corpus(split=split, utterances=utterances)
 
 
@@ -239,10 +282,6 @@ def write_hidden_refs(path, corpus: Corpus) -> None:
                 f.write("\n")
 
 
-def read_hidden_refs(path) -> dict:
-    refs = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            obj = json.loads(line)
-            refs[obj["utt_id"]] = tuple(obj["labels"])
-    return refs
+def read_hidden_refs(path, vocab_size=None) -> dict:
+    return {obj["utt_id"]: record_labels(obj["labels"], place, vocab_size)
+            for place, obj in read_records(path, ("utt_id", "labels"))}

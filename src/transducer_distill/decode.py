@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import RecordError, read_records, record_labels
 from .lattice import forward_backward
 
 DEFAULT_MAX_SYMBOLS_PER_FRAME = 5
@@ -175,15 +176,30 @@ def write_pseudo_labels(path, records) -> None:
             f.write("\n")
 
 
-def read_pseudo_labels(path) -> dict:
+def read_pseudo_labels(path, vocab_size=None) -> dict:
+    """Read a pseudo-label file, checking each record's keys and types, that
+    its scores are finite and its pseudo label is in its N-best list, and,
+    with ``vocab_size``, that its labels lie in [0, vocab_size)."""
     records = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            obj = json.loads(line)
-            records[obj["utt_id"]] = PseudoLabelRecord(
-                utt_id=obj["utt_id"],
-                labels=tuple(obj["labels"]),
-                score=float(obj["score"]),
-                nbest=[(tuple(e["labels"]), float(e["score"])) for e in obj["nbest"]],
-            )
+    for place, obj in read_records(path, ("utt_id", "labels", "score", "nbest")):
+        nbest = obj["nbest"]
+        if not isinstance(nbest, list) or not all(
+                isinstance(e, dict) and {"labels", "score"} <= e.keys() for e in nbest):
+            raise RecordError(f"{place}: nbest must be a list of {{labels, score}} objects")
+        scores = [obj["score"], *(e["score"] for e in nbest)]
+        if not isinstance(obj["utt_id"], str) or not all(type(v) in (int, float) for v in scores):
+            raise RecordError(f"{place}: utt_id must be a string and every score a number")
+        record = PseudoLabelRecord(
+            utt_id=obj["utt_id"],
+            labels=record_labels(obj["labels"], place, vocab_size),
+            score=float(obj["score"]),
+            nbest=[(record_labels(e["labels"], place, vocab_size), float(e["score"]))
+                   for e in nbest],
+        )
+        if not np.all(np.isfinite(scores)):
+            raise RecordError(f"{place}: non-finite score in {scores}")
+        if record.labels not in [labels for labels, _ in record.nbest]:
+            raise RecordError(f"{place}: pseudo label {list(record.labels)} is not in its "
+                              f"N-best list")
+        records[record.utt_id] = record
     return records

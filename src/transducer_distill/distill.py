@@ -9,6 +9,7 @@ their gradient w.r.t. the student side; the teacher is a frozen constant.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -267,18 +268,21 @@ def fs_norm_distill(teacher_scores, student_scores, target_index: int, kind: str
 
 class _StudentPasses:
     """The student's forward pass and full-sum loss per label sequence of one
-    utterance, each run at most once however many terms read it.  A forward
-    pass depends only on the parameters, which no term changes, so every
-    term sees the values that a pass of its own would give."""
+    utterance, each run at most once however many terms read it, from one
+    encoder pass and the step's predictor states.  A forward pass depends
+    only on the parameters, which no term changes, so every term sees the
+    values that a pass of its own would give."""
 
-    def __init__(self, model, x):
+    def __init__(self, model, x, predicted: dict):
         self.model, self.x, self._passes = model, x, {}
+        self._encoded, self._predicted = model.encoder_pass(x), predicted
 
     def forward(self, labels):
         """``[lattice, forward cache, (NLL, lattice gradient) or None]``."""
         key = tuple(labels)
         if key not in self._passes:
-            self._passes[key] = [*self.model.forward(self.x, list(key)), None]
+            self._passes[key] = [*self.model.forward(self.x, list(key), encoded=self._encoded,
+                                                     predicted=self._predicted[key]), None]
         return self._passes[key]
 
     def loss(self, labels):
@@ -289,13 +293,16 @@ class _StudentPasses:
         return (*entry[2], entry[1])
 
 
-def _rnnt_term(student, y):
-    nll, g, cache = student.loss(y)
+def _rnnt_term(student, seqs):
+    nll, g, cache = student.loss(seqs[0])
     return nll, [(1.0, cache, g)]
 
 
-def _soft_term(student, teacher_model, teacher_lattices: dict, utt_id: str, y,
+def _soft_term(student, seqs, teacher_model, teacher_lattices: dict, utt_id: str,
                kind: DistillLossKind):
+    if teacher_model is None:
+        raise DistillError("soft distillation requires the teacher model")
+    (y,) = seqs
     student_lat, cache, _ = student.forward(y)
     key = (utt_id, tuple(y))
     if key not in teacher_lattices:
@@ -311,23 +318,49 @@ def _soft_term(student, teacher_model, teacher_lattices: dict, utt_id: str, y,
     return loss, [(1.0, cache, g)]
 
 
-def _fs_term(student, record, kind: DistillLossKind):
+def _fs_term(student, seqs, record, kind: DistillLossKind):
     if not kind.kind.is_norm:
-        nll, g, cache = student.loss(record.labels)
+        nll, g, cache = student.loss(seqs[0])
         loss, dnll = fs_distill(-record.score, nll, kind.kind.fs_flavor)
         return loss, [(dnll, cache, g)]
-    if len(record.nbest) < 2:
+    if len(seqs) < 2:
         raise DistillError(
             f"normalized full-sum distillation needs an N-best list with "
-            f">= 2 hypotheses, got {len(record.nbest)} for {record.utt_id}"
+            f">= 2 hypotheses, got {len(seqs)} for {record.utt_id}"
         )
-    passes = [student.loss(labels) for labels, _ in record.nbest]
+    passes = [student.loss(labels) for labels in seqs]
     loss, dscores = fs_norm_distill(
         [score for _, score in record.nbest], [-nll for nll, _, _ in passes],
         record.target_index(), kind.kind.fs_flavor,
     )
     # score = -NLL, so d score / d lattice = -d NLL / d lattice
     return loss, [(-dscore, cache, g) for dscore, (_, g, cache) in zip(dscores, passes)]
+
+
+def _utterance_terms(utt, kind: DistillLossKind, config: CombinedLossConfig, n_sup, n_unsup,
+                     pseudo_labels, teacher_model, teacher_lattices):
+    """``(log name, weight, label sequences, term)`` of each loss term of
+    ``utt``; ``term(student, seqs)`` reads the student's passes over exactly
+    those sequences."""
+    if utt.labels is not None:
+        weight = config.weight_supervised_rnnt
+        return [("supervised_rnnt", weight / n_sup, [utt.labels], _rnnt_term)] if weight > 0 else []
+    record = (pseudo_labels or {}).get(utt.utt_id)
+    if record is None:
+        if config.weight_hard_on_pseudo > 0 or config.weight_distill > 0:
+            raise DistillError(f"no pseudo label for utterance {utt.utt_id}")
+        return []
+    terms = []
+    if config.weight_hard_on_pseudo > 0:
+        terms.append(("hard_on_pseudo", config.weight_hard_on_pseudo / n_unsup, [record.labels],
+                      _rnnt_term))
+    if config.weight_distill > 0 and kind.kind != LossKind.HARD:
+        seqs = [labels for labels, _ in record.nbest] if kind.kind.is_norm else [record.labels]
+        term = (partial(_soft_term, teacher_model=teacher_model, teacher_lattices=teacher_lattices,
+                        utt_id=utt.utt_id, kind=kind)
+                if kind.kind.is_soft else partial(_fs_term, record=record, kind=kind))
+        terms.append(("distill", config.weight_distill / n_unsup, seqs, term))
+    return terms
 
 
 def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfig,
@@ -339,7 +372,9 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
     Per-term means are reported separately for logging.  Gradients are
     accumulated into ``model.grads`` scaled by the term weights, with one
     ``model.backward`` per term and lattice.  The terms of an utterance
-    share one student forward pass and full-sum loss per label sequence.
+    share one encoder pass, and one student forward pass and full-sum loss
+    per label sequence; the predictor runs side by side over the step's
+    label sequences, forward and backward.
     ``teacher_lattices`` memoizes the frozen teacher's lattices by
     (utt_id, label sequence); one dict may serve every call that uses the
     same teacher and corpus.
@@ -349,42 +384,22 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
     counts = {"supervised_rnnt": 0, "hard_on_pseudo": 0, "distill": 0}
     n_sup = max(sum(1 for u in batch if u.labels is not None), 1)
     n_unsup = max(sum(1 for u in batch if u.labels is None), 1)
-
-    def add(name, weight, utt_id, term):
-        loss, parts = term
-        if not np.isfinite(loss):
-            raise NonFiniteLossError(utt_id, loss)
-        if weight != 0.0:
+    plan = [(utt, _utterance_terms(utt, kind, config, n_sup, n_unsup, pseudo_labels,
+                                   teacher_model, teacher_lattices)) for utt in batch]
+    seqs = list(dict.fromkeys(tuple(y) for _, terms in plan for _, _, ys, _ in terms for y in ys))
+    predicted = dict(zip(seqs, model.predictor_states(seqs)))
+    queue = []
+    for utt, terms in plan:
+        student = _StudentPasses(model, utt.frames, predicted) if terms else None
+        for name, weight, ys, term in terms:
+            loss, parts = term(student, ys)
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(utt.utt_id, loss)
             for scale, cache, g in parts:
-                model.backward(cache, (scale * weight) * g)
-        sums[name] += loss
-        counts[name] += 1
-
-    for utt in batch:
-        student = _StudentPasses(model, utt.frames)
-        if utt.labels is not None:
-            if config.weight_supervised_rnnt > 0:
-                add("supervised_rnnt", config.weight_supervised_rnnt / n_sup, utt.utt_id,
-                    _rnnt_term(student, utt.labels))
-            continue
-
-        record = (pseudo_labels or {}).get(utt.utt_id)
-        if record is None:
-            if config.weight_hard_on_pseudo > 0 or config.weight_distill > 0:
-                raise DistillError(f"no pseudo label for utterance {utt.utt_id}")
-            continue
-        if config.weight_hard_on_pseudo > 0:
-            add("hard_on_pseudo", config.weight_hard_on_pseudo / n_unsup, utt.utt_id,
-                _rnnt_term(student, record.labels))
-        if config.weight_distill > 0 and kind.kind != LossKind.HARD:
-            if not kind.kind.is_soft:
-                term = _fs_term(student, record, kind)
-            elif teacher_model is None:
-                raise DistillError("soft distillation requires the teacher model")
-            else:
-                term = _soft_term(student, teacher_model, teacher_lattices, utt.utt_id,
-                                  record.labels, kind)
-            add("distill", config.weight_distill / n_unsup, utt.utt_id, term)
+                model.backward(cache, (scale * weight) * g, queue)
+            sums[name] += loss
+            counts[name] += 1
+    model.predictor_backward(queue)
 
     terms = {
         name: (sums[name] / counts[name] if counts[name] else 0.0) for name in sums

@@ -15,6 +15,7 @@ import numpy as np
 from .lattice import Lattice
 
 CHECKPOINT_MAGIC = b"TDCKPT01"
+PREDICTOR_CHUNK = 16  # lattices per side-by-side predictor backward; bounds its memory
 
 
 class ModelError(ValueError):
@@ -147,37 +148,44 @@ class TransducerModel:
             raise ModelError(f"label out of range for vocab {self.vocab_size}")
         return y
 
-    def _predict_states(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Recurrent predictor states for BOS + y; returns (states, inputs)."""
+    def encoder_pass(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Input windows, encoder states and their projection ``enc @ joint_enc.T``."""
+        xw, enc = self._encoder_states(x)
+        return xw, enc, enc @ self.params["joint_enc"].T
+
+    def predictor_states(self, label_seqs) -> list:
+        """(states, inputs) of the predictor over BOS + y for each y, side by side:
+        stacked vector-matrix products round as the same products one by one."""
         p = self.params
-        inputs = np.concatenate(([self.blank], y))
-        # a stack of vector-matrix products is computed as the same products
-        # one by one, so the states match a per-label loop bit for bit
-        states = (p["embed"][inputs][:, None, :] @ p["pred_w"].T)[:, 0]
-        h = np.zeros(self.encoder.hidden)
-        for row in states:
-            row += h @ p["pred_r"].T
+        inputs = [np.concatenate(([self.blank], self._check_labels(y))) for y in label_seqs]
+        padded = np.full((len(inputs), max(map(len, inputs), default=0)), self.blank)
+        for row, seq in zip(padded, inputs):
+            row[: len(seq)] = seq
+        states = (p["embed"][padded][:, :, None, :] @ p["pred_w"].T)[:, :, 0]
+        h = np.zeros((len(inputs), self.encoder.hidden))
+        for u in range(padded.shape[1]):
+            row = states[:, u]
+            row += (h[:, None, :] @ p["pred_r"].T)[:, 0]
             row += p["pred_b"]
             h = np.tanh(row, out=row)
-        return states, inputs
+        return [(rows[: len(seq)], seq) for rows, seq in zip(states, inputs)]
 
-    def _label_pass(self, enc_proj: np.ndarray, y):
-        """Lattice log posteriors of ``y`` over projected frames, and their activations."""
-        y = self._check_labels(y)
+    def _label_pass(self, enc_proj: np.ndarray, pred: np.ndarray):
+        """Lattice log posteriors of projected frames and predictor states, and the joint."""
         p = self.params
-        pred, inputs = self._predict_states(y)
         joint = enc_proj[:, None, :] + (pred @ p["joint_pred"].T)[None, :, :]
         joint += p["joint_b"]
         np.tanh(joint, out=joint)
-        log_probs = _log_softmax(joint @ p["out_w"].T + p["out_b"])
-        return log_probs, {"pred": pred, "inputs": inputs, "joint": joint}
+        return _log_softmax(joint @ p["out_w"].T + p["out_b"]), joint
 
-    def forward(self, x, y):
-        """Build the output lattice and keep activations for ``backward``."""
-        xw, enc = self._encoder_states(x)
-        log_probs, cache = self._label_pass(enc @ self.params["joint_enc"].T, y)
-        cache.update(xw=xw, enc=enc, probs=np.exp(log_probs))
-        return Lattice(log_probs), cache
+    def forward(self, x, y, encoded=None, predicted=None):
+        """Build the output lattice and keep activations for ``backward``; lattices
+        may share x's ``encoder_pass`` and y's ``predictor_states`` entry."""
+        xw, enc, enc_proj = self.encoder_pass(x) if encoded is None else encoded
+        pred, inputs = self.predictor_states([y])[0] if predicted is None else predicted
+        log_probs, joint = self._label_pass(enc_proj, pred)
+        return Lattice(log_probs), {"xw": xw, "enc": enc, "pred": pred, "inputs": inputs,
+                                    "joint": joint, "probs": np.exp(log_probs)}
 
     def build_lattice(self, x, y) -> Lattice:
         """Normalized log posteriors P(k|t,u) of shape T' x (U+1) x (K+1)."""
@@ -185,13 +193,16 @@ class TransducerModel:
 
     def lattices(self, x, label_seqs) -> list:
         """``build_lattice`` of each label sequence, from one encoder pass."""
-        enc_proj = self._encoder_states(x)[1] @ self.params["joint_enc"].T
-        return [Lattice(self._label_pass(enc_proj, y)[0]) for y in label_seqs]
+        enc_proj = self.encoder_pass(x)[2]
+        return [Lattice(self._label_pass(enc_proj, pred)[0])
+                for pred, _ in self.predictor_states(label_seqs)]
 
     # ----- backward -----
 
-    def backward(self, cache, dloss_dlogp: np.ndarray) -> None:
-        """Accumulate parameter gradients from a lattice-level gradient."""
+    def backward(self, cache, dloss_dlogp: np.ndarray, queue=None) -> None:
+        """Accumulate parameter gradients from a lattice-level gradient.  The
+        predictor's share joins ``queue``, run by ``predictor_backward`` once
+        it holds ``PREDICTOR_CHUNK`` lattices; without a queue it runs at once."""
         p, g = self.params, self.grads
         enc, pred, joint = cache["enc"], cache["pred"], cache["joint"]
 
@@ -212,32 +223,51 @@ class TransducerModel:
         g["joint_pred"] += d_proj[:, H:]
         g["joint_b"] += da.sum(axis=(0, 1))
 
-        denc = np.einsum("tuh,hg->tg", da, p["joint_enc"])
+        # each denc[t] sums over (u, h) in the order of einsum("tuh,hg->tg")
+        denc = np.einsum("rt,rg->tg", da.reshape(T, U1 * H).T, np.tile(p["joint_enc"], (U1, 1)))
         dpred = np.einsum("tuh,hg->ug", da, p["joint_pred"])
 
         dpre = denc * (1.0 - enc**2)
         g["enc_w"] += dpre.T @ cache["xw"]
         g["enc_b"] += dpre.sum(axis=0)
 
-        inputs = cache["inputs"]
-        # dpred becomes the predictor pre-activation gradient, row by row
-        dzs = dpred
-        carry = np.zeros(H)
-        for row, slope in zip(dzs[::-1], 1.0 - pred[::-1] ** 2):
+        batch = [] if queue is None else queue
+        batch.append((dpred, pred, cache["inputs"]))
+        if queue is None or len(batch) == PREDICTOR_CHUNK:
+            self.predictor_backward(batch)
+
+    def predictor_backward(self, queue) -> None:
+        """Run the predictor's share of ``backward`` for the queued lattices side
+        by side, and empty ``queue``.  Step j of item i is its step u = U_i - j;
+        the sums take the items in order, each from u = U down to 0."""
+        if not queue:
+            return
+        p, g, H = self.params, self.grads, self.encoder.hidden
+        lengths = np.array([len(inputs) for _, _, inputs in queue])
+        # one padding step past u = 0 holds that step's zero previous state
+        dzs, states = (np.zeros((len(queue), lengths.max() + pad, H)) for pad in (0, 1))
+        for i, (dpred, pred, _) in enumerate(queue):
+            dzs[i, : len(pred)], states[i, : len(pred)] = dpred[::-1], pred[::-1]
+        # dzs becomes the predictor pre-activation gradient, step by step
+        carry = np.zeros((len(queue), H))
+        for row, slope in zip(dzs.transpose(1, 0, 2), 1.0 - states[:, :-1].transpose(1, 0, 2) ** 2):
             row += carry
             row *= slope
-            carry = p["pred_r"].T @ row
-        # step u adds dzs[u] times [1, embed[inputs[u]], pred[u - 1]] to
-        # [pred_b | pred_w | pred_r]; one reduction takes the steps in the
-        # order u = U..0 of a per-step update, so the sums match it bit for bit
-        right = np.zeros((U1, 1 + 2 * H))
-        right[:, 0], right[:, 1 : H + 1], right[1:, H + 1 :] = 1.0, p["embed"][inputs], pred[:-1]
-        acc = np.concatenate((g["pred_b"][:, None], g["pred_w"], g["pred_r"]), axis=1)
-        terms = np.concatenate((acc[None], dzs[::-1, :, None] * right[::-1, None, :]))
+            carry = (p["pred_r"].T @ row[:, :, None])[:, :, 0]
+        valid = np.arange(dzs.shape[1]) < lengths[:, None]
+        dz = dzs[valid]
+        inputs = np.concatenate([inputs[::-1] for _, _, inputs in queue])
+        # step u adds dz times [1, embed[inputs[u]], pred[u - 1]] to
+        # [pred_b | pred_w | pred_r]; one reduction takes the steps in order
+        right = np.column_stack((np.ones(len(dz)), p["embed"][inputs], states[:, 1:][valid]))
+        terms = np.empty((1 + len(dz), H, 1 + 2 * H))
+        terms[0] = np.concatenate((g["pred_b"][:, None], g["pred_w"], g["pred_r"]), axis=1)
+        np.multiply(dz[:, :, None], right[:, None, :], out=terms[1:])
         total = np.add.reduce(terms, axis=0)
-        g["pred_b"][:] = total[:, 0]
-        g["pred_w"][:], g["pred_r"][:] = total[:, 1 : H + 1], total[:, H + 1 :]
-        np.add.at(g["embed"], inputs[::-1], (p["pred_w"].T @ dzs[:, :, None])[::-1, :, 0])
+        g["pred_b"][:], g["pred_w"][:] = total[:, 0], total[:, 1 : H + 1]
+        g["pred_r"][:] = total[:, H + 1 :]
+        np.add.at(g["embed"], inputs, (p["pred_w"].T @ dz[:, :, None])[:, :, 0])
+        queue.clear()
 
     # ----- incremental evaluation for decoding -----
 

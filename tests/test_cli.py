@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -361,9 +362,22 @@ class TestDistillAndEvaluate:
         first = cmd_evaluate(cfg, pipeline["teacher"], data_dir, sets=("unsup",), root=tmp_path)
         second = cmd_evaluate(cfg, other, data_dir, sets=("unsup",), root=tmp_path)
         assert first == unsup and second != first
-        assert json.loads(first.read_text())["metadata"]["checkpoint"] == str(pipeline["teacher"])
-        assert json.loads(second.read_text())["metadata"]["checkpoint"] == str(other)
+        for report, ckpt in ((first, pipeline["teacher"]), (second, other)):
+            metadata = json.loads(report.read_text())["metadata"]
+            assert metadata["checkpoint"] == ckpt.name
+            assert metadata["checkpoint_sha256"] == hashlib.sha256(ckpt.read_bytes()).hexdigest()
         assert len(list(tmp_path.glob("evaluate-*/report.json"))) == 3
+
+    def test_report_bytes_do_not_depend_on_the_run_root(self, pipeline, tmp_path):
+        cfg, data_dir = smoke_config(), pipeline["data_dir"]
+        # the second run evaluates a copy of the checkpoint under its own root
+        copy = tmp_path / "two" / pipeline["teacher"].name
+        copy.parent.mkdir()
+        shutil.copyfile(pipeline["teacher"], copy)
+        reports = [cmd_evaluate(cfg, pipeline["teacher"], data_dir, root=tmp_path / "one"),
+                   cmd_evaluate(cfg, copy, data_dir, root=tmp_path / "two")]
+        assert reports[0] != reports[1]
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     def test_run_dirs_keyed_by_input_files(self, pipeline, tmp_path):
         cfg, data_dir = smoke_config(), pipeline["data_dir"]
@@ -641,6 +655,59 @@ class TestExitCodes:
         assert result.returncode == 1, result.stderr
         assert result.stderr.startswith("error:") and key in result.stderr, result.stderr
         assert not list(tmp_path.glob("evaluate-*"))
+
+    # malformed input records: (command, edited file, edit of its first
+    # record, what the message says after "<file>:1: ")
+    BAD_RECORDS = {
+        "pseudo label without nbest": (
+            "distill", "pseudo", lambda r: r.pop("nbest"), "lacks the keys ['nbest']"),
+        "pseudo label out of range": (
+            "distill", "pseudo", lambda r: r.update(labels=[99]), "leave the range [0, 3)"),
+        "non-finite score": (
+            "distill", "pseudo", lambda r: r.update(score=float("nan")), "non-finite score"),
+        "string score": (
+            "distill", "pseudo", lambda r: r.update(score="-1.5"), "every score a number"),
+        "pseudo label outside its N-best list": (
+            "distill", "pseudo", lambda r: r.update(labels=[*r["labels"], 0, 0, 0]),
+            "is not in its N-best list"),
+        "corpus record without frames": (
+            "train-teacher", "sup.jsonl", lambda r: r.pop("frames"), "lacks the keys ['frames']"),
+        "frame row of width 5": (
+            "train-teacher", "sup.jsonl", lambda r: r["frames"][0].append(0.5),
+            "rows of 4 finite numbers"),
+        "frames of width 5": (
+            "train-teacher", "sup.jsonl", lambda r: [row.append(0.5) for row in r["frames"]],
+            "rows of 4 finite numbers"),
+        "no frames": ("train-teacher", "sup.jsonl", lambda r: r.update(frames=[]), "one or more rows"),
+        "corpus label out of range": (
+            "train-teacher", "sup.jsonl", lambda r: r.update(labels=[3]), "leave the range [0, 3)"),
+        "reference labels not integers": (
+            "train-teacher", "unsup_refs.jsonl", lambda r: r.update(labels=[1.5]),
+            "labels must be a list of integers"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(BAD_RECORDS))
+    def test_bad_record_exits_one_before_making_a_run_dir(self, pipeline, tmp_path, capsys,
+                                                          defect):
+        command, name, edit, message = self.BAD_RECORDS[defect]
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data_dir"], data)
+        path = data / name
+        if name == "pseudo":
+            path = shutil.copyfile(pipeline["pseudo"], tmp_path / "pseudo.jsonl")
+        first, *rest = path.read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        edit(record)
+        path.write_text("".join([json.dumps(record) + "\n", *rest]))
+        inputs = (["--teacher", str(pipeline["teacher"]), "--pseudo-labels", str(path)]
+                  if command == "distill" else [])
+        runs = tmp_path / "runs"
+        exit_code = cli.main([command, "--data-dir", str(data), *inputs,
+                              "--run-root", str(runs), *SMOKE_SET_ARGS])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: ") and message in err, err
+        assert not runs.exists()
 
     # each command's arguments and input flags; no input it names exists
     COMMANDS = {

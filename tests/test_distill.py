@@ -30,6 +30,8 @@ from transducer_distill.lattice import (
 from transducer_distill.model import EncoderConfig, TransducerModel
 
 from conftest import random_lattice
+from test_decode import stacked_products_are_per_row
+from test_model import assert_rel_close, reference_backward, reference_forward
 
 
 def lattice_from_probs(probs) -> Lattice:
@@ -651,9 +653,9 @@ class TestCombinedLossSharing:
         forwards, losses = Counter(), Counter()
         real_forward, real_loss = student.forward, distill.rnnt_loss_with_grad
 
-        def forward(x, y):
+        def forward(x, y, **shared):
             forwards[(x.tobytes(), tuple(y))] += 1
-            return real_forward(x, y)
+            return real_forward(x, y, **shared)
 
         def loss(lat, y):
             losses[(lat.log_probs.tobytes(), tuple(y))] += 1
@@ -672,3 +674,137 @@ class TestCombinedLossSharing:
         else:
             assert len(forwards) == len(sup) + forwards_per_unsup * len(unsup)
         assert max(losses.values()) == 1
+
+
+# ----- combined_loss against the one-lattice-at-a-time loop references -----
+#
+# A step runs its encoder once per utterance, its predictor states side by
+# side and its predictor backward side by side, in call order.  Each sum
+# keeps the order of test_model's loop references, so the step must give
+# their bits wherever stacked products round row by row.
+
+
+def stacked_matrix_vector_products_are_per_row():
+    """Whether this numpy/BLAS build computes each row of a stacked
+    matrix-vector product ``(H, H) @ (n, H, 1)`` as the lone product of that
+    row, as the predictor backward's recurrence needs; the decoders' probe
+    covers the vector-matrix stacks of the predictor forward."""
+    rng = np.random.default_rng(0)
+    for n, h in [(1, 8), (9, 16), (40, 28), (13, 12), (17, 5)]:
+        a, w = rng.normal(size=(n, h)), rng.normal(size=(h, h))
+        if not np.array_equal((w.T @ a[:, :, None])[:, :, 0], np.array([w.T @ row for row in a])):
+            return False
+    return True
+
+
+EXACT = stacked_products_are_per_row() and stacked_matrix_vector_products_are_per_row()
+
+
+class ReferenceStudent:
+    """``model`` whose forward and backward are test_model's loop references,
+    one lattice at a time."""
+
+    def __init__(self, model):
+        self.model, self.grads, self.zero_grad = model, model.grads, model.zero_grad
+
+    def forward(self, x, y):
+        log_probs, cache = reference_forward(self.model, x, y)
+        return Lattice(log_probs), cache
+
+    def backward(self, cache, dloss_dlogp):
+        grads = reference_backward(self.model, cache, dloss_dlogp, self.model.grads)
+        for name, g in grads.items():
+            self.model.grads[name][...] = g
+
+
+def _random_step(seed, hidden, kind):
+    """A student, a teacher and a batch of 2 supervised and 7 unsupervised
+    utterances whose N-best lists hold 2 to 4 hypotheses, among them the
+    empty one; random windows and subsampling, trained-size weights."""
+    rng = np.random.default_rng(seed)
+    causal, subsample = bool(rng.integers(2)), int(rng.integers(1, 3))
+    enc = EncoderConfig(causal=causal, left_context=int(rng.integers(0, 3)),
+                        right_context=0 if causal else int(rng.integers(0, 3)),
+                        subsample=subsample, hidden=hidden)
+    student = TransducerModel(vocab_size=4, feat_dim=3, encoder=enc, seed=seed)
+    teacher = TransducerModel(vocab_size=4, feat_dim=3, encoder=enc, seed=seed + 1)
+    for v in student.params.values():
+        v *= rng.uniform(1.0, 10.0)
+
+    def labels(low):
+        return tuple(int(k) for k in rng.integers(0, 4, size=int(rng.integers(low, 6))))
+
+    batch = [Utterance(f"s-{i}", rng.normal(size=(int(rng.integers(4, 12)), 3)), labels(0))
+             for i in range(2)]
+    pseudo = {}
+    for i in range(7):
+        utt_id = f"u-{i}"
+        batch.append(Utterance(utt_id, rng.normal(size=(int(rng.integers(4, 12)), 3)), None))
+        hyps = list(dict.fromkeys([labels(1), (), labels(0), labels(1)]))[: int(rng.integers(2, 5))]
+        nbest = [(h, -float(rng.uniform(1.0, 20.0))) for h in hyps]
+        target, score = nbest[int(rng.integers(len(nbest)))]
+        pseudo[utt_id] = PseudoLabelRecord(utt_id, target, score, nbest)
+    shift = int(rng.integers(0, 2)) if LossKind(kind).is_soft else 0
+    return student, teacher, batch, pseudo, DistillLossKind(LossKind(kind), shift_n=shift)
+
+
+STEP_CASES = [(kind, hidden, seed) for kind in ("hard", "fs_l1", "fsnorm_l1", "soft_efficient")
+              for hidden in (12, 16, 28) for seed in range(3)]
+
+
+class TestCombinedLossAgainstLoopReference:
+    # weights (1, 1, 1): the hard and the distillation term read the same
+    # pseudo label, and fs_l1 backpropagates its lattice a second time with
+    # another scale, as the causal_shift fs row does
+    @pytest.mark.parametrize("kind,hidden,seed", STEP_CASES)
+    def test_step_equals_loop_reference(self, kind, hidden, seed):
+        student, teacher, batch, pseudo, kind = _random_step(100 * hidden + seed, hidden, kind)
+        config = CombinedLossConfig(1.0, 1.0, 1.0)
+        want = _loss_and_grads(reference_combined_loss, ReferenceStudent(student), batch,
+                               kind, config, pseudo, teacher)
+        got = _loss_and_grads(combined_loss, student, batch, kind, config,
+                              pseudo_labels=pseudo, teacher_model=teacher)
+        if EXACT:
+            assert got[0] == want[0] and got[1] == want[1]
+        else:
+            assert got[0] == pytest.approx(want[0], rel=1e-12)
+            assert got[1] == pytest.approx(want[1], rel=1e-12)
+        for name in want[2]:
+            if EXACT:
+                assert np.array_equal(got[2][name], want[2][name]), name
+            else:
+                assert_rel_close(got[2][name], want[2][name])
+
+    def test_fsnorm_step_gradient_matches_finite_differences(self):
+        """Three unsupervised utterances: each N-best list holds the empty
+        hypothesis, and the hard term shares the pseudo label's lattice."""
+        rng = np.random.default_rng(7)
+        enc = EncoderConfig(causal=False, left_context=1, right_context=1, subsample=1, hidden=4)
+        student = TransducerModel(vocab_size=3, feat_dim=2, encoder=enc, seed=3)
+        batch, pseudo = [], {}
+        for i, nbest in enumerate([[((0, 1), -2.0), ((), -3.0), ((1,), -4.0)],
+                                   [((2,), -1.5), ((), -2.5)],
+                                   [((1, 1, 0), -3.0), ((1, 0), -3.5), ((), -6.0)]]):
+            batch.append(Utterance(f"u-{i}", rng.normal(size=(4 + i, 2)), None))
+            pseudo[f"u-{i}"] = PseudoLabelRecord(f"u-{i}", *nbest[-1 if i == 2 else 0], nbest)
+        kind, config = DistillLossKind(LossKind.FSNORM_MSE), CombinedLossConfig(0.0, 0.5, 1.0)
+
+        def loss():
+            return combined_loss(student, batch, kind, config, pseudo_labels=pseudo)[0]
+
+        student.zero_grad()
+        loss()
+        analytic = {name: g.copy() for name, g in student.grads.items()}
+        h, worst = 1e-6, 0.0
+        for name, p in student.params.items():
+            flat, gflat = p.reshape(-1), analytic[name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = loss()
+                flat[i] = orig - h
+                down = loss()
+                flat[i] = orig
+                fd = (up - down) / (2 * h)
+                worst = max(worst, abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8))
+        assert worst < 1e-4

@@ -6,8 +6,13 @@ Prints, for each layer, the best over ``BLOCKS`` blocks of the mean cost
 of one call, in microseconds, at T=14 input frames, U=5 labels, K=6 labels
 plus blank and hidden width H=16 (a 5-frame window over 8 features).  The
 model is an untrained one, so beam search pops many hypotheses per frame.
-The last row writes a generated 100-utterance corpus (3 to 6 labels of 2 to
-4 frames each) to ``os.devnull``.
+The write_corpus row writes a generated 100-utterance corpus (3 to 6 labels
+of 2 to 4 frames each) to ``os.devnull``.  The step rows time one
+``combined_loss`` step, gradients included, at the benchmark's weak_teacher
+shapes on utterances generated the same way: the hard and fsnorm_l1 student
+steps on 2 supervised and 22 unsupervised utterances, whose pseudo labels are
+their references with 4-best lists of edited copies, and the teacher step on
+8 supervised utterances at H=12.
 ``--src`` names the directory that holds the ``transducer_distill`` package
 (default: this repository's ``src``), so two trees can be timed with the
 same script.  BLAS is pinned to one thread.
@@ -66,6 +71,37 @@ def layers(td):
         ("beam search, beam 8", 5, lambda: td.beam_search(model, x, 8)),
         ("rescoring of a 4-best list", 50, lambda: td.rescore_nbest(model, x, four)),
         ("write_corpus, 100 utterances", 3, lambda: td.data.write_corpus(os.devnull, corpus)),
+        *steps(td),
+    ]
+
+
+def steps(td):
+    """(name, calls per block, zero-argument callable) for each training step."""
+    import numpy as np
+
+    spec = td.SyntheticSpec(vocab_size=K, feat_dim=FEAT, frames_per_label=(2, 4),
+                            noise_sigma=0.25, label_len_range=(3, 6),
+                            num_supervised=8, num_unsupervised=22, seed=0)
+    sup, unsup = td.generate(spec)
+    pseudo = {}
+    for utt in unsup.utterances:
+        ref = tuple(unsup.hidden_refs[utt.utt_id])
+        hyps = dict.fromkeys([ref, ref[:-1], ref[1:], ref + (ref[0],)])
+        pseudo[utt.utt_id] = td.decode.PseudoLabelRecord(
+            utt.utt_id, ref, -5.0, [(labels, -5.0 - i) for i, labels in enumerate(hyps)])
+    batch = sup.utterances[:2] + unsup.utterances
+
+    def step(hidden, utts, kind, weights):
+        cfg = td.EncoderConfig(causal=False, left_context=2, right_context=2, subsample=1,
+                               hidden=hidden)
+        model = td.TransducerModel(vocab_size=K, feat_dim=FEAT, encoder=cfg, seed=0)
+        kind, weights = td.DistillLossKind(td.LossKind(kind)), td.CombinedLossConfig(*weights)
+        return lambda: td.combined_loss(model, utts, kind, weights, pseudo_labels=pseudo)
+
+    return [
+        ("hard step, 2+22 utterances", 20, step(H, batch, "hard", (1.0, 1.0, 0.0))),
+        ("fsnorm step, 2+22, 4-best", 5, step(H, batch, "fsnorm_l1", (1.0, 0.0, 1.0))),
+        ("teacher step, 8 utterances", 50, step(12, sup.utterances, "hard", (1.0, 0.0, 0.0))),
     ]
 
 
