@@ -474,7 +474,7 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
     cap = cfg["decode"]["max_symbols_per_frame"]
     teacher = load_checkpoint(checkpoint)
     corpora, digests = load_corpora(data_dir)
-    out = make_run_dir("pseudo-label", cfg, root, _inputs(digests, checkpoint))
+    out = make_run_dir("pseudo-label", cfg, root, (*digests, teacher.checkpoint_sha256))
 
     # the teacher decodes raw features: no dropout or augmentation exists
     # anywhere in this pipeline, matching the distillation protocol
@@ -541,7 +541,7 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
             )
 
     out = make_run_dir("distill", cfg, root,
-                       _inputs(digests, teacher_checkpoint, pseudo_label_file))
+                       _inputs((*digests, teacher.checkpoint_sha256), pseudo_label_file))
 
     model = TransducerModel(spec.vocab_size, spec.feat_dim, _encoder(cfg, "student"),
                             seed=cfg["seed"] + 13)
@@ -597,8 +597,7 @@ def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> 
     for name in sets:
         if name not in corpora or not corpora[name].utterances:
             raise ConfigError(f"no utterances in evaluation set {name!r}")
-    checkpoint_sha256 = _sha256(checkpoint)
-    out = make_run_dir("evaluate", cfg, root, (*digests, checkpoint_sha256, *sets))
+    out = make_run_dir("evaluate", cfg, root, (*digests, model.checkpoint_sha256, *sets))
 
     cap = cfg["decode"]["max_symbols_per_frame"]
     reports = {name: metrics_mod.evaluate(model, corpora[name], max_symbols_per_frame=cap)
@@ -609,7 +608,7 @@ def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> 
         reports,
         metadata={
             "checkpoint": Path(checkpoint).name,
-            "checkpoint_sha256": checkpoint_sha256,
+            "checkpoint_sha256": model.checkpoint_sha256,
             "distill_kind": cfg["distill"]["kind"],
             "shift_n": cfg["distill"]["shift_n"],
             "seed": cfg["seed"],
@@ -639,7 +638,7 @@ def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
     _check_shifts(shifts, corpora["unsup"], teacher.encoder.subsample)
 
     out = make_run_dir("sweep-shift", cfg, root,
-                       _inputs(digests, teacher_checkpoint, pseudo_label_file))
+                       _inputs((*digests, teacher.checkpoint_sha256), pseudo_label_file))
     wers = run_rows(cfg, {n: {"distill": {"shift_n": n}} for n in shifts},
                     data_dir, teacher_checkpoint, pseudo_label_file, root=out)
 

@@ -13,8 +13,11 @@ from functools import partial
 
 import numpy as np
 
-from .lattice import Lattice, LatticeShapeError, logsumexp, rnnt_loss_with_grad
+from .lattice import (Lattice, LatticeShapeError, logsumexp, rnnt_losses_with_grad,
+                      rnnt_loss_with_grad)  # noqa: F401  (kept for callers that rebind it)
 from .model import NonFiniteLossError
+
+FULL_SUM_GROUP = 32  # lattices per batched full-sum; bounds the passes held at once
 
 
 class DistillError(ValueError):
@@ -286,11 +289,28 @@ class _StudentPasses:
         return self._passes[key]
 
     def loss(self, labels):
-        """``(NLL, lattice gradient, forward cache)``."""
-        entry = self.forward(labels)
-        if entry[2] is None:
-            entry[2] = rnnt_loss_with_grad(entry[0], list(labels))
-        return (*entry[2], entry[1])
+        """``(NLL, lattice gradient, forward cache)``, the full-sum made by ``_passes``."""
+        _, cache, result = self.forward(labels)
+        return (*result, cache)
+
+
+def _passes(model, plan, predicted):
+    """``(utterance, terms, _StudentPasses)`` of each entry of ``plan``, in
+    order.  Each run of utterances whose full-sum terms read ``FULL_SUM_GROUP``
+    or more label sequences gets its full-sums from one batched call first."""
+    group, pending = [], {}
+    for i, (utt, terms) in enumerate(plan):
+        group.append((utt, terms, _StudentPasses(model, utt.frames, predicted) if terms else None))
+        pending.update(dict.fromkeys((len(group) - 1, tuple(y))
+                                     for _, _, ys, full_sum, _ in terms if full_sum for y in ys))
+        if len(pending) >= FULL_SUM_GROUP or i == len(plan) - 1:
+            entries = [group[j][2].forward(y) for j, y in pending]
+            for entry, result in zip(entries, rnnt_losses_with_grad(
+                    [lat for lat, _, _ in entries], [y for _, y in pending])):
+                entry[2] = result
+            while group:  # each utterance's passes go once its terms have run
+                yield group.pop(0)
+            pending.clear()
 
 
 def _rnnt_term(student, seqs):
@@ -339,12 +359,12 @@ def _fs_term(student, seqs, record, kind: DistillLossKind):
 
 def _utterance_terms(utt, kind: DistillLossKind, config: CombinedLossConfig, n_sup, n_unsup,
                      pseudo_labels, teacher_model, teacher_lattices):
-    """``(log name, weight, label sequences, term)`` of each loss term of
-    ``utt``; ``term(student, seqs)`` reads the student's passes over exactly
-    those sequences."""
+    """``(log name, weight, label sequences, full_sum, term)`` of each loss
+    term of ``utt``; ``term(student, seqs)`` reads the student's passes over
+    exactly those sequences, and their full-sums where ``full_sum``."""
     if utt.labels is not None:
         weight = config.weight_supervised_rnnt
-        return [("supervised_rnnt", weight / n_sup, [utt.labels], _rnnt_term)] if weight > 0 else []
+        return [("supervised_rnnt", weight / n_sup, [utt.labels], True, _rnnt_term)] if weight > 0 else []
     record = (pseudo_labels or {}).get(utt.utt_id)
     if record is None:
         if config.weight_hard_on_pseudo > 0 or config.weight_distill > 0:
@@ -353,13 +373,13 @@ def _utterance_terms(utt, kind: DistillLossKind, config: CombinedLossConfig, n_s
     terms = []
     if config.weight_hard_on_pseudo > 0:
         terms.append(("hard_on_pseudo", config.weight_hard_on_pseudo / n_unsup, [record.labels],
-                      _rnnt_term))
+                      True, _rnnt_term))
     if config.weight_distill > 0 and kind.kind != LossKind.HARD:
         seqs = [labels for labels, _ in record.nbest] if kind.kind.is_norm else [record.labels]
         term = (partial(_soft_term, teacher_model=teacher_model, teacher_lattices=teacher_lattices,
                         utt_id=utt.utt_id, kind=kind)
                 if kind.kind.is_soft else partial(_fs_term, record=record, kind=kind))
-        terms.append(("distill", config.weight_distill / n_unsup, seqs, term))
+        terms.append(("distill", config.weight_distill / n_unsup, seqs, not kind.kind.is_soft, term))
     return terms
 
 
@@ -374,7 +394,8 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
     ``model.backward`` per term and lattice.  The terms of an utterance
     share one encoder pass, and one student forward pass and full-sum loss
     per label sequence; the predictor runs side by side over the step's
-    label sequences, forward and backward.
+    label sequences, forward and backward, and the full-sums of each run of
+    utterances (``_passes``) as one batch before the run's terms.
     ``teacher_lattices`` memoizes the frozen teacher's lattices by
     (utt_id, label sequence); one dict may serve every call that uses the
     same teacher and corpus.
@@ -386,12 +407,11 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
     n_unsup = max(sum(1 for u in batch if u.labels is None), 1)
     plan = [(utt, _utterance_terms(utt, kind, config, n_sup, n_unsup, pseudo_labels,
                                    teacher_model, teacher_lattices)) for utt in batch]
-    seqs = list(dict.fromkeys(tuple(y) for _, terms in plan for _, _, ys, _ in terms for y in ys))
+    seqs = list(dict.fromkeys(tuple(y) for _, terms in plan for _, _, ys, _, _ in terms for y in ys))
     predicted = dict(zip(seqs, model.predictor_states(seqs)))
     queue = []
-    for utt, terms in plan:
-        student = _StudentPasses(model, utt.frames, predicted) if terms else None
-        for name, weight, ys, term in terms:
+    for utt, terms, student in _passes(model, plan, predicted):
+        for name, weight, ys, _, term in terms:
             loss, parts = term(student, ys)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(utt.utt_id, loss)

@@ -210,28 +210,73 @@ def rnnt_loss(lat: Lattice, labels) -> float:
 
 
 def rnnt_loss_with_grad(lat: Lattice, labels) -> tuple[float, np.ndarray]:
-    """Loss and its lattice gradient from a single forward-backward pass.
+    """Loss and lattice gradient of one pair: ``rnnt_losses_with_grad``'s batch of one."""
+    return rnnt_losses_with_grad([lat], [labels])[0]
 
-    Occupancy form: only entries for blank and the next target label are on
-    any path, all other entries get exactly zero.
-    """
-    log_prob, alpha, beta = forward_backward(lat, labels)  # validates the pair
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    T, U = lat.num_frames, len(y)
-    blank = lat.blank
-    lp = lat.log_probs
 
-    grad = np.zeros_like(lp)
-    # occupancy of the blank arc at (t, u): alpha + emission + beta of (t+1, u)
-    occ_blank = alpha + lp[:, :, blank] - log_prob
-    occ_blank[: T - 1] += beta[1:]
-    occ_blank[T - 1, :U] = NEG_INF  # blanks at (T-1, u<U) fall off the lattice
-    grad[:, :, blank] = -np.exp(occ_blank)
-    # occupancy of the label arc at (t, u): alpha + emission + beta of (t, u+1)
-    rows = np.arange(U)
-    occ_label = alpha[:, :U] + lp[:, rows, y] + beta[:, 1:] - log_prob
-    grad[:, rows, y] = -np.exp(occ_label)
-    return -log_prob, grad
+def _check_batch(lattices, label_seqs) -> list:
+    """``_check_pair``'s labels of each pair, its checks run once over the batch;
+    on a failure the pairs are checked in order, to raise what it raises."""
+    ys = [np.asarray(y, dtype=np.int64).reshape(-1) for _, y in zip(lattices, label_seqs, strict=True)]
+    labels = np.concatenate(ys)
+    vocab = np.repeat([lat.vocab_size for lat in lattices], [len(y) for y in ys])
+    if ([lat.num_label_rows for lat in lattices] != [len(y) + 1 for y in ys]
+            or np.any((labels < 0) | (labels >= vocab))
+            or not np.isfinite(np.concatenate([lat.log_probs for lat in lattices], axis=None)).all()):
+        for lat, y in zip(lattices, label_seqs):
+            _check_pair(lat, y)
+    return ys
+
+
+def rnnt_losses_with_grad(lattices, label_seqs) -> list:
+    """``(NLL, lattice gradient)`` of each pair, bit for bit as ``forward_backward``
+    and the occupancy gradient give them one pair at a time: one scan over the
+    anti-diagonals t + u = c, rows ``:B`` alpha and rows ``B:`` beta on the
+    time- and label-reversed lattices.  Cell (t, u) sits at [t + 1, u + 1]
+    behind a -inf row and column, so a diagonal and its predecessors are
+    strided views.  ``np.logaddexp`` makes the recursion's scalar libm calls,
+    and a -inf operand leaves the other one exact."""
+    if not lattices:
+        return []
+    ys = _check_batch(lattices, label_seqs)
+    B, Ts, Us = len(ys), [lat.num_frames for lat in lattices], [len(y) for y in ys]
+    Tm, Um, S = max(Ts), max(Us), max(Us) + 2
+    # the weight of the step into each cell, kept at the cell: ``down`` from the
+    # cell above (a blank), ``right`` from the cell to the left (a label); alpha's
+    # step emits at the cell it leaves, reversed beta's at the cell it enters
+    down, right, scan = (np.full((2 * B, Tm + rows, S), NEG_INF) for rows in (2, 1, 1))
+    for b, (lat, y, T, U) in enumerate(zip(lattices, ys, Ts, Us)):
+        blank, label = lat.log_probs[:, :, lat.blank], lat.log_probs[:, np.arange(U), y]
+        down[b, 2 : T + 2, 1 : U + 2], down[B + b, 1 : T + 1, 1 : U + 2] = blank, blank[::-1, ::-1]
+        right[b, 1 : T + 1, 2 : U + 2], right[B + b, 1 : T + 1, 2 : U + 2] = label, label[::-1, ::-1]
+    # alpha(0, 0) = 0, beta(T-1, U) = its blank; for the gradient beta(T, U) = 0, beta(T, u<U) = -inf
+    scan[:B, 1, 1], scan[B:, 1, 1], scan[B:, 0, 1] = 0.0, down[B:, 1, 1], 0.0
+    # [b, c, t] -> flat entry offset + c + t (S - 1) of row b: cell (t, c - t) at offset S + 1
+    cur, up, left, w_down, w_right = (np.lib.stride_tricks.as_strided(
+        a.reshape(2 * B, -1)[:, offset:], (2 * B, Tm + Um, Tm), (a.strides[0], 8, 8 * (S - 1)))
+        for a, offset in ((scan, S + 1), (scan, 1), (scan, S), (down, S + 1), (right, S + 1)))
+    via_down, via_right = np.empty((2, 2 * B, Tm))
+    for c in range(1, Tm + Um):
+        lo, hi = max(0, c - Um), min(Tm, c + 1)
+        d, r = via_down[:, : hi - lo], via_right[:, : hi - lo]
+        np.add(up[:, c, lo:hi], w_down[:, c, lo:hi], out=d)
+        np.add(left[:, c, lo:hi], w_right[:, c, lo:hi], out=r)
+        np.logaddexp(d, r, out=cur[:, c, lo:hi])
+
+    alpha, beta = scan[:B, 1:, 1:], np.full((B, Tm + 1, S), NEG_INF)
+    for b, (T, U) in enumerate(zip(Ts, Us)):
+        beta[b, : T + 1, : U + 2] = scan[B + b, T::-1, U + 1 :: -1]
+    log_prob = (scan[np.arange(B), Ts, np.add(Us, 1)] + down[B:, 1, 1])[:, None, None]
+    # occupancies: alpha + emission + beta of the next node (t+1, u) or (t, u+1)
+    occ_blank = alpha + down[:B, 2:, 1:] - log_prob + beta[:, 1:, :-1]
+    occ_label = alpha[:, :, :-1] + right[:B, 1:, 2:] + beta[:, :-1, 1:-1] - log_prob
+    grad_blank, grad_label = -np.exp(occ_blank), -np.exp(occ_label)
+    out = []
+    for b, (lat, y, T, U) in enumerate(zip(lattices, ys, Ts, Us)):
+        grad = np.zeros_like(lat.log_probs)
+        grad[:, :, lat.blank], grad[:, np.arange(U), y] = grad_blank[b, :T, : U + 1], grad_label[b, :T, :U]
+        out.append((-float(log_prob[b, 0, 0]), grad))
+    return out
 
 
 def _iter_paths(num_blanks: int, num_labels: int):

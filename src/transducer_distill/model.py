@@ -6,9 +6,12 @@ All computation runs in double precision; parameters are serialized as
 on parameters; ``train_step`` is the single mutation point.
 """
 
+import hashlib
+import io
 import json
 import struct
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -360,7 +363,9 @@ def _read_exact(f, size: int, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> TransducerModel:
-    with open(path, "rb") as f:
+    """The model saved at ``path``, read once: ``checkpoint_sha256`` hashes the bytes parsed."""
+    data = Path(path).read_bytes()
+    with io.BytesIO(data) as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ModelError(f"not a checkpoint file (bad magic {magic!r})")
@@ -386,4 +391,5 @@ def load_checkpoint(path) -> TransducerModel:
         if trailing:
             raise ModelError(f"checkpoint has {trailing} trailing bytes after the last tensor")
         model.zero_grad()
+    model.checkpoint_sha256 = hashlib.sha256(data).hexdigest()
     return model

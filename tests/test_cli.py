@@ -409,6 +409,28 @@ class TestDistillAndEvaluate:
         ])
         assert exit_code == 1
 
+    @pytest.mark.parametrize("command", ["evaluate", "pseudo-label", "distill"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:-6], "error: checkpoint tensor 'pred_w' holds 138 of 144 bytes"),
+        (lambda raw: raw + b"pad", "error: checkpoint has 3 trailing bytes after the last tensor"),
+    ], ids=["truncated", "padded"])
+    def test_damaged_checkpoint_exits_one(self, pipeline, tmp_path, capsys, command, edit,
+                                          message):
+        damaged = tmp_path / "damaged.ckpt"
+        damaged.write_bytes(edit(pipeline["teacher"].read_bytes()))
+        model_arg = ["--checkpoint"] if command != "distill" else [
+            "--pseudo-labels", str(pipeline["pseudo"]), "--teacher"]
+        exit_code = cli.main([command, "--data-dir", str(pipeline["data_dir"]), *model_arg,
+                              str(damaged), "--run-root", str(tmp_path / "runs"),
+                              *SMOKE_SET_ARGS])
+        assert exit_code == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "runs").exists()
+
+    def test_checkpoint_hash_is_of_the_parsed_bytes(self, pipeline):
+        model = load_checkpoint(pipeline["teacher"])
+        assert model.checkpoint_sha256 == hashlib.sha256(pipeline["teacher"].read_bytes()).hexdigest()
+
     def test_partial_config_takes_the_table_defaults(self, pipeline, tmp_path):
         """A partial dict given straight to ``cmd_*``: its distill section has
         no ``shift_n`` and still sends the retired ``nbest_size``."""

@@ -651,18 +651,19 @@ class TestCombinedLossSharing:
     def test_one_student_pass_per_label_sequence(self, monkeypatch, kind, forwards_per_unsup):
         student, teacher, batch, pseudo = _sharing_setup()
         forwards, losses = Counter(), Counter()
-        real_forward, real_loss = student.forward, distill.rnnt_loss_with_grad
+        real_forward, real_losses = student.forward, distill.rnnt_losses_with_grad
 
         def forward(x, y, **shared):
             forwards[(x.tobytes(), tuple(y))] += 1
             return real_forward(x, y, **shared)
 
-        def loss(lat, y):
-            losses[(lat.log_probs.tobytes(), tuple(y))] += 1
-            return real_loss(lat, y)
+        def batched_losses(lattices, label_seqs):
+            for lat, y in zip(lattices, label_seqs):
+                losses[(lat.log_probs.tobytes(), tuple(y))] += 1
+            return real_losses(lattices, label_seqs)
 
         student.forward = forward
-        monkeypatch.setattr(distill, "rnnt_loss_with_grad", loss)
+        monkeypatch.setattr(distill, "rnnt_losses_with_grad", batched_losses)
         combined_loss(student, batch, DistillLossKind(LossKind(kind)),
                       CombinedLossConfig(1.0, 1.0, 1.0), pseudo_labels=pseudo,
                       teacher_model=teacher)
@@ -673,7 +674,10 @@ class TestCombinedLossSharing:
             assert len(forwards) == len(sup) + sum(len(pseudo[u.utt_id].nbest) for u in unsup)
         else:
             assert len(forwards) == len(sup) + forwards_per_unsup * len(unsup)
-        assert max(losses.values()) == 1
+        # one full-sum per (utterance, label sequence): with the hard term on,
+        # a full-sum term reads every sequence that a forward pass ran for
+        assert set(losses.values()) == {1}
+        assert len(losses) == len(forwards)
 
 
 # ----- combined_loss against the one-lattice-at-a-time loop references -----
@@ -774,6 +778,19 @@ class TestCombinedLossAgainstLoopReference:
                 assert np.array_equal(got[2][name], want[2][name]), name
             else:
                 assert_rel_close(got[2][name], want[2][name])
+
+    @pytest.mark.parametrize("group", [1, 5])
+    @pytest.mark.parametrize("kind", ["hard", "fsnorm_l1", "soft_efficient"])
+    def test_groups_of_full_sums_keep_the_bits(self, monkeypatch, kind, group):
+        """Splitting a step's full-sums into more batches changes no bit."""
+        student, teacher, batch, pseudo, kind = _random_step(7, 16, kind)
+        args = (student, batch, kind, CombinedLossConfig(1.0, 1.0, 1.0))
+        want = _loss_and_grads(combined_loss, *args, pseudo_labels=pseudo, teacher_model=teacher)
+        monkeypatch.setattr(distill, "FULL_SUM_GROUP", group)
+        got = _loss_and_grads(combined_loss, *args, pseudo_labels=pseudo, teacher_model=teacher)
+        assert got[0] == want[0] and got[1] == want[1]
+        for name in want[2]:
+            assert np.array_equal(got[2][name], want[2][name]), name
 
     def test_fsnorm_step_gradient_matches_finite_differences(self):
         """Three unsupervised utterances: each N-best list holds the empty

@@ -18,6 +18,7 @@ from transducer_distill.lattice import (
     path_mass,
     rnnt_loss,
     rnnt_loss_with_grad,
+    rnnt_losses_with_grad,
 )
 
 from conftest import random_lattice, uniform_lattice
@@ -91,6 +92,40 @@ def far_apart_lattice(rng, T, U, K):
     return Lattice(logits - logsumexp(logits, axis=-1)[..., None])
 
 
+def scaled_lattice(rng, T, U, K, scale):
+    """Normalized lattice from normal logits times ``scale``."""
+    logits = rng.normal(size=(T, U + 1, K + 1)) * scale
+    return Lattice(logits - logsumexp(logits, axis=-1)[..., None])
+
+
+def logaddexp_is_scalar_logadd():
+    """Whether this numpy build's ``np.logaddexp(a, b)`` is, bit for bit,
+    ``forward_backward``'s inlined log-add ``a + log1p(exp(b - a))`` for
+    a >= b, on equal operands and with a -inf operand too.  The batched
+    full-sum's equality with the scalar recursion rests on it; it held with
+    numpy 2.4.6 on an x86-64 Xeon, whose logaddexp calls the scalar libm exp
+    and log1p, and elementwise dispatch is not a numpy guarantee."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=4000) * np.repeat([1.0, 30.0, 300.0, 1000.0], 1000)
+    b = a + rng.normal(size=4000) * np.tile([0.0, 1e-3, 1.0, 40.0, 800.0], 800)
+    want = [hi + math.log1p(math.exp(lo - hi)) for hi, lo in zip(np.maximum(a, b).tolist(),
+                                                               np.minimum(a, b).tolist())]
+    return (np.array_equal(np.logaddexp(a, b), want)
+            and np.array_equal(np.logaddexp(a, -np.inf), a)
+            and np.array_equal(np.logaddexp(-np.inf, a), a))
+
+
+BITWISE = logaddexp_is_scalar_logadd()
+
+
+def assert_same(got, want):
+    """Bit for bit where ``np.logaddexp`` is the scalar log-add, else within 1e-12."""
+    if BITWISE:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 class TestReferenceEquivalence:
     """The peeled, inlined recursion does the same float operations as the
     branchy one, so alpha, beta and the gradient are equal bit for bit."""
@@ -110,8 +145,8 @@ class TestReferenceEquivalence:
             assert np.array_equal(got[2], want[2])
             loss, grad = rnnt_loss_with_grad(lat, y)
             want_loss, want_grad = reference_loss_grad(lat, y)
-            assert loss == want_loss
-            assert np.array_equal(grad, want_grad)
+            assert_same(loss, want_loss)
+            assert_same(grad, want_grad)
 
     def test_far_apart_entries_underflow_and_stay_finite(self):
         lat = far_apart_lattice(np.random.default_rng(3), 6, 4, 3)
@@ -119,6 +154,110 @@ class TestReferenceEquivalence:
         log_prob, alpha, beta = forward_backward(lat, [0, 1, 2, 0])
         assert np.isfinite(log_prob)
         assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
+
+
+def mixed_batch(rng, size, max_labels=8):
+    """``size`` random (lattice, labels) pairs of mixed T, U, K and logit
+    scale, among them far-apart lattices; lists or arrays of labels."""
+    lattices, label_seqs = [], []
+    for _ in range(size):
+        T, U, K = int(rng.integers(1, 10)), int(rng.integers(0, max_labels + 1)), int(rng.integers(1, 6))
+        kind = int(rng.integers(3))
+        lat = (far_apart_lattice(rng, T, U, K) if kind == 0 else
+               scaled_lattice(rng, T, U, K, float(rng.choice([1.0, 10.0, 100.0, 1000.0]))))
+        y = rng.integers(0, K, size=U)
+        lattices.append(lat)
+        label_seqs.append(y if kind == 1 else y.tolist())
+    return lattices, label_seqs
+
+
+class TestBatchedLossGrad:
+    """``rnnt_losses_with_grad`` against ``forward_backward`` and the
+    reference recursion, one lattice at a time."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_one_by_one(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        size = [1, 2, 24, 5, 90][seed % 5]
+        lattices, label_seqs = mixed_batch(rng, size, max_labels=30 if seed % 3 == 0 else 8)
+        got = rnnt_losses_with_grad(lattices, label_seqs)
+        assert len(got) == size
+        for lat, y, (loss, grad) in zip(lattices, label_seqs, got):
+            want_loss, want_grad = reference_loss_grad(lat, y)
+            assert isinstance(loss, float)
+            assert_same(loss, want_loss)
+            assert_same(loss, -forward_backward(lat, y)[0])
+            assert_same(grad, want_grad)
+
+    @pytest.mark.parametrize("T, U", [(1, 0), (1, 5), (7, 0), (1, 30), (12, 30)])
+    def test_edge_shapes_in_one_batch(self, T, U):
+        rng = np.random.default_rng(T * 100 + U)
+        lattices = [scaled_lattice(rng, T, U, 4, 1000.0), far_apart_lattice(rng, T, U, 2),
+                    random_lattice(rng, 3, 2, 3)]
+        label_seqs = [rng.integers(0, 4, size=U), rng.integers(0, 2, size=U), [2, 2]]
+        for lat, y, (loss, grad) in zip(lattices, label_seqs,
+                                        rnnt_losses_with_grad(lattices, label_seqs)):
+            want_loss, want_grad = reference_loss_grad(lat, y)
+            assert_same(loss, want_loss)
+            assert_same(grad, want_grad)
+
+    def test_empty_batch(self):
+        assert rnnt_losses_with_grad([], []) == []
+
+    def test_inputs_untouched(self, rng):
+        lattices, label_seqs = mixed_batch(rng, 6)
+        before = [lat.log_probs.copy() for lat in lattices]
+        rnnt_losses_with_grad(lattices, label_seqs)
+        for lat, old in zip(lattices, before):
+            assert np.array_equal(lat.log_probs, old)
+
+
+def _spoil(kind, lattices, label_seqs, i):
+    """Make pair ``i`` fail one of ``_check_pair``'s checks."""
+    if kind == "non-finite":
+        lattices[i].log_probs[-1, 0, 0] = np.nan
+    elif kind == "label":
+        label_seqs[i] = [lattices[i].vocab_size] * len(label_seqs[i])
+    else:
+        label_seqs[i] = list(label_seqs[i]) + [0]
+
+
+SPOILS = ["non-finite", "label", "rows"]
+
+
+class TestBatchedLossGradErrors:
+    """A failing pair raises what the single-lattice path raises for it; of
+    two pairs that fail in different ways, the first one does."""
+
+    @pytest.mark.parametrize("kind", SPOILS)
+    @pytest.mark.parametrize("bad", [(0,), (4,), (2, 5), (5, 1)])
+    def test_same_exception_as_single_path(self, kind, bad):
+        rng = np.random.default_rng(17)
+        lattices, label_seqs = [], []
+        for _ in range(6):
+            U = int(rng.integers(1, 4))
+            lattices.append(random_lattice(rng, int(rng.integers(1, 5)), U, 3))
+            label_seqs.append(rng.integers(0, 3, size=U).tolist())
+        spoils = dict(zip(bad, [kind, SPOILS[(SPOILS.index(kind) + 1) % 3]]))
+        for i, spoil in spoils.items():
+            _spoil(spoil, lattices, label_seqs, i)
+        first = min(bad)
+        with pytest.raises(LatticeError) as single:
+            rnnt_loss_with_grad(lattices[first], label_seqs[first])
+        with pytest.raises(LatticeError) as batched:
+            rnnt_losses_with_grad(lattices, label_seqs)
+        assert type(batched.value) is type(single.value)
+        assert str(batched.value) == str(single.value)
+        if spoils[first] == "non-finite":
+            assert batched.value.index == (lattices[first].num_frames - 1, 0, 0)
+        with pytest.raises(type(single.value)) as scalar:
+            forward_backward(lattices[first], label_seqs[first])
+        assert str(scalar.value) == str(single.value)
+
+    def test_count_mismatch(self, rng):
+        lat = random_lattice(rng, 2, 1, 2)
+        with pytest.raises(ValueError):
+            rnnt_losses_with_grad([lat, lat], [[0]])
 
 
 @st.composite

@@ -12,7 +12,12 @@ of 2 to 4 frames each) to ``os.devnull``.  The step rows time one
 shapes on utterances generated the same way: the hard and fsnorm_l1 student
 steps on 2 supervised and 22 unsupervised utterances, whose pseudo labels are
 their references with 4-best lists of edited copies, and the teacher step on
-8 supervised utterances at H=12.
+8 supervised utterances at H=12.  The full-sum rows time
+``rnnt_losses_with_grad`` on the lattices of the hard step (24: the labels
+and pseudo labels) and of the fsnorm step (90: the labels and every N-best
+hypothesis), next to ``forward_backward`` over the same lattices one by one;
+on a tree without ``rnnt_losses_with_grad`` they time ``rnnt_loss_with_grad``
+one lattice at a time.
 ``--src`` names the directory that holds the ``transducer_distill`` package
 (default: this repository's ``src``), so two trees can be timed with the
 same script.  BLAS is pinned to one thread.
@@ -98,7 +103,27 @@ def steps(td):
         kind, weights = td.DistillLossKind(td.LossKind(kind)), td.CombinedLossConfig(*weights)
         return lambda: td.combined_loss(model, utts, kind, weights, pseudo_labels=pseudo)
 
+    cfg = td.EncoderConfig(causal=False, left_context=2, right_context=2, subsample=1, hidden=H)
+    model = td.TransducerModel(vocab_size=K, feat_dim=FEAT, encoder=cfg, seed=0)
+
+    batched = getattr(td.lattice, "rnnt_losses_with_grad", None) or (
+        lambda lattices, label_seqs: [td.lattice.rnnt_loss_with_grad(lat, y)
+                                      for lat, y in zip(lattices, label_seqs)])
+
+    def full_sums(nbest):
+        pairs = [(u.frames, list(y)) for u in batch for y in (
+            [u.labels] if u.labels is not None else
+            [labels for labels, _ in pseudo[u.utt_id].nbest] if nbest else [pseudo[u.utt_id].labels])]
+        lattices, label_seqs = [model.build_lattice(x, y) for x, y in pairs], [y for _, y in pairs]
+        return [
+            (f"full-sum + grad, {len(pairs)} batched", 20, lambda: batched(lattices, label_seqs)),
+            (f"forward_backward, {len(pairs)} one by one", 5,
+             lambda: [td.forward_backward(lat, y) for lat, y in zip(lattices, label_seqs)]),
+        ]
+
     return [
+        *full_sums(nbest=False),
+        *full_sums(nbest=True),
         ("hard step, 2+22 utterances", 20, step(H, batch, "hard", (1.0, 1.0, 0.0))),
         ("fsnorm step, 2+22, 4-best", 5, step(H, batch, "fsnorm_l1", (1.0, 0.0, 1.0))),
         ("teacher step, 8 utterances", 50, step(12, sup.utterances, "hard", (1.0, 0.0, 0.0))),
@@ -117,7 +142,7 @@ def main(argv=None):
 
     print(f"# {td.__file__}: T={T} U={U} K={K} H={H}, best of {BLOCKS} blocks")
     for name, calls, fn in layers(td):
-        print(f"{name:28s} {best_us(fn, calls):10.1f} us")
+        print(f"{name:32s} {best_us(fn, calls):10.1f} us")
     return 0
 
 
