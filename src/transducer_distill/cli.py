@@ -340,6 +340,8 @@ def validate_distill_setup(cfg: dict, teacher_subsample: int) -> None:
 def _check_shifts(shifts, unsup, subsample: int) -> None:
     """Reject a shift at or past the teacher frames of the shortest
     unsupervised utterance, before any training reaches it."""
+    if not unsup.utterances:  # nothing to shift
+        return
     short = min(unsup.utterances, key=lambda u: len(u.frames))
     frames = -(-len(short.frames) // subsample)
     if max(shifts) >= frames:
@@ -581,6 +583,7 @@ def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
     """Train one student per ``GRID_ROWS`` row and evaluate each."""
     cfg = resolve_config(cfg)
     _, digests = load_corpora(data_dir)
+    read_pseudo_labels(pseudo_label_file, _data_spec(cfg).vocab_size)  # no run dir on a bad record
     out = make_run_dir("distill-grid", cfg, root,
                        _inputs(digests, teacher_checkpoint, pseudo_label_file))
     summary = run_rows(cfg, GRID_ROWS, data_dir, teacher_checkpoint, pseudo_label_file, root=out)
@@ -636,6 +639,7 @@ def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
                           f"--max-shift must be >= 0")
     corpora, digests = load_corpora(data_dir)
     _check_shifts(shifts, corpora["unsup"], teacher.encoder.subsample)
+    read_pseudo_labels(pseudo_label_file, _data_spec(cfg).vocab_size)  # no run dir on a bad record
 
     out = make_run_dir("sweep-shift", cfg, root,
                        _inputs((*digests, teacher.checkpoint_sha256), pseudo_label_file))

@@ -221,7 +221,9 @@ class RecordError(DataError):
 
 def read_records(path, keys):
     """``(place, record)`` of each line of a JSON-lines file, where ``place``
-    is ``"<path>:<line>"`` and each record is an object holding ``keys``."""
+    is ``"<path>:<line>"`` and each record is an object holding ``keys`` and
+    a string ``utt_id`` that no other line of the file holds."""
+    lines = {}  # utt_id -> the line that holds it
     with open(path, encoding="utf-8") as f:
         for number, line in enumerate(f, 1):
             place = f"{path}:{number}"
@@ -234,6 +236,12 @@ def read_records(path, keys):
             missing = [k for k in keys if k not in obj]
             if missing:
                 raise RecordError(f"{place}: record lacks the keys {missing}")
+            utt_id = obj["utt_id"]
+            if not isinstance(utt_id, str):
+                raise RecordError(f"{place}: utt_id must be a string, got {utt_id!r}")
+            if utt_id in lines:
+                raise RecordError(f"{place}: utt_id {utt_id!r} repeats line {lines[utt_id]}")
+            lines[utt_id] = number
             yield place, obj
 
 

@@ -17,7 +17,7 @@ from .lattice import (Lattice, LatticeShapeError, logsumexp, rnnt_losses_with_gr
                       rnnt_loss_with_grad)  # noqa: F401  (kept for callers that rebind it)
 from .model import NonFiniteLossError
 
-FULL_SUM_GROUP = 32  # lattices per batched full-sum; bounds the passes held at once
+RUN_LATTICES = 32  # (utterance, label sequence) pairs per run; bounds the passes held at once
 
 
 class DistillError(ValueError):
@@ -265,68 +265,23 @@ def fs_norm_distill(teacher_scores, student_scores, target_index: int, kind: str
 
 # ----- batch-level combination -----
 #
-# Each term returns its loss and the (scale, forward cache, lattice gradient)
-# triples to backpropagate, weighted by the term's weight.
+# Each term reads the student's passes of its label sequences and returns its loss
+# and the (scale, forward cache, lattice gradient) triples to backpropagate.
 
 
-class _StudentPasses:
-    """The student's forward pass and full-sum loss per label sequence of one
-    utterance, each run at most once however many terms read it, from one
-    encoder pass and the step's predictor states.  A forward pass depends
-    only on the parameters, which no term changes, so every term sees the
-    values that a pass of its own would give."""
-
-    def __init__(self, model, x, predicted: dict):
-        self.model, self.x, self._passes = model, x, {}
-        self._encoded, self._predicted = model.encoder_pass(x), predicted
-
-    def forward(self, labels):
-        """``[lattice, forward cache, (NLL, lattice gradient) or None]``."""
-        key = tuple(labels)
-        if key not in self._passes:
-            self._passes[key] = [*self.model.forward(self.x, list(key), encoded=self._encoded,
-                                                     predicted=self._predicted[key]), None]
-        return self._passes[key]
-
-    def loss(self, labels):
-        """``(NLL, lattice gradient, forward cache)``, the full-sum made by ``_passes``."""
-        _, cache, result = self.forward(labels)
-        return (*result, cache)
-
-
-def _passes(model, plan, predicted):
-    """``(utterance, terms, _StudentPasses)`` of each entry of ``plan``, in
-    order.  Each run of utterances whose full-sum terms read ``FULL_SUM_GROUP``
-    or more label sequences gets its full-sums from one batched call first."""
-    group, pending = [], {}
-    for i, (utt, terms) in enumerate(plan):
-        group.append((utt, terms, _StudentPasses(model, utt.frames, predicted) if terms else None))
-        pending.update(dict.fromkeys((len(group) - 1, tuple(y))
-                                     for _, _, ys, full_sum, _ in terms if full_sum for y in ys))
-        if len(pending) >= FULL_SUM_GROUP or i == len(plan) - 1:
-            entries = [group[j][2].forward(y) for j, y in pending]
-            for entry, result in zip(entries, rnnt_losses_with_grad(
-                    [lat for lat, _, _ in entries], [y for _, y in pending])):
-                entry[2] = result
-            while group:  # each utterance's passes go once its terms have run
-                yield group.pop(0)
-            pending.clear()
-
-
-def _rnnt_term(student, seqs):
-    nll, g, cache = student.loss(seqs[0])
+def _rnnt_term(passes, seqs):
+    ((_, cache, (nll, g)),) = passes
     return nll, [(1.0, cache, g)]
 
 
-def _soft_term(student, seqs, teacher_model, teacher_lattices: dict, utt_id: str,
+def _soft_term(passes, seqs, teacher_model, teacher_lattices: dict, utt,
                kind: DistillLossKind):
     if teacher_model is None:
         raise DistillError("soft distillation requires the teacher model")
-    (y,) = seqs
-    student_lat, cache, _ = student.forward(y)
-    key = (utt_id, tuple(y))
+    (y,), ((student_lat, cache, _),) = seqs, passes
+    key = (utt.utt_id, tuple(y))
     if key not in teacher_lattices:
-        teacher_lattices[key] = teacher_model.build_lattice(student.x, list(y))
+        teacher_lattices[key] = teacher_model.build_lattice(utt.frames, list(y))
         teacher_lattices[key].log_probs.flags.writeable = False
     teacher_lat = teacher_lattices[key]
     if kind.shift_n > 0:
@@ -338,9 +293,9 @@ def _soft_term(student, seqs, teacher_model, teacher_lattices: dict, utt_id: str
     return loss, [(1.0, cache, g)]
 
 
-def _fs_term(student, seqs, record, kind: DistillLossKind):
+def _fs_term(passes, seqs, record, kind: DistillLossKind):
     if not kind.kind.is_norm:
-        nll, g, cache = student.loss(seqs[0])
+        ((_, cache, (nll, g)),) = passes
         loss, dnll = fs_distill(-record.score, nll, kind.kind.fs_flavor)
         return loss, [(dnll, cache, g)]
     if len(seqs) < 2:
@@ -348,20 +303,19 @@ def _fs_term(student, seqs, record, kind: DistillLossKind):
             f"normalized full-sum distillation needs an N-best list with "
             f">= 2 hypotheses, got {len(seqs)} for {record.utt_id}"
         )
-    passes = [student.loss(labels) for labels in seqs]
     loss, dscores = fs_norm_distill(
-        [score for _, score in record.nbest], [-nll for nll, _, _ in passes],
+        [score for _, score in record.nbest], [-nll for _, _, (nll, _) in passes],
         record.target_index(), kind.kind.fs_flavor,
     )
     # score = -NLL, so d score / d lattice = -d NLL / d lattice
-    return loss, [(-dscore, cache, g) for dscore, (_, g, cache) in zip(dscores, passes)]
+    return loss, [(-dscore, cache, g) for dscore, (_, cache, (_, g)) in zip(dscores, passes)]
 
 
 def _utterance_terms(utt, kind: DistillLossKind, config: CombinedLossConfig, n_sup, n_unsup,
                      pseudo_labels, teacher_model, teacher_lattices):
     """``(log name, weight, label sequences, full_sum, term)`` of each loss
-    term of ``utt``; ``term(student, seqs)`` reads the student's passes over
-    exactly those sequences, and their full-sums where ``full_sum``."""
+    term of ``utt``; ``term(passes, seqs)`` reads the student's pass of each
+    of those sequences, and its full-sum where ``full_sum``."""
     if utt.labels is not None:
         weight = config.weight_supervised_rnnt
         return [("supervised_rnnt", weight / n_sup, [utt.labels], True, _rnnt_term)] if weight > 0 else []
@@ -377,10 +331,32 @@ def _utterance_terms(utt, kind: DistillLossKind, config: CombinedLossConfig, n_s
     if config.weight_distill > 0 and kind.kind != LossKind.HARD:
         seqs = [labels for labels, _ in record.nbest] if kind.kind.is_norm else [record.labels]
         term = (partial(_soft_term, teacher_model=teacher_model, teacher_lattices=teacher_lattices,
-                        utt_id=utt.utt_id, kind=kind)
+                        utt=utt, kind=kind)
                 if kind.kind.is_soft else partial(_fs_term, record=record, kind=kind))
         terms.append(("distill", config.weight_distill / n_unsup, seqs, not kind.kind.is_soft, term))
     return terms
+
+
+def _sequences(terms, full_sum=False) -> list:
+    """The distinct label sequences that ``terms`` read, in order; with
+    ``full_sum``, those that full-sum terms read."""
+    return list(dict.fromkeys(tuple(y) for _, _, ys, fs, _ in terms if fs or not full_sum
+                              for y in ys))
+
+
+def _run_passes(model, run, predicted) -> list:
+    """Per ``(utterance, terms)`` entry of ``run``, its label sequences' passes
+    ``(lattice, forward cache, (NLL, lattice gradient) or None if no full-sum
+    term reads it)``: one encoder pass per utterance, one batched full-sum."""
+    passes = []
+    for utt, terms in run:
+        encoded = model.encoder_pass(utt.frames) if terms else None
+        passes.append({y: model.forward(utt.frames, list(y), encoded=encoded,
+                                        predicted=predicted[y]) for y in _sequences(terms)})
+    keys = [(i, y) for i, (_, terms) in enumerate(run) for y in _sequences(terms, full_sum=True)]
+    losses = dict(zip(keys, rnnt_losses_with_grad([passes[i][y][0] for i, y in keys],
+                                                  [y for _, y in keys])))
+    return [{y: (*fwd, losses.get((i, y))) for y, fwd in p.items()} for i, p in enumerate(passes)]
 
 
 def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfig,
@@ -391,11 +367,10 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
     form the supervised slice, the rest must have a pseudo-label record.
     Per-term means are reported separately for logging.  Gradients are
     accumulated into ``model.grads`` scaled by the term weights, with one
-    ``model.backward`` per term and lattice.  The terms of an utterance
-    share one encoder pass, and one student forward pass and full-sum loss
-    per label sequence; the predictor runs side by side over the step's
-    label sequences, forward and backward, and the full-sums of each run of
-    utterances (``_passes``) as one batch before the run's terms.
+    ``model.backward`` per term and lattice.  The step's predictor states run
+    side by side once; then each run of utterances that read ``RUN_LATTICES``
+    or more (utterance, label sequence) pairs gets its passes (``_run_passes``),
+    runs its terms and backwards in order, and one ``predictor_backward``.
     ``teacher_lattices`` memoizes the frozen teacher's lattices by
     (utt_id, label sequence); one dict may serve every call that uses the
     same teacher and corpus.
@@ -407,19 +382,25 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
     n_unsup = max(sum(1 for u in batch if u.labels is None), 1)
     plan = [(utt, _utterance_terms(utt, kind, config, n_sup, n_unsup, pseudo_labels,
                                    teacher_model, teacher_lattices)) for utt in batch]
-    seqs = list(dict.fromkeys(tuple(y) for _, terms in plan for _, _, ys, _, _ in terms for y in ys))
+    seqs = list(dict.fromkeys(y for _, terms in plan for y in _sequences(terms)))
     predicted = dict(zip(seqs, model.predictor_states(seqs)))
-    queue = []
-    for utt, terms, student in _passes(model, plan, predicted):
-        for name, weight, ys, _, term in terms:
-            loss, parts = term(student, ys)
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(utt.utt_id, loss)
-            for scale, cache, g in parts:
-                model.backward(cache, (scale * weight) * g, queue)
-            sums[name] += loss
-            counts[name] += 1
-    model.predictor_backward(queue)
+    run, held, queue = [], 0, []
+    for i, (utt, terms) in enumerate(plan):
+        run.append((utt, terms))
+        held += len(_sequences(terms))
+        if held < RUN_LATTICES and i < len(plan) - 1:
+            continue
+        for (utt, terms), passes in zip(run, _run_passes(model, run, predicted)):
+            for name, weight, ys, _, term in terms:
+                loss, parts = term([passes[tuple(y)] for y in ys], ys)
+                if not np.isfinite(loss):
+                    raise NonFiniteLossError(utt.utt_id, loss)
+                for scale, cache, g in parts:
+                    model.backward(cache, (scale * weight) * g, queue)
+                sums[name] += loss
+                counts[name] += 1
+        model.predictor_backward(queue)
+        run, held = [], 0
 
     terms = {
         name: (sums[name] / counts[name] if counts[name] else 0.0) for name in sums

@@ -18,7 +18,6 @@ import numpy as np
 from .lattice import Lattice
 
 CHECKPOINT_MAGIC = b"TDCKPT01"
-PREDICTOR_CHUNK = 16  # lattices per side-by-side predictor backward; bounds its memory
 
 
 class ModelError(ValueError):
@@ -204,8 +203,8 @@ class TransducerModel:
 
     def backward(self, cache, dloss_dlogp: np.ndarray, queue=None) -> None:
         """Accumulate parameter gradients from a lattice-level gradient.  The
-        predictor's share joins ``queue``, run by ``predictor_backward`` once
-        it holds ``PREDICTOR_CHUNK`` lattices; without a queue it runs at once."""
+        predictor's share joins ``queue`` for a later ``predictor_backward``,
+        which the caller runs; without a queue it runs at once."""
         p, g = self.params, self.grads
         enc, pred, joint = cache["enc"], cache["pred"], cache["joint"]
 
@@ -234,10 +233,10 @@ class TransducerModel:
         g["enc_w"] += dpre.T @ cache["xw"]
         g["enc_b"] += dpre.sum(axis=0)
 
-        batch = [] if queue is None else queue
-        batch.append((dpred, pred, cache["inputs"]))
-        if queue is None or len(batch) == PREDICTOR_CHUNK:
-            self.predictor_backward(batch)
+        if queue is None:
+            self.predictor_backward([(dpred, pred, cache["inputs"])])
+        else:
+            queue.append((dpred, pred, cache["inputs"]))
 
     def predictor_backward(self, queue) -> None:
         """Run the predictor's share of ``backward`` for the queued lattices side

@@ -515,6 +515,37 @@ class TestLoadCorpora:
         assert err.startswith("error: corpus manifest") and "must name the files" in err, err
 
 
+class TestEmptyUnsupervisedCorpus:
+    @pytest.fixture
+    def data(self, pipeline, tmp_path):
+        """The pipeline's corpus with no unsupervised utterance."""
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data_dir"], data)
+        for name in ("unsup.jsonl", "unsup_refs.jsonl"):
+            (data / name).write_text("")
+        return data
+
+    def distill(self, pipeline, data, tmp_path, *overrides):
+        return cli.main([
+            "distill", "--data-dir", str(data), "--teacher", str(pipeline["teacher"]),
+            "--pseudo-labels", str(pipeline["pseudo"]), "--run-root", str(tmp_path / "runs"),
+            *SMOKE_SET_ARGS, *(a for item in overrides for a in ("--set", item)),
+        ])
+
+    def test_supervised_only_student_trains(self, pipeline, data, tmp_path, capsys):
+        exit_code = self.distill(pipeline, data, tmp_path, "train.sup_fraction=1.0",
+                                 "distill.weights.hard=0", "distill.weights.distill=0")
+        out, err = capsys.readouterr()
+        assert exit_code == 0, err
+        assert out.strip().endswith("student.ckpt")
+
+    def test_soft_row_exits_one(self, pipeline, data, tmp_path, capsys):
+        exit_code = self.distill(pipeline, data, tmp_path, "distill.kind=soft_efficient")
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unsupervised corpus is empty"), err
+
+
 class TestDistillGrid:
     def test_grid_runs_each_row_and_summarizes_its_wer(self, pipeline, tmp_path, capsys):
         exit_code = cli.main([
@@ -688,7 +719,12 @@ class TestExitCodes:
         "non-finite score": (
             "distill", "pseudo", lambda r: r.update(score=float("nan")), "non-finite score"),
         "string score": (
-            "distill", "pseudo", lambda r: r.update(score="-1.5"), "every score a number"),
+            "distill", "pseudo", lambda r: r.update(score="-1.5"), "every score must be a number"),
+        "pseudo label utt_id not a string": (
+            "distill", "pseudo", lambda r: r.update(utt_id=3), "utt_id must be a string, got 3"),
+        "corpus utt_id not a string": (
+            "train-teacher", "sup.jsonl", lambda r: r.update(utt_id=None),
+            "utt_id must be a string, got None"),
         "pseudo label outside its N-best list": (
             "distill", "pseudo", lambda r: r.update(labels=[*r["labels"], 0, 0, 0]),
             "is not in its N-best list"),
@@ -729,6 +765,45 @@ class TestExitCodes:
         assert exit_code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:1: ") and message in err, err
+        assert not runs.exists()
+
+    # (command and its extra arguments, file whose line 2 takes line 1's utt_id)
+    REPEATED_IDS = {
+        "pseudo-label": (["pseudo-label", "--checkpoint", "teacher"], "unsup.jsonl"),
+        "evaluate unsup": (["evaluate", "--checkpoint", "teacher", "--sets", "unsup"],
+                           "unsup.jsonl"),
+        "evaluate eval": (["evaluate", "--checkpoint", "teacher"], "eval.jsonl"),
+        "train-teacher sup": (["train-teacher"], "sup.jsonl"),
+        "train-teacher refs": (["train-teacher"], "unsup_refs.jsonl"),
+        "soft distill": (["distill", "--teacher", "teacher", "--pseudo-labels", "pseudo",
+                          "--set", "distill.kind=soft_efficient"], "unsup.jsonl"),
+        "distill pseudo labels": (["distill", "--teacher", "teacher", "--pseudo-labels",
+                                   "pseudo"], "pseudo"),
+        "grid pseudo labels": (["distill", "--grid", "--teacher", "teacher", "--pseudo-labels",
+                                "pseudo"], "pseudo"),
+        "sweep-shift pseudo labels": (["sweep-shift", "--teacher", "teacher", "--pseudo-labels",
+                                       "pseudo", *TestSweepShift.SOFT_CAUSAL], "pseudo"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REPEATED_IDS))
+    def test_repeated_utt_id_exits_one_before_making_a_run_dir(self, pipeline, tmp_path,
+                                                               capsys, case):
+        args, name = self.REPEATED_IDS[case]
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data_dir"], data)
+        pseudo = shutil.copyfile(pipeline["pseudo"], tmp_path / "pseudo.jsonl")
+        path = pseudo if name == "pseudo" else data / name
+        first, second, *rest = path.read_text().splitlines(keepends=True)
+        utt_id = json.loads(first)["utt_id"]
+        record = dict(json.loads(second), utt_id=utt_id)
+        path.write_text("".join([first, json.dumps(record) + "\n", *rest]))
+        files = {"teacher": str(pipeline["teacher"]), "pseudo": str(pseudo)}
+        runs = tmp_path / "runs"
+        exit_code = cli.main([*(files.get(a, a) for a in args), "--data-dir", str(data),
+                              "--run-root", str(runs), *SMOKE_SET_ARGS])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:2: utt_id {utt_id!r} repeats line 1\n", err
         assert not runs.exists()
 
     # each command's arguments and input flags; no input it names exists

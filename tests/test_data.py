@@ -208,6 +208,36 @@ class TestCorpusFiles:
         write_corpus(path, unsup)
         assert b'"labels"' not in path.read_bytes()
 
+    @staticmethod
+    def edited(path, line, **changes):
+        """Rewrite record ``line`` (1-based) of a JSON-lines file with ``changes``."""
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[line - 1])
+        record.update(changes)
+        lines[line - 1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+
+    @pytest.mark.parametrize("refs", [False, True], ids=["corpus", "refs"])
+    def test_repeated_utt_id_rejected(self, tmp_path, refs):
+        _, unsup = generate(spec())
+        path = tmp_path / "unsup.jsonl"
+        (write_hidden_refs if refs else write_corpus)(path, unsup)
+        first = unsup.utterances[0].utt_id
+        self.edited(path, 3, utt_id=first)
+        with pytest.raises(data_mod.RecordError) as e:
+            (read_hidden_refs(path) if refs else read_corpus(path, "unsup"))
+        assert str(e.value) == f"{path}:3: utt_id {first!r} repeats line 1"
+
+    @pytest.mark.parametrize("utt_id", [7, None, ["a"]])
+    def test_non_string_utt_id_rejected(self, tmp_path, utt_id):
+        sup, _ = generate(spec())
+        path = tmp_path / "sup.jsonl"
+        write_corpus(path, sup)
+        self.edited(path, 2, utt_id=utt_id)
+        with pytest.raises(data_mod.RecordError,
+                           match=f"^{path}:2: utt_id must be a string, got "):
+            read_corpus(path, "sup")
+
 
 def reference_split(s, tag, size, stream):
     """(utt_id, labels, frames) of each utterance, drawn and summed label by

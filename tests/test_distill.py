@@ -779,18 +779,43 @@ class TestCombinedLossAgainstLoopReference:
             else:
                 assert_rel_close(got[2][name], want[2][name])
 
-    @pytest.mark.parametrize("group", [1, 5])
+    @pytest.mark.parametrize("bound", [1, 5, 1000])
     @pytest.mark.parametrize("kind", ["hard", "fsnorm_l1", "soft_efficient"])
-    def test_groups_of_full_sums_keep_the_bits(self, monkeypatch, kind, group):
-        """Splitting a step's full-sums into more batches changes no bit."""
+    def test_groups_of_full_sums_keep_the_bits(self, monkeypatch, kind, bound):
+        """Splitting a step into runs of other sizes changes no bit; each run
+        makes one batched full-sum and leaves no predictor work queued."""
         student, teacher, batch, pseudo, kind = _random_step(7, 16, kind)
         args = (student, batch, kind, CombinedLossConfig(1.0, 1.0, 1.0))
         want = _loss_and_grads(combined_loss, *args, pseudo_labels=pseudo, teacher_model=teacher)
-        monkeypatch.setattr(distill, "FULL_SUM_GROUP", group)
+        calls, queues = [], []
+        real_losses, real_backward = distill.rnnt_losses_with_grad, student.backward
+
+        def batched_losses(lattices, label_seqs):
+            calls.append(len(lattices))
+            return real_losses(lattices, label_seqs)
+
+        def backward(cache, grad, queue=None):
+            queues.append(queue)
+            real_backward(cache, grad, queue)
+
+        monkeypatch.setattr(distill, "RUN_LATTICES", bound)
+        monkeypatch.setattr(distill, "rnnt_losses_with_grad", batched_losses)
+        student.backward = backward
         got = _loss_and_grads(combined_loss, *args, pseudo_labels=pseudo, teacher_model=teacher)
         assert got[0] == want[0] and got[1] == want[1]
         for name in want[2]:
             assert np.array_equal(got[2][name], want[2][name]), name
+        # runs close once they hold ``bound`` (utterance, label sequence) pairs
+        sizes = [1 if u.labels is not None or not kind.kind.is_norm else len(pseudo[u.utt_id].nbest)
+                 for u in batch]
+        runs, held = 0, 0
+        for i, size in enumerate(sizes):
+            held += size
+            if held >= bound or i == len(sizes) - 1:
+                runs, held = runs + 1, 0
+        assert len(calls) == runs
+        # every backward queued its predictor share, and each run ran its queue
+        assert queues and all(q == [] for q in queues)
 
     def test_fsnorm_step_gradient_matches_finite_differences(self):
         """Three unsupervised utterances: each N-best list holds the empty

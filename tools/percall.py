@@ -15,9 +15,10 @@ their references with 4-best lists of edited copies, and the teacher step on
 8 supervised utterances at H=12.  The full-sum rows time
 ``rnnt_losses_with_grad`` on the lattices of the hard step (24: the labels
 and pseudo labels) and of the fsnorm step (90: the labels and every N-best
-hypothesis), next to ``forward_backward`` over the same lattices one by one;
-on a tree without ``rnnt_losses_with_grad`` they time ``rnnt_loss_with_grad``
-one lattice at a time.
+hypothesis), next to ``forward_backward`` over the same lattices one by one.
+The full-sum and step rows also print the ``tracemalloc`` peak of one more,
+untimed call: the most memory the call holds at once beyond what exists
+before it (numpy reports its arrays to ``tracemalloc``).
 ``--src`` names the directory that holds the ``transducer_distill`` package
 (default: this repository's ``src``), so two trees can be timed with the
 same script.  BLAS is pinned to one thread.
@@ -27,6 +28,7 @@ import argparse
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -46,6 +48,16 @@ def best_us(fn, calls):
             fn()
         best = min(best, (time.perf_counter() - t0) / calls)
     return best * 1e6
+
+
+def peak_kib(fn):
+    """The ``tracemalloc`` peak of one call of ``fn``, in KiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
 
 
 def layers(td):
@@ -76,7 +88,6 @@ def layers(td):
         ("beam search, beam 8", 5, lambda: td.beam_search(model, x, 8)),
         ("rescoring of a 4-best list", 50, lambda: td.rescore_nbest(model, x, four)),
         ("write_corpus, 100 utterances", 3, lambda: td.data.write_corpus(os.devnull, corpus)),
-        *steps(td),
     ]
 
 
@@ -106,17 +117,14 @@ def steps(td):
     cfg = td.EncoderConfig(causal=False, left_context=2, right_context=2, subsample=1, hidden=H)
     model = td.TransducerModel(vocab_size=K, feat_dim=FEAT, encoder=cfg, seed=0)
 
-    batched = getattr(td.lattice, "rnnt_losses_with_grad", None) or (
-        lambda lattices, label_seqs: [td.lattice.rnnt_loss_with_grad(lat, y)
-                                      for lat, y in zip(lattices, label_seqs)])
-
     def full_sums(nbest):
         pairs = [(u.frames, list(y)) for u in batch for y in (
             [u.labels] if u.labels is not None else
             [labels for labels, _ in pseudo[u.utt_id].nbest] if nbest else [pseudo[u.utt_id].labels])]
         lattices, label_seqs = [model.build_lattice(x, y) for x, y in pairs], [y for _, y in pairs]
         return [
-            (f"full-sum + grad, {len(pairs)} batched", 20, lambda: batched(lattices, label_seqs)),
+            (f"full-sum + grad, {len(pairs)} batched", 20,
+             lambda: td.lattice.rnnt_losses_with_grad(lattices, label_seqs)),
             (f"forward_backward, {len(pairs)} one by one", 5,
              lambda: [td.forward_backward(lat, y) for lat, y in zip(lattices, label_seqs)]),
         ]
@@ -143,6 +151,8 @@ def main(argv=None):
     print(f"# {td.__file__}: T={T} U={U} K={K} H={H}, best of {BLOCKS} blocks")
     for name, calls, fn in layers(td):
         print(f"{name:32s} {best_us(fn, calls):10.1f} us")
+    for name, calls, fn in steps(td):
+        print(f"{name:32s} {best_us(fn, calls):10.1f} us {peak_kib(fn):10.1f} KiB peak")
     return 0
 
 
