@@ -407,6 +407,20 @@ def load_corpora(data_dir) -> tuple:
     return _LAST_CORPORA[key], key
 
 
+# the pseudo-label file parsed last, keyed by the sha256 of its bytes and the vocab size
+_LAST_PSEUDO_LABELS = {}
+
+
+def load_pseudo_labels(path, vocab_size) -> dict:
+    """``read_pseudo_labels(path, vocab_size)``, shared by every call that finds
+    the same file bytes and vocab size (no caller changes the records)."""
+    key = (_sha256(path), vocab_size)
+    if key not in _LAST_PSEUDO_LABELS:
+        _LAST_PSEUDO_LABELS.clear()
+        _LAST_PSEUDO_LABELS[key] = read_pseudo_labels(path, vocab_size)
+    return _LAST_PSEUDO_LABELS[key]
+
+
 # ----- commands -----
 
 
@@ -480,11 +494,17 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
 
     # the teacher decodes raw features: no dropout or augmentation exists
     # anywhere in this pipeline, matching the distillation protocol
+    utts = corpora["unsup"].utterances
+    try:
+        nbests = beam_search(teacher, [utt.frames for utt in utts], beam, cap)
+    except (DecodeError, ModelError, LatticeError):
+        nbests = [None] * len(utts)
     records = []
     failures = []
-    for utt in corpora["unsup"].utterances:
+    for utt, nbest in zip(utts, nbests):
         try:
-            nbest = beam_search(teacher, utt.frames, beam, cap)
+            if nbest is None:  # the lockstep call failed: decode alone, to name each failure
+                [nbest] = beam_search(teacher, [utt.frames], beam, cap)
             top = nbest[0][0]
             rescored = rescore_nbest(teacher, utt.frames, nbest)
             pairs = sorted(
@@ -525,7 +545,7 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
     corpora, digests = load_corpora(data_dir)
     _check_shifts([kind.shift_n], corpora["unsup"], teacher.encoder.subsample)
     spec = _data_spec(cfg)
-    pseudo = read_pseudo_labels(pseudo_label_file, spec.vocab_size)
+    pseudo = load_pseudo_labels(pseudo_label_file, spec.vocab_size)
     if weights.weight_hard_on_pseudo > 0 or weights.weight_distill > 0:
         missing = [u.utt_id for u in corpora["unsup"].utterances if u.utt_id not in pseudo]
         if missing:
@@ -583,7 +603,7 @@ def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
     """Train one student per ``GRID_ROWS`` row and evaluate each."""
     cfg = resolve_config(cfg)
     _, digests = load_corpora(data_dir)
-    read_pseudo_labels(pseudo_label_file, _data_spec(cfg).vocab_size)  # no run dir on a bad record
+    load_pseudo_labels(pseudo_label_file, _data_spec(cfg).vocab_size)  # no run dir on a bad record
     out = make_run_dir("distill-grid", cfg, root,
                        _inputs(digests, teacher_checkpoint, pseudo_label_file))
     summary = run_rows(cfg, GRID_ROWS, data_dir, teacher_checkpoint, pseudo_label_file, root=out)
@@ -639,7 +659,7 @@ def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
                           f"--max-shift must be >= 0")
     corpora, digests = load_corpora(data_dir)
     _check_shifts(shifts, corpora["unsup"], teacher.encoder.subsample)
-    read_pseudo_labels(pseudo_label_file, _data_spec(cfg).vocab_size)  # no run dir on a bad record
+    load_pseudo_labels(pseudo_label_file, _data_spec(cfg).vocab_size)  # no run dir on a bad record
 
     out = make_run_dir("sweep-shift", cfg, root,
                        _inputs((*digests, teacher.checkpoint_sha256), pseudo_label_file))

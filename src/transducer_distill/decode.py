@@ -1,21 +1,24 @@
 """Greedy and beam-search decoding, and full-sum N-best rescoring.
 
-The decoders use the model's incremental interface: ``encode(x)`` gives the
-encoder frames projected into joint space, ``predictor_start`` /
-``predictor_advance`` a label prefix's predictor state, and
-``joint_log_probs(frames, state)`` the (n, K+1) log posteriors of a run of n
-projected frames under one state; the decoders ask for a label prefix's rows
-over runs of frames, not frame by frame.  ``encode`` projects with a stack of
-vector-matrix products, which rounds each row as a per-frame product does, so
-a row is the same whatever frames share its call; the lattice path
-(``forward``, ``lattices``) keeps one matrix product over all frames, whose
-last bits differ, so that training keeps its float trajectory.  Ties go to the
-lexicographically smaller label sequence, so decoding is deterministic.
+The decoders take a list of utterances and return a result per utterance.
+Each utterance's search is a generator that yields requests ``(parent state,
+new label or None, first frame, frame count)`` and is sent ``(state, rows)``:
+the parent's predictor state advanced by the label, and that state's joint
+rows for those frames.  ``_lockstep`` serves the requests of ``RUN_UTTERANCES``
+searches per round with one stacked ``predictor_advance`` and one stacked
+``joint_log_probs`` over runs of the model's ``encode(x)`` frames (projected
+into joint space), all as stacks of vector-matrix products, which round each
+row as the lone product does: a row is the same whatever shares its call.
+The lattice path (``forward``, ``lattices``) keeps one matrix product over all
+frames, whose last bits differ, so that training keeps its float trajectory.
+Ties go to the lexicographically smaller label sequence, so decoding is
+deterministic.
 """
 
 import heapq
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,51 +26,127 @@ from .data import RecordError, read_records, record_labels
 from .lattice import forward_backward
 
 DEFAULT_MAX_SYMBOLS_PER_FRAME = 5
+RUN_UTTERANCES = 16  # searches stepped together: 8 to 150 measured (README, Decoding)
 
 
 class DecodeError(ValueError):
     pass
 
 
-def greedy_decode(model, x, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER_FRAME) -> tuple:
-    """Frame-synchronous argmax decoding; returns the pair (labels, score).
+def _lockstep(model, xs, search, *args) -> list:
+    """The result of ``search(frame count, start state, blank, *args)`` for each
+    utterance of ``xs``, the searches stepped ``RUN_UTTERANCES`` at a time."""
+    start, results = model.predictor_start(), [None] * len(xs)
+    waiting, live = list(enumerate(xs))[::-1], []  # live: [utterance, frames, search, reply]
+    while waiting or live:
+        while waiting and len(live) < RUN_UTTERANCES:
+            i, x = waiting.pop()
+            frames = model.encode(x)
+            live.append([i, frames, search(len(frames), start, model.vocab_size, *args), None])
+        requests, running = [], []
+        for entry in live:
+            try:
+                requests.append(entry[2].send(entry[3]))
+                running.append(entry)
+            except StopIteration as done:
+                results[entry[0]] = done.value
+        live = running
+        if not live:
+            continue
+        states, labels, firsts, counts = zip(*requests)
+        states = np.array(states)
+        grown = [j for j, k in enumerate(labels) if k is not None]
+        if grown:
+            states[grown] = model.predictor_advance(states[grown], [labels[j] for j in grown])
+        rows = model.joint_log_probs([e[1][t : t + n] for e, t, n in zip(live, firsts, counts)],
+                                     states).tolist()
+        for entry, state, n, end in zip(live, states, counts, accumulate(counts)):
+            entry[3] = state, rows[end - n : end]
+    return results
+
+
+def _greedy(n_frames, state, blank, cap):
+    """One utterance's greedy search, as ``_lockstep`` runs it."""
+    (state, rows), t0 = (yield state, None, 0, 1), 0  # rows of state, from frame t0
+    labels, score = [], 0.0
+    for t in range(n_frames):
+        if t - t0 == len(rows):  # the state outlived its frame: rows for the rest
+            (state, rows), t0 = (yield state, None, t, n_frames - t), t
+        for _ in range(cap):
+            logp = rows[t - t0]
+            k = logp.index(max(logp))
+            score += logp[k]
+            if k == blank:
+                break
+            labels.append(k)
+            (state, rows), t0 = (yield state, k, t, 1), t
+        else:
+            # cap hit: advance time, accounting for the blank we force
+            score += rows[t - t0][blank]
+    return tuple(labels), score
+
+
+def greedy_decode(model, xs, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER_FRAME) -> list:
+    """Frame-synchronous argmax decoding; returns a (labels, score) pair per
+    utterance of ``xs``.
 
     Emits the argmax label while it beats blank (capped per frame), then
     advances time; the score accumulates the chosen log-probabilities.
     """
     if max_symbols_per_frame < 1:
         raise DecodeError("max_symbols_per_frame must be >= 1")
-    frames = model.encode(x)
-    blank = model.vocab_size
-    state = model.predictor_start()
-    rows, t0 = model.joint_log_probs(frames[:1], state), 0  # rows of state, from frame t0
-    labels, score = [], 0.0
-    for t in range(frames.shape[0]):
-        if t - t0 == len(rows):  # the state outlived its frame: rows for the rest
-            rows, t0 = model.joint_log_probs(frames[t:], state), t
-        for _ in range(max_symbols_per_frame):
-            logp = rows[t - t0]
-            k = int(np.argmax(logp))
-            score += float(logp[k])
-            if k == blank:
-                break
-            labels.append(k)
-            state = model.predictor_advance(state, k)
-            rows, t0 = model.joint_log_probs(frames[t : t + 1], state), t
-        else:
-            # cap hit: advance time, accounting for the blank we force
-            score += float(rows[t - t0][blank])
-    return tuple(labels), score
+    return _lockstep(model, xs, _greedy, max_symbols_per_frame)
 
 
-def beam_search(
-    model,
-    x,
-    beam: int,
-    max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER_FRAME,
-) -> list:
-    """Time-synchronous transducer beam search with hypothesis merging;
-    returns at most ``beam`` (labels, score) pairs, best first.
+def _beam(n_frames, start, blank, beam, cap):
+    """One utterance's beam search, as ``_lockstep`` runs it."""
+    states = {(): start}  # label prefix -> predictor state
+    rows: dict[tuple, tuple] = {}  # label prefix -> (t0, joint rows of frames t0.. as lists)
+
+    kept = [((), 0.0)]
+    for t in range(n_frames):
+        # entries (-score, labels, push order, symbols emitted this frame):
+        # exact ties go to the hypothesis pushed first
+        heap = [(-score, labels, i, 0) for i, (labels, score) in enumerate(kept)]
+        heapq.heapify(heap)
+        pushed = len(heap)
+        merged: dict[tuple, float] = {}
+        while heap:
+            neg_score, labels, _, emitted = heapq.heappop(heap)
+            score = -neg_score
+            entry = rows.get(labels)
+            if entry is None:
+                parent, label = (labels, None) if labels in states else (labels[:-1], labels[-1])
+                states[labels], got = yield states[parent], label, t, n_frames - t
+                entry = rows[labels] = (t, got)
+            logp = entry[1][t - entry[0]]
+
+            # blank terminates the frame for this hypothesis; merge
+            blank_score = score + logp[blank]
+            existing = merged.get(labels)
+            merged[labels] = (
+                blank_score if existing is None else float(np.logaddexp(existing, blank_score))
+            )
+
+            if emitted < cap:
+                for k, lp in enumerate(logp[:blank]):
+                    heapq.heappush(heap, (-(score + lp), labels + (k,), pushed, emitted + 1))
+                    pushed += 1
+
+            # fewer than ``beam`` merged scores cannot count ``beam`` above the frontier
+            if heap and len(merged) >= beam:
+                frontier = -heap[0][0]
+                if sum(1 for s in merged.values() if s > frontier) >= beam:
+                    break
+        kept = sorted(merged.items(), key=lambda e: (-e[1], e[0]))[:beam]
+        rows = {labels: rows[labels] for labels in merged}  # this frame's pops
+    return kept
+
+
+def beam_search(model, xs, beam: int,
+                max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER_FRAME) -> list:
+    """Time-synchronous transducer beam search with hypothesis merging; returns
+    at most ``beam`` (labels, score) pairs, best first, per utterance of ``xs``.
 
     Hypotheses carrying identical label sequences are merged by log-adding
     their scores, so with a beam wide enough to avoid pruning the scores
@@ -80,48 +159,7 @@ def beam_search(
     """
     if beam < 1 or max_symbols_per_frame < 1:
         raise DecodeError("beam and max_symbols_per_frame must be >= 1")
-    frames = model.encode(x)
-    blank = model.vocab_size
-    states = {(): model.predictor_start()}  # label prefix -> predictor state
-    rows: dict[tuple, tuple] = {}  # label prefix -> (t0, joint rows of frames t0.. as lists)
-
-    kept = [((), 0.0)]
-    for t in range(frames.shape[0]):
-        # entries (-score, labels, push order, symbols emitted this frame):
-        # exact ties go to the hypothesis pushed first
-        heap = [(-score, labels, i, 0) for i, (labels, score) in enumerate(kept)]
-        heapq.heapify(heap)
-        pushed = len(heap)
-        merged: dict[tuple, float] = {}
-        while heap:
-            neg_score, labels, _, emitted = heapq.heappop(heap)
-            score = -neg_score
-            entry = rows.get(labels)
-            if entry is None:
-                if labels not in states:
-                    states[labels] = model.predictor_advance(states[labels[:-1]], labels[-1])
-                entry = rows[labels] = (t, model.joint_log_probs(frames[t:], states[labels]).tolist())
-            logp = entry[1][t - entry[0]]
-
-            # blank terminates the frame for this hypothesis; merge
-            blank_score = score + logp[blank]
-            existing = merged.get(labels)
-            merged[labels] = (
-                blank_score if existing is None else float(np.logaddexp(existing, blank_score))
-            )
-
-            if emitted < max_symbols_per_frame:
-                for k, lp in enumerate(logp[:blank]):
-                    heapq.heappush(heap, (-(score + lp), labels + (k,), pushed, emitted + 1))
-                    pushed += 1
-
-            if heap:
-                frontier = -heap[0][0]
-                if sum(1 for s in merged.values() if s > frontier) >= beam:
-                    break
-        kept = sorted(merged.items(), key=lambda e: (-e[1], e[0]))[:beam]
-        rows = {labels: rows[labels] for labels in merged}  # this frame's pops
-    return kept
+    return _lockstep(model, xs, _beam, beam, max_symbols_per_frame)
 
 
 def rescore_nbest(model, x, nbest: list) -> list:

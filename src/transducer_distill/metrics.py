@@ -95,14 +95,14 @@ def evaluate(model, corpus, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER
     if not corpus.utterances:
         raise MetricsError(f"cannot evaluate empty corpus {corpus.split!r}")
     refs = corpus.references()
+    missing = [utt.utt_id for utt in corpus.utterances if utt.utt_id not in refs]
+    if missing:
+        raise MetricsError(f"no reference labels for utterance {missing[0]!r}")
+    hyps = greedy_decode(model, [utt.frames for utt in corpus.utterances], max_symbols_per_frame)
     total = WerReport()
     per_utt = {}
-    for utt in corpus.utterances:
-        ref = refs.get(utt.utt_id)
-        if ref is None:
-            raise MetricsError(f"no reference labels for utterance {utt.utt_id!r}")
-        labels, _ = greedy_decode(model, utt.frames, max_symbols_per_frame)
-        rep = edit_distance(ref, labels)
+    for utt, (labels, _) in zip(corpus.utterances, hyps):
+        rep = edit_distance(refs[utt.utt_id], labels)
         per_utt[utt.utt_id] = rep
         total = total + rep
     return EvalReport(total=total, per_utterance=per_utt)

@@ -277,16 +277,18 @@ class TransducerModel:
         p = self.params
         return np.tanh(p["embed"][self.blank] @ p["pred_w"].T + p["pred_b"])
 
-    def predictor_advance(self, state: np.ndarray, label: int) -> np.ndarray:
+    def predictor_advance(self, states: np.ndarray, labels) -> np.ndarray:
+        """Predictor states (n, H): row i advances state i by label i."""
         p = self.params
-        return np.tanh(
-            p["embed"][label] @ p["pred_w"].T + state @ p["pred_r"].T + p["pred_b"]
-        )
+        return np.tanh((p["embed"][labels][:, None, :] @ p["pred_w"].T)[:, 0]
+                       + (states[:, None, :] @ p["pred_r"].T)[:, 0] + p["pred_b"])
 
-    def joint_log_probs(self, frames: np.ndarray, pred_state: np.ndarray) -> np.ndarray:
-        """Log posteriors (n, K+1) of n projected frames under one predictor state."""
+    def joint_log_probs(self, runs, pred_states: np.ndarray) -> np.ndarray:
+        """Log posteriors (n, K+1) of runs of projected frames, run i under
+        predictor state i, stacked in run order."""
         p = self.params
-        a = np.tanh(frames + pred_state @ p["joint_pred"].T + p["joint_b"])
+        proj = (pred_states[:, None, :] @ p["joint_pred"].T)[:, 0]  # once per run
+        a = np.tanh(np.concatenate(runs) + np.repeat(proj, list(map(len, runs)), 0) + p["joint_b"])
         return _log_softmax((a[:, None, :] @ p["out_w"].T)[:, 0] + p["out_b"])
 
 

@@ -30,6 +30,7 @@ from transducer_distill.cli import (
     validate_distill_setup,
 )
 from transducer_distill import cli
+from transducer_distill import decode as decode_mod
 from transducer_distill.decode import DecodeError, read_pseudo_labels, write_pseudo_labels
 from transducer_distill.model import (
     load_checkpoint, save_checkpoint, ModelError, TransducerModel, EncoderConfig,
@@ -244,24 +245,39 @@ class TestPseudoLabel:
             cmd_pseudo_label(cfg, pipeline["teacher"], pipeline["data_dir"], root=tmp_path)
         assert not list(tmp_path.iterdir())
 
-    def test_decode_error_skips_utterance(self, pipeline, tmp_path, monkeypatch):
-        bad = load_corpora(pipeline["data_dir"])[0]["unsup"].utterances[0]
-        real = cli.beam_search
+    @pytest.mark.parametrize("index", [0, 3])
+    @pytest.mark.parametrize("where", ["beam_search", "encode"])
+    def test_decode_error_skips_utterance(self, pipeline, tmp_path, monkeypatch, where, index):
+        # the bad utterance fails the lockstep call; decoded again one at a
+        # time, it alone is written to decode_failures.jsonl, and every other
+        # utterance keeps the bytes of its record
+        bad = load_corpora(pipeline["data_dir"])[0]["unsup"].utterances[index]
+        if where == "beam_search":
+            real = cli.beam_search
 
-        def failing(model, x, *args):
-            if np.array_equal(x, bad.frames):
-                raise DecodeError("cannot decode")
-            return real(model, x, *args)
+            def failing(model, xs, *args):
+                if any(np.array_equal(x, bad.frames) for x in xs):
+                    raise DecodeError("cannot decode")
+                return real(model, xs, *args)
 
-        monkeypatch.setattr(cli, "beam_search", failing)
+            monkeypatch.setattr(cli, "beam_search", failing)
+        else:
+            real = TransducerModel.encode
+
+            def failing(self, x):
+                if np.array_equal(x, bad.frames):
+                    raise ModelError("cannot decode")
+                return real(self, x)
+
+            monkeypatch.setattr(TransducerModel, "encode", failing)
         path = cmd_pseudo_label(pipeline["cfg"], pipeline["teacher"],
                                 pipeline["data_dir"], root=tmp_path)
-        expected = set(read_pseudo_labels(pipeline["pseudo"])) - {bad.utt_id}
-        assert set(read_pseudo_labels(path)) == expected
-        failures = (path.parent / "decode_failures.jsonl").read_text().splitlines()
-        assert [json.loads(line) for line in failures] == [
-            {"utt_id": bad.utt_id, "error": "cannot decode"}
-        ]
+        lines = pipeline["pseudo"].read_bytes().splitlines(keepends=True)
+        assert path.read_bytes() == b"".join(
+            line for line in lines if json.loads(line)["utt_id"] != bad.utt_id)
+        failure = {"utt_id": bad.utt_id, "error": "cannot decode"}
+        assert (path.parent / "decode_failures.jsonl").read_text() == (
+            json.dumps(failure, sort_keys=True) + "\n")
 
     def test_program_error_is_not_swallowed(self, pipeline, tmp_path, monkeypatch):
         def broken(*args):
@@ -271,6 +287,44 @@ class TestPseudoLabel:
         with pytest.raises(TypeError, match="bug in the decoder"):
             cmd_pseudo_label(pipeline["cfg"], pipeline["teacher"],
                              pipeline["data_dir"], root=tmp_path)
+
+
+class TestPseudoLabelParse:
+    """Commands share the parse of a pseudo-label file while its bytes and the
+    vocab size stay the same."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        monkeypatch.setattr(cli, "_LAST_PSEUDO_LABELS", {})
+        calls = []
+        real = decode_mod.read_records
+
+        def counting(path, keys):
+            calls.append(Path(path).name)
+            return real(path, keys)
+
+        monkeypatch.setattr(decode_mod, "read_records", counting)
+        return calls
+
+    def test_two_distill_runs_parse_once(self, pipeline, tmp_path, parses):
+        for kind in ("hard", "fs_l1"):
+            cmd_distill(smoke_config(f"distill.kind={kind}", "train.steps=1"),
+                        pipeline["data_dir"], pipeline["teacher"], pipeline["pseudo"],
+                        root=tmp_path)
+        assert parses == ["pseudo_labels.jsonl"]
+
+    def test_changed_file_is_parsed_again(self, pipeline, tmp_path, parses):
+        records = cli.load_pseudo_labels(pipeline["pseudo"], 3)
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(pipeline["pseudo"].read_bytes())
+        assert cli.load_pseudo_labels(copy, 3) is records
+        assert len(parses) == 1
+        first, *rest = records.values()
+        write_pseudo_labels(copy, rest)
+        assert set(cli.load_pseudo_labels(copy, 3)) == set(records) - {first.utt_id}
+        assert len(parses) == 2
+        cli.load_pseudo_labels(copy, 4)
+        assert len(parses) == 3
 
 
 class TestDistillAndEvaluate:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transducer_distill import decode
 from transducer_distill.decode import (
     DecodeError,
     beam_search,
@@ -43,24 +44,26 @@ per_row_products = pytest.mark.skipif(
 
 
 class TableModel:
-    """Decoder stub: joint distribution looked up by (frame, labels so far)."""
+    """Decoder stub: joint distribution looked up by (utterance, frame, labels
+    so far).  Utterance i is ``x = i``, decoded under ``tables[i]``."""
 
-    def __init__(self, table):
-        # table[t][u] = probability vector over K labels + blank
-        self.table = table
-        self.vocab_size = len(table[0][0]) - 1
+    def __init__(self, *tables):
+        # tables[i][t][u] = probability vector over K labels + blank
+        self.tables = tables
+        self.vocab_size = len(tables[0][0][0]) - 1
 
     def encode(self, x):
-        return np.arange(len(self.table), dtype=np.float64)[:, None]
+        return np.array([(x, t) for t in range(len(self.tables[x]))], dtype=np.float64)
 
     def predictor_start(self):
         return 0
 
-    def predictor_advance(self, state, label):
-        return state + 1
+    def predictor_advance(self, states, labels):
+        return states + 1
 
-    def joint_log_probs(self, frames, state):
-        rows = [self.table[t][min(state, len(self.table[t]) - 1)] for t in frames[:, 0].astype(int)]
+    def joint_log_probs(self, runs, states):
+        rows = [self.tables[i][t][min(u, len(self.tables[i][t]) - 1)]
+                for run, u in zip(runs, states) for i, t in run.astype(int)]
         return np.log(np.asarray(rows, dtype=np.float64))
 
 
@@ -84,8 +87,9 @@ def peaked_table(rng, T, U_max, K, p_top=0.92):
 
 
 def reference_beam_search(model, x, beam, max_symbols_per_frame=5):
-    """Eager form of ``beam_search``: every pop advances the predictor for
-    all K labels, and the open list is scanned with ``min``."""
+    """Eager form of ``beam_search`` on one utterance: every pop advances the
+    predictor for all K labels, one state per call, and the open list is
+    scanned with ``min``."""
     enc = model.encode(x)
     blank = model.vocab_size
 
@@ -101,7 +105,7 @@ def reference_beam_search(model, x, beam, max_symbols_per_frame=5):
             best = min(open_hyps, key=key)
             open_hyps.remove(best)
             labels, score, state, emitted = best
-            logp = model.joint_log_probs(enc[t : t + 1], state)[0]
+            logp = model.joint_log_probs([enc[t : t + 1]], np.array([state]))[0]
             blank_score = score + float(logp[blank])
             if labels in merged:
                 merged[labels][1] = float(np.logaddexp(merged[labels][1], blank_score))
@@ -110,7 +114,8 @@ def reference_beam_search(model, x, beam, max_symbols_per_frame=5):
             if emitted < max_symbols_per_frame:
                 for k in range(model.vocab_size):
                     open_hyps.append([labels + (k,), score + float(logp[k]),
-                                      model.predictor_advance(state, k), emitted + 1])
+                                      model.predictor_advance(np.array([state]), [k])[0],
+                                      emitted + 1])
             if open_hyps:
                 frontier = min(open_hyps, key=key)[1]
                 if sum(1 for h in merged.values() if h[1] > frontier) >= beam:
@@ -120,49 +125,68 @@ def reference_beam_search(model, x, beam, max_symbols_per_frame=5):
 
 
 class CountingModel:
-    """Wraps a decoder model and counts ``predictor_advance`` per label prefix.
+    """Wraps a decoder model, counts ``predictor_advance`` per label prefix and
+    records the number of runs of each joint call.
 
-    The predictor state is replaced by (labels so far, wrapped state), so the
-    counter can tell which prefix each advance extends.
+    It tells which prefix an advance extends by the bytes of the state it is
+    given, so it fits one utterance of a model whose prefixes' states differ.
     """
 
     def __init__(self, model):
         self.model = model
         self.vocab_size = model.vocab_size
         self.advances = Counter()
+        self.prefixes = {}
+        self.widths = []
 
     def encode(self, x):
         return self.model.encode(x)
 
     def predictor_start(self):
-        return ((), self.model.predictor_start())
+        state = self.model.predictor_start()
+        self.prefixes[state.tobytes()] = ()
+        return state
 
-    def predictor_advance(self, state, label):
-        labels, inner = state
-        self.advances[labels + (label,)] += 1
-        return labels + (label,), self.model.predictor_advance(inner, label)
+    def predictor_advance(self, states, labels):
+        new = self.model.predictor_advance(states, labels)
+        for state, label, row in zip(states, labels, new):
+            prefix = self.prefixes[state.tobytes()] + (label,)
+            self.advances[prefix] += 1
+            self.prefixes[row.tobytes()] = prefix
+        return new
 
-    def joint_log_probs(self, frames, state):
-        return self.model.joint_log_probs(frames, state[1])
+    def joint_log_probs(self, runs, states):
+        self.widths.append(len(runs))
+        return self.model.joint_log_probs(runs, states)
 
 
 class RowList(list):
-    """A list of joint rows whose freeing a finalizer can see."""
+    """Joint rows from one ``tolist()``; each slice of them is a ``RowList``
+    whose freeing ``owner`` counts, as a run's rows handed to a search."""
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        if isinstance(index, slice):
+            item = RowList(item)
+            item.owner = self.owner
+            self.owner.live += 1
+            weakref.finalize(item, self.owner.free)
+        return item
 
 
 class TrackedRows(np.ndarray):
-    """Joint rows whose ``tolist()`` is a ``RowList`` counted by ``owner``."""
+    """Joint rows whose ``tolist()`` is a ``RowList`` owned by ``owner``."""
 
     def tolist(self):
         rows = RowList(self.view(np.ndarray).tolist())
-        self.owner.live += 1
-        weakref.finalize(rows, self.owner.free)
+        rows.owner = self.owner
         return rows
 
 
 class RowTrackingModel:
-    """Wraps a decoder model and records each joint call as (first frame,
-    frames asked for, row lists handed out by ``tolist()`` and still alive)."""
+    """Wraps a decoder model and records each run of each joint call on one
+    utterance as (first frame, frames asked for, run rows handed out and
+    still alive)."""
 
     def __init__(self, model):
         self.model = model
@@ -174,19 +198,20 @@ class RowTrackingModel:
         self.live -= 1
 
     def encode(self, x):
-        frames = self.model.encode(x)
-        self.n_frames = frames.shape[0]
-        return frames
+        self.frames = self.model.encode(x)
+        return self.frames
 
     def predictor_start(self):
         return self.model.predictor_start()
 
-    def predictor_advance(self, state, label):
-        return self.model.predictor_advance(state, label)
+    def predictor_advance(self, states, labels):
+        return self.model.predictor_advance(states, labels)
 
-    def joint_log_probs(self, frames, state):
-        self.calls.append((self.n_frames - len(frames), len(frames), self.live))
-        rows = self.model.joint_log_probs(frames, state).view(TrackedRows)
+    def joint_log_probs(self, runs, states):
+        for run in runs:
+            t0 = int(np.flatnonzero((self.frames == run[0]).all(axis=1))[0])
+            self.calls.append((t0, len(run), self.live))
+        rows = self.model.joint_log_probs(runs, states).view(TrackedRows)
         rows.owner = self
         return rows
 
@@ -216,7 +241,7 @@ class PerFrameReference:
         p = self.p
         return np.tanh(p["embed"][self.vocab_size] @ p["pred_w"].T + p["pred_b"])
 
-    def predictor_advance(self, state, label):
+    def advance(self, state, label):
         p = self.p
         return np.tanh(p["embed"][label] @ p["pred_w"].T + state @ p["pred_r"].T + p["pred_b"])
 
@@ -227,8 +252,12 @@ class PerFrameReference:
         m = z.max()
         return z - (np.log(np.exp(z - m).sum()) + m)
 
-    def joint_log_probs(self, frames, state):
-        return np.array([self.joint(frame, state) for frame in frames])
+    def predictor_advance(self, states, labels):
+        return np.array([self.advance(state, k) for state, k in zip(states, labels)])
+
+    def joint_log_probs(self, runs, states):
+        return np.array([self.joint(frame, state) for run, state in zip(runs, states)
+                         for frame in run])
 
 
 def reference_greedy(model, x, max_symbols_per_frame):
@@ -245,7 +274,7 @@ def reference_greedy(model, x, max_symbols_per_frame):
             if k == blank:
                 break
             labels.append(k)
-            state = model.predictor_advance(state, k)
+            state = model.advance(state, k)
         else:
             score += float(model.joint(enc[t], state)[blank])
     return tuple(labels), score
@@ -281,7 +310,7 @@ def tiny_model(seed=0, vocab=2, hidden=4, T_feat=2):
 class TestGreedy:
     def test_blank_dominant_model_emits_nothing(self):
         m = TableModel(blank_heavy_table(T=4))
-        labels, score = greedy_decode(m, x=None)
+        [(labels, score)] = greedy_decode(m, [0])
         assert labels == ()
         assert score == pytest.approx(4 * math.log(0.95))
 
@@ -291,20 +320,20 @@ class TestGreedy:
             [[0.8, 0.1, 0.1], [0.05, 0.05, 0.9]],
             [[0.05, 0.05, 0.9], [0.05, 0.05, 0.9]],
         ]
-        labels, score = greedy_decode(TableModel(a_first), x=None)
+        [(labels, score)] = greedy_decode(TableModel(a_first), [0])
         assert labels == (0,)
         assert score == pytest.approx(math.log(0.8) + 2 * math.log(0.9))
 
     def test_cap_limits_symbols_per_frame(self):
         # a label always dominates, so only the cap stops emission
         label_heavy = [[[0.9, 0.05, 0.05]] for _ in range(3)]
-        labels, _ = greedy_decode(TableModel(label_heavy), x=None, max_symbols_per_frame=1)
+        [(labels, _)] = greedy_decode(TableModel(label_heavy), [0], max_symbols_per_frame=1)
         assert len(labels) <= 3
         assert labels == (0, 0, 0)
 
     def test_cap_must_be_positive(self):
         with pytest.raises(DecodeError):
-            greedy_decode(TableModel(blank_heavy_table(2)), None, max_symbols_per_frame=0)
+            greedy_decode(TableModel(blank_heavy_table(2)), [0], max_symbols_per_frame=0)
 
     @pytest.mark.parametrize("cap", [1, 3, 5])
     def test_rows_grow_with_labels_plus_frames_per_surviving_state(self, cap):
@@ -312,7 +341,7 @@ class TestGreedy:
         # the frames that remain only once a state outlives its frame
         m = RowTrackingModel(cap_hit_model())
         n_frames = 8
-        labels, _ = greedy_decode(m, np.random.default_rng(3).normal(size=(n_frames, 3)), cap)
+        [(labels, _)] = greedy_decode(m, [np.random.default_rng(3).normal(size=(n_frames, 3))], cap)
         assert len(labels) == cap * n_frames
         assert all(n == 1 or t0 + n == n_frames for t0, n, _ in m.calls)
         rows = sum(n for _, n, _ in m.calls)
@@ -323,24 +352,22 @@ class TestBeamSearch:
     def test_respects_beam_size_and_sorting(self, rng):
         m = tiny_model(seed=4)
         x = rng.normal(size=(4, 3))
-        nbest = beam_search(m, x, beam=8)
+        [nbest] = beam_search(m, [x], beam=8)
         assert len(nbest) <= 8
         scores = [score for _, score in nbest]
         assert scores == sorted(scores, reverse=True)
         assert len({labels for labels, _ in nbest}) == len(nbest)
 
     def test_beam_one_equals_greedy_on_peaked_model(self, rng):
-        for seed in range(10):
-            table = peaked_table(np.random.default_rng(seed), T=4, U_max=3, K=3)
-            m = TableModel(table)
-            greedy = greedy_decode(m, None)
-            [top] = beam_search(m, None, beam=1)
-            assert top[0] == greedy[0]
+        m = TableModel(*(peaked_table(np.random.default_rng(seed), T=4, U_max=3, K=3)
+                         for seed in range(10)))
+        greedy = greedy_decode(m, range(10))
+        assert [top[0] for [top] in beam_search(m, range(10), beam=1)] == [g[0] for g in greedy]
 
     def test_beam_monotonicity(self, rng):
         m = tiny_model(seed=7)
         x = rng.normal(size=(5, 3))
-        best = [beam_search(m, x, beam=b)[0][1] for b in (1, 2, 4, 8)]
+        best = [beam_search(m, [x], beam=b)[0][0][1] for b in (1, 2, 4, 8)]
         for lo, hi in zip(best, best[1:]):
             assert hi >= lo - 1e-12
 
@@ -349,7 +376,7 @@ class TestBeamSearch:
         # the exact full-sum sequence log-probabilities
         m = tiny_model(seed=11, vocab=2)
         x = rng.normal(size=(2, 3))
-        nbest = beam_search(m, x, beam=200, max_symbols_per_frame=3)
+        [nbest] = beam_search(m, [x], beam=200, max_symbols_per_frame=3)
         scored = dict(nbest)
         for labels in [(), (0,), (1,), (0, 1), (1, 0), (0, 0), (1, 1),
                        (0, 0, 0), (0, 1, 0), (1, 1, 1), (1, 0, 1)]:
@@ -366,7 +393,7 @@ class TestBeamSearch:
         # its full-sum log-probability
         m = tiny_model(seed=seed, vocab=vocab)
         x = np.random.default_rng(seed).normal(size=(T, 3))
-        nbest = beam_search(m, x, beam=10_000, max_symbols_per_frame=cap)
+        [nbest] = beam_search(m, [x], beam=10_000, max_symbols_per_frame=cap)
         exact = rescore_nbest(m, x, nbest)
         short = [i for i, (labels, _) in enumerate(nbest) if len(labels) <= cap]
         every = {labels for n in range(cap + 1) for labels in product(range(vocab), repeat=n)}
@@ -376,12 +403,13 @@ class TestBeamSearch:
 
     def test_beam_must_be_positive(self, rng):
         with pytest.raises(DecodeError):
-            beam_search(tiny_model(), rng.normal(size=(2, 3)), beam=0)
+            beam_search(tiny_model(), [rng.normal(size=(2, 3))], beam=0)
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_cap_must_be_positive(self, rng, cap):
         with pytest.raises(DecodeError, match="max_symbols_per_frame"):
-            beam_search(tiny_model(), rng.normal(size=(2, 3)), beam=4, max_symbols_per_frame=cap)
+            beam_search(tiny_model(), [rng.normal(size=(2, 3))], beam=4,
+                        max_symbols_per_frame=cap)
 
     @per_row_products
     @pytest.mark.parametrize("beam", [1, 3, 8])
@@ -390,38 +418,40 @@ class TestBeamSearch:
         for seed in range(4):
             rng = np.random.default_rng(100 * beam + 10 * cap + seed)
             m = tiny_model(seed=seed, vocab=int(rng.integers(2, 5)), hidden=5)
-            x = rng.normal(size=(int(rng.integers(2, 7)), 3))
-            nbest = beam_search(m, x, beam=beam, max_symbols_per_frame=cap)
-            assert nbest == reference_beam_search(m, x, beam, cap)
+            xs = [rng.normal(size=(int(rng.integers(2, 7)), 3)) for _ in range(3)]
+            nbests = beam_search(m, xs, beam=beam, max_symbols_per_frame=cap)
+            assert nbests == [reference_beam_search(m, x, beam, cap) for x in xs]
 
     @pytest.mark.parametrize("beam", [1, 3, 8])
     @pytest.mark.parametrize("cap", [1, 2, 5])
     def test_equals_eager_reference_on_table_models(self, beam, cap):
+        # each seed decodes a run of tables of one vocabulary and mixed lengths
         for seed in range(4):
             rng = np.random.default_rng(1000 + 100 * beam + 10 * cap + seed)
-            table = peaked_table(rng, T=5, U_max=4, K=int(rng.integers(2, 5)),
-                                 p_top=float(rng.uniform(0.4, 0.95)))
-            m = TableModel(table)
-            nbest = beam_search(m, None, beam=beam, max_symbols_per_frame=cap)
-            assert nbest == reference_beam_search(m, None, beam, cap)
+            K = int(rng.integers(2, 5))
+            m = TableModel(*(peaked_table(rng, T=int(rng.integers(1, 7)), U_max=4, K=K,
+                                          p_top=float(rng.uniform(0.4, 0.95)))
+                             for _ in range(3)))
+            nbests = beam_search(m, range(3), beam=beam, max_symbols_per_frame=cap)
+            assert nbests == [reference_beam_search(m, i, beam, cap) for i in range(3)]
 
     def test_exact_score_ties_match_eager_reference(self):
         # dyadic probabilities make hypotheses tie exactly on score, so the
-        # pruning break depends on the lexicographic tie-break
+        # pruning break depends on the lexicographic tie-break; the 20 tables
+        # decode as one run
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            m = TableModel([[rng.permutation([0.25, 0.25, 0.5]) for _ in range(4)]
-                            for _ in range(4)])
-            for beam in (1, 2, 3, 5):
-                for cap in (1, 2):
-                    nbest = beam_search(m, None, beam=beam, max_symbols_per_frame=cap)
-                    assert nbest == reference_beam_search(m, None, beam, cap)
+        m = TableModel(*([[rng.permutation([0.25, 0.25, 0.5]) for _ in range(4)]
+                          for _ in range(4)] for _ in range(20)))
+        for beam in (1, 2, 3, 5):
+            for cap in (1, 2):
+                nbests = beam_search(m, range(20), beam=beam, max_symbols_per_frame=cap)
+                assert nbests == [reference_beam_search(m, i, beam, cap) for i in range(20)]
 
     @pytest.mark.parametrize("beam", [1, 4, 8])
     def test_advances_each_label_prefix_at_most_once(self, rng, beam):
         m = CountingModel(tiny_model(seed=3, vocab=3, hidden=5))
         x = rng.normal(size=(6, 3))
-        nbest = beam_search(m, x, beam=beam)
+        [nbest] = beam_search(m, [x], beam=beam)
         assert m.advances
         assert max(m.advances.values()) == 1
         for labels, _ in nbest:
@@ -434,7 +464,7 @@ class TestBeamSearch:
         # call stay flat as the utterance grows, while the calls grow with it
         def run(n_frames, beam):
             m = RowTrackingModel(TableModel([[[0.3, 0.25, 0.2, 0.25]]] * n_frames))
-            beam_search(m, None, beam, 3)
+            beam_search(m, [0], beam, 3)
             return len(m.calls), max(live for _, _, live in m.calls)
 
         for beam in (4, 8):
@@ -445,8 +475,8 @@ class TestBeamSearch:
 
 @per_row_products
 class TestPerFrameEquality:
-    """The decoders read joint rows from one call per label prefix; their
-    labels and scores equal a per-frame decoder's, bit for bit."""
+    """The decoders read joint rows from stacked calls over label prefixes and
+    utterances; their labels and scores equal a per-frame decoder's, bit for bit."""
 
     @pytest.mark.parametrize("hidden, subsample, causal", MODEL_SHAPES)
     def test_joint_rows_equal_per_frame_formula(self, hidden, subsample, causal):
@@ -455,27 +485,36 @@ class TestPerFrameEquality:
         x = np.random.default_rng(hidden).normal(size=(9, 3))
         frames, enc = m.encode(x), ref.encode(x)
         assert np.array_equal(frames, np.array([e @ m.params["joint_enc"].T for e in enc]))
-        state = ref.predictor_advance(ref.predictor_start(), 1)
+        start = ref.predictor_start()
+        states = m.predictor_advance(np.array([start, start, start]), [1, 0, 3])
+        assert np.array_equal(states, [ref.advance(start, k) for k in (1, 0, 3)])
         for t0 in range(frames.shape[0]):
-            rows = m.joint_log_probs(frames[t0:], state)
-            assert np.array_equal(rows, [ref.joint(e, state) for e in enc[t0:]])
+            # runs of the frames from t0, of frame t0 alone and of all frames
+            rows = m.joint_log_probs([frames[t0:], frames[t0 : t0 + 1], frames], states)
+            expected = [ref.joint(e, state) for run, state in zip(
+                (enc[t0:], enc[t0 : t0 + 1], enc), states) for e in run]
+            assert np.array_equal(rows, expected)
 
     @pytest.mark.parametrize("hidden, subsample, causal", MODEL_SHAPES)
     def test_greedy_equals_per_frame_reference(self, hidden, subsample, causal):
         for seed in range(4):
             m = random_model(seed, hidden, subsample, causal)
-            x = np.random.default_rng(seed).normal(size=(int(5 + 2 * seed), 3))
+            rng = np.random.default_rng(seed)
+            xs = [rng.normal(size=(int(5 + 2 * seed + n), 3)) for n in (0, -4, 3)]
             for cap in (1, 3, 5):
-                assert greedy_decode(m, x, cap) == reference_greedy(PerFrameReference(m), x, cap)
+                ref = PerFrameReference(m)
+                assert greedy_decode(m, xs, cap) == [reference_greedy(ref, x, cap) for x in xs]
 
     @pytest.mark.parametrize("hidden, subsample, causal", MODEL_SHAPES)
     def test_beam_search_equals_per_frame_reference(self, hidden, subsample, causal):
         for seed in range(2):
             m = random_model(seed, hidden, subsample, causal)
-            x = np.random.default_rng(seed).normal(size=(int(4 + 3 * seed), 3))
+            rng = np.random.default_rng(seed)
+            xs = [rng.normal(size=(int(4 + 3 * seed + n), 3)) for n in (0, -3)]
             for beam, cap in product((1, 4, 8), (1, 3, 5)):
-                nbest = beam_search(m, x, beam, cap)
-                assert nbest == reference_beam_search(PerFrameReference(m), x, beam, cap)
+                nbests = beam_search(m, xs, beam, cap)
+                ref = PerFrameReference(m)
+                assert nbests == [reference_beam_search(ref, x, beam, cap) for x in xs]
 
     @pytest.mark.parametrize("cap", [1, 3, 5])
     def test_cap_hit_on_every_frame(self, cap):
@@ -483,12 +522,35 @@ class TestPerFrameEquality:
         m = cap_hit_model()
         x = np.random.default_rng(3).normal(size=(6, 3))
         ref = PerFrameReference(m)
-        hyp = greedy_decode(m, x, cap)
-        assert len(hyp[0]) == cap * 6
-        assert hyp == reference_greedy(ref, x, cap)
+        hyps = greedy_decode(m, [x, x[:2]], cap)
+        assert len(hyps[0][0]) == cap * 6
+        assert hyps == [reference_greedy(ref, x, cap), reference_greedy(ref, x[:2], cap)]
         for beam in (1, 4, 8):
-            nbest = beam_search(m, x, beam, cap)
-            assert nbest == reference_beam_search(ref, x, beam, cap)
+            nbests = beam_search(m, [x, x[:2]], beam, cap)
+            assert nbests == [reference_beam_search(ref, x, beam, cap),
+                              reference_beam_search(ref, x[:2], beam, cap)]
+
+
+@per_row_products
+class TestLockstep:
+    """A run of utterances decodes as each utterance alone would, however many
+    searches share a round."""
+
+    @pytest.mark.parametrize("run", [1, 5, 100])
+    def test_mixed_lengths_equal_per_frame_reference(self, monkeypatch, run):
+        monkeypatch.setattr(decode, "RUN_UTTERANCES", run)
+        m = random_model(2, 8, 2, False)
+        ref = PerFrameReference(m)
+        rng = np.random.default_rng(run)
+        xs = [rng.normal(size=(int(T), 3)) for T in rng.permutation(np.arange(1, 13))]
+        counting = CountingModel(m)
+        assert greedy_decode(counting, xs, 3) == [reference_greedy(ref, x, 3) for x in xs]
+        assert max(counting.widths) == min(run, len(xs))
+        assert beam_search(m, xs, 4, 3) == [reference_beam_search(ref, x, 4, 3) for x in xs]
+
+    def test_no_utterances(self):
+        assert greedy_decode(tiny_model(), []) == []
+        assert beam_search(tiny_model(), [], 4) == []
 
 
 class TestRescore:
@@ -496,7 +558,7 @@ class TestRescore:
     def test_rescore_equals_forward_backward_of_each_lattice(self, hidden, subsample, causal):
         m = random_model(5, hidden, subsample, causal)
         x = np.random.default_rng(5).normal(size=(8, 3))
-        nbest = beam_search(m, x, 8, 3)
+        [nbest] = beam_search(m, [x], 8, 3)
         assert len(nbest) > 1
         expected = [float(forward_backward(m.build_lattice(x, list(labels)), list(labels))[0])
                     for labels, _ in nbest]
@@ -521,7 +583,7 @@ class TestRescore:
     def test_matches_oracle_on_micro_model(self, rng):
         m = tiny_model(seed=5)
         x = rng.normal(size=(3, 3))
-        nbest = beam_search(m, x, beam=4)
+        [nbest] = beam_search(m, [x], beam=4)
         scores = rescore_nbest(m, x, nbest)
         from transducer_distill.lattice import brute_force_log_prob
 

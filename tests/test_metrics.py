@@ -78,26 +78,6 @@ class TestEditDistance:
             assert fwd.insertions == rev.deletions
 
 
-class _FixedDecoder:
-    """Model stub returning a canned hypothesis per utterance id."""
-
-    def __init__(self, outputs):
-        self.outputs = outputs
-        self.vocab_size = 8
-
-    def encode(self, x):
-        return x
-
-    def predictor_start(self):
-        return 0
-
-    def predictor_advance(self, state, label):
-        return state
-
-    def joint_log_probs(self, frames, state):  # pragma: no cover
-        raise NotImplementedError
-
-
 class TestEvaluate:
     def test_pooled_corpus_wer(self, monkeypatch):
         # utterance A: 1 error / 4 refs, utterance B: 0 / 6 -> pooled 0.1
@@ -112,25 +92,17 @@ class TestEvaluate:
 
         import transducer_distill.metrics as metrics_mod
 
-        monkeypatch.setattr(
-            metrics_mod, "greedy_decode",
-            lambda model, x, cap: (hyps[model.current], 0.0),
-        )
+        # route utterance ids through the stub, which evaluate calls once
+        calls = []
 
-        class Switchable:
-            current = None
-
-        model = Switchable()
-
-        # route utterance ids through the stub
-        def decode(model_, x, cap):
-            for utt in corpus.utterances:
-                if utt.frames is x:
-                    return hyps[utt.utt_id], 0.0
-            raise AssertionError
+        def decode(model_, xs, cap):
+            calls.append(len(xs))
+            ids = {id(utt.frames): utt.utt_id for utt in corpus.utterances}
+            return [(hyps[ids[id(x)]], 0.0) for x in xs]
 
         monkeypatch.setattr(metrics_mod, "greedy_decode", decode)
-        report = evaluate(model, corpus)
+        report = evaluate(None, corpus)
+        assert calls == [2]
         assert report.wer == pytest.approx(0.1)
         assert set(report.per_utterance) == {"A", "B"}
 
@@ -149,7 +121,7 @@ class TestEvaluate:
         import transducer_distill.metrics as metrics_mod
 
         monkeypatch.setattr(metrics_mod, "greedy_decode",
-                            lambda model, x, cap: (hyps[float(x[0, 0])], 0.0))
+                            lambda model, xs, cap: [(hyps[float(x[0, 0])], 0.0) for x in xs])
         report = evaluate(None, corpus)
         path = tmp_path / "report.json"
         write_report(path, {"eval": report})

@@ -6,8 +6,11 @@ Prints, for each layer, the best over ``BLOCKS`` blocks of the mean cost
 of one call, in microseconds, at T=14 input frames, U=5 labels, K=6 labels
 plus blank and hidden width H=16 (a 5-frame window over 8 features).  The
 model is an untrained one, so beam search pops many hypotheses per frame.
-The write_corpus row writes a generated 100-utterance corpus (3 to 6 labels
-of 2 to 4 frames each) to ``os.devnull``.  The step rows time one
+The decoding rows decode one utterance, then a run of ``RUN`` utterances of
+the same shape: one utterance per call, and all of them in one lockstep call
+(the list-taking decoders; a tree whose decoders take one utterance has no
+lockstep rows).  The write_corpus row writes a generated 100-utterance
+corpus (3 to 6 labels of 2 to 4 frames each) to ``os.devnull``.  The step rows time one
 ``combined_loss`` step, gradients included, at the benchmark's weak_teacher
 shapes on utterances generated the same way: the hard and fsnorm_l1 student
 steps on 2 supervised and 22 unsupervised utterances, whose pseudo labels are
@@ -35,6 +38,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 T, U, K, H, FEAT = 14, 5, 6, 16, 8
+RUN = 32
 BLOCKS = 30
 
 
@@ -73,7 +77,13 @@ def layers(td):
     lat, cache = model.forward(x, y)
     t_lat = teacher.build_lattice(x, y)
     _, grad = td.lattice.rnnt_loss_with_grad(lat, y)
-    four = td.beam_search(model, x, 8)[:4]
+    xs = [rng.normal(size=(T, FEAT)) for _ in range(RUN)]
+    lockstep = hasattr(td.decode, "RUN_UTTERANCES")
+
+    def alone(decoder, x, *args):
+        return decoder(model, [x], *args)[0] if lockstep else decoder(model, x, *args)
+
+    four = alone(td.beam_search, x, 8)[:4]
     spec = td.SyntheticSpec(vocab_size=K, feat_dim=FEAT, frames_per_label=(2, 4),
                             noise_sigma=0.4, label_len_range=(3, 6),
                             num_supervised=100, num_unsupervised=1, seed=0)
@@ -84,8 +94,14 @@ def layers(td):
         ("rnnt_loss_with_grad", 200, lambda: td.lattice.rnnt_loss_with_grad(lat, y)),
         ("backward", 200, lambda: model.backward(cache, grad)),
         ("soft_kl_efficient", 200, lambda: td.soft_kl_efficient(t_lat, lat, y)),
-        ("greedy decoding", 50, lambda: td.greedy_decode(model, x)),
-        ("beam search, beam 8", 5, lambda: td.beam_search(model, x, 8)),
+        ("greedy decoding", 50, lambda: alone(td.greedy_decode, x)),
+        ("beam search, beam 8", 5, lambda: alone(td.beam_search, x, 8)),
+        (f"greedy, {RUN} utts one by one", 2, lambda: [alone(td.greedy_decode, x) for x in xs]),
+        *([(f"greedy, {RUN} utts lockstep", 2, lambda: td.greedy_decode(model, xs))]
+          if lockstep else []),
+        (f"beam 8, {RUN} utts one by one", 1, lambda: [alone(td.beam_search, x, 8) for x in xs]),
+        *([(f"beam 8, {RUN} utts lockstep", 1, lambda: td.beam_search(model, xs, 8))]
+          if lockstep else []),
         ("rescoring of a 4-best list", 50, lambda: td.rescore_nbest(model, x, four)),
         ("write_corpus, 100 utterances", 3, lambda: td.data.write_corpus(os.devnull, corpus)),
     ]
