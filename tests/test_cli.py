@@ -736,6 +736,102 @@ class TestSweepShift:
         assert set(built) <= {u.frames.tobytes() for u in unsup}
 
 
+class TestCommandSurface:
+    """Each argv form of each command, pinned to its parsed arguments and to
+    the ``cmd_*`` call that ``main`` makes; stubs stand in for the commands."""
+
+    COMMON = {"config": None, "overrides": [], "run_root": None}
+    TEACHER_INPUTS = ["--data-dir", "D", "--teacher", "T", "--pseudo-labels", "P"]
+    TEACHER_VARS = {"data_dir": "D", "teacher": "T", "pseudo_labels": "P"}
+
+    # id: (argv after the command, vars(args) beyond COMMON, the call:
+    # cmd_* name, positional arguments after the config, keywords); "SMOKE"
+    # in argv stands for SMOKE_SET_ARGS, and a "config" key for a config file
+    SURFACE = {
+        "gen-data": (["gen-data"], {}, ("cmd_gen_data", (), {"root": None})),
+        "gen-data set": (["gen-data", "SMOKE", "--run-root", "R"], {},
+                         ("cmd_gen_data", (), {"root": "R"})),
+        "gen-data config": (["gen-data", "--config", "CONFIG"], {"config": "CONFIG"},
+                            ("cmd_gen_data", (), {"root": None})),
+        "train-teacher": (["train-teacher", "--data-dir", "D"], {"data_dir": "D", "preset": None},
+                          ("cmd_train_teacher", ("D",), {"root": None})),
+        "train-teacher preset": (
+            ["train-teacher", "--data-dir", "D", "--preset", "S3", "--run-root", "R", "SMOKE"],
+            {"data_dir": "D", "preset": "S3"}, ("cmd_train_teacher", ("D",), {"root": "R"})),
+        "pseudo-label": (["pseudo-label", "--data-dir", "D", "--checkpoint", "C"],
+                         {"data_dir": "D", "checkpoint": "C"},
+                         ("cmd_pseudo_label", ("C", "D"), {"root": None})),
+        "pseudo-label set": (
+            ["pseudo-label", "--checkpoint", "C", "--data-dir", "D", "--run-root", "R", "SMOKE"],
+            {"data_dir": "D", "checkpoint": "C"}, ("cmd_pseudo_label", ("C", "D"), {"root": "R"})),
+        "distill": (["distill", *TEACHER_INPUTS], {**TEACHER_VARS, "grid": False},
+                    ("cmd_distill", ("D", "T", "P"), {"root": None})),
+        "distill set": (["distill", *TEACHER_INPUTS, "--run-root", "R", "SMOKE"],
+                        {**TEACHER_VARS, "grid": False},
+                        ("cmd_distill", ("D", "T", "P"), {"root": "R"})),
+        "distill grid": (["distill", "--grid", *TEACHER_INPUTS, "--run-root", "R", "SMOKE"],
+                         {**TEACHER_VARS, "grid": True},
+                         ("cmd_distill_grid", ("D", "T", "P"), {"root": "R"})),
+        "evaluate": (["evaluate", "--data-dir", "D", "--checkpoint", "C"],
+                     {"data_dir": "D", "checkpoint": "C", "sets": ["eval"]},
+                     ("cmd_evaluate", ("C", "D"), {"sets": ("eval",), "root": None})),
+        "evaluate sets": (
+            ["evaluate", "--data-dir", "D", "--checkpoint", "C", "SMOKE", "--sets", "unsup",
+             "--run-root", "R"],
+            {"data_dir": "D", "checkpoint": "C", "sets": ["unsup"]},
+            ("cmd_evaluate", ("C", "D"), {"sets": ("unsup",), "root": "R"})),
+        "evaluate two sets": (
+            ["evaluate", "--data-dir", "D", "--checkpoint", "C", "--sets", "sup", "eval"],
+            {"data_dir": "D", "checkpoint": "C", "sets": ["sup", "eval"]},
+            ("cmd_evaluate", ("C", "D"), {"sets": ("sup", "eval"), "root": None})),
+        "sweep-shift": (["sweep-shift", *TEACHER_INPUTS], {**TEACHER_VARS, "max_shift": 3},
+                        ("cmd_sweep_shift", ("D", "T", "P"),
+                         {"shifts": [0, 1, 2, 3], "root": None})),
+        "sweep-shift max-shift": (
+            ["sweep-shift", *TEACHER_INPUTS, "--run-root", "R", "SMOKE", "--max-shift", "1"],
+            {**TEACHER_VARS, "max_shift": 1},
+            ("cmd_sweep_shift", ("D", "T", "P"), {"shifts": [0, 1], "root": "R"})),
+        "sweep-shift negative": (
+            ["sweep-shift", *TEACHER_INPUTS, "--max-shift", "-1"], {**TEACHER_VARS, "max_shift": -1},
+            ("cmd_sweep_shift", ("D", "T", "P"), {"shifts": [], "root": None})),
+    }
+
+    @pytest.mark.parametrize("case", list(SURFACE))
+    def test_argv_maps_to_args_and_call(self, tmp_path, monkeypatch, capsys, case):
+        argv, extra, (name, args, kwargs) = self.SURFACE[case]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"train": {"steps": 7}}))
+        argv = [a for arg in argv
+                for a in (SMOKE_SET_ARGS if arg == "SMOKE" else [arg])]
+        argv = [str(config) if a == "CONFIG" else a for a in argv]
+        calls = []
+
+        def stub(command):
+            def record(*args, **kwargs):
+                calls.append((command, args, kwargs))
+                return Path("out")
+            return record
+
+        for command in ("cmd_gen_data", "cmd_train_teacher", "cmd_pseudo_label", "cmd_distill",
+                        "cmd_distill_grid", "cmd_evaluate", "cmd_sweep_shift"):
+            monkeypatch.setattr(cli, command, stub(command))
+        parsed = vars(cli.build_parser().parse_args(argv))
+        want = {**self.COMMON, "command": argv[0], **extra}
+        if "SMOKE" in self.SURFACE[case][0]:
+            want["overrides"] = list(SMOKE_OVERRIDES)
+        if "--run-root" in argv:
+            want["run_root"] = "R"
+        if "config" in extra:
+            want["config"] = str(config)
+        assert parsed == want
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "out\n"
+        cfg = load_config(want["config"], want["overrides"])
+        if parsed.get("preset"):
+            cfg["teacher"]["preset"] = parsed["preset"]
+        assert calls == [(name, (cfg, *args), kwargs)]
+
+
 class TestExitCodes:
     def test_success_exit_zero(self, tmp_path):
         result = run_cli("gen-data", "--run-root", str(tmp_path), *SMOKE_SET_ARGS)
