@@ -47,6 +47,9 @@ from .model import (
 
 RUN_ROOT_ENV = "TRANSDUCER_DISTILL_RUN_ROOT"
 
+# how a corpus check names the config's ``data`` spec
+DATA_SECTION = "config section data"
+
 TEACHER_WIDTHS = {"S": 12, "M": 20, "L": 28}
 
 # teacher presets: architecture size, fraction of the supervised corpus
@@ -280,20 +283,18 @@ def make_run_dir(command: str, cfg: dict, root=None, inputs=()) -> Path:
         name += "-" + config_hash(list(inputs))
     out = run_root(root) / name
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w", encoding="utf-8") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "config.json", cfg)
     return out
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _inputs(digests, *files) -> tuple:
-    """A command's input hashes: the corpus ``digests`` of ``load_corpora``
-    and the sha256 of each of ``files``."""
-    return (*digests, *map(_sha256, files))
 
 
 def _data_spec(cfg: dict) -> data_mod.SyntheticSpec:
@@ -364,19 +365,19 @@ def _write_manifest(out: Path, cfg: dict, counts: dict) -> None:
         },
         "counts": counts,
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "manifest.json", manifest)
 
 
 # the corpus set parsed last, keyed by the sha256 of its files' bytes
 _LAST_CORPORA = {}
 
 
-def load_corpora(data_dir) -> tuple:
+def load_corpora(data_dir, models=()) -> tuple:
     """The parsed corpora of ``data_dir`` by split name, shared by every
     call that finds the same file bytes (their frame arrays are read-only),
-    and the sha256 of the manifest and of each corpus file."""
+    and the sha256 of the manifest and of each corpus file.  Each of
+    ``models``, (name, model or data spec) pairs, must have the manifest's
+    ``vocab_size`` and ``feat_dim``."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
@@ -392,6 +393,11 @@ def load_corpora(data_dir) -> tuple:
             type(spec.get(k)) is int for k in ("vocab_size", "feat_dim")):
         raise ConfigError(f"corpus manifest {manifest_path} must give the integers "
                           f"spec.vocab_size and spec.feat_dim")
+    for name, model in models:
+        for dim in ("vocab_size", "feat_dim"):
+            if getattr(model, dim) != spec[dim]:
+                raise ConfigError(f"{name} has {dim} {getattr(model, dim)}, but corpus manifest "
+                                  f"{manifest_path} has {spec[dim]}")
     paths = [data_dir / files[k] for k in names]
     key = (hashlib.sha256(raw).hexdigest(), *map(_sha256, paths))
     if key not in _LAST_CORPORA:
@@ -455,9 +461,9 @@ def _train(model, sup, unsup, cfg, loss_fn, log_path) -> None:
 
 def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
     cfg = resolve_config(cfg)
-    corpora, digests = load_corpora(data_dir)
-    quality = _teacher_quality(cfg)
     spec = _data_spec(cfg)
+    corpora, digests = load_corpora(data_dir, [(DATA_SECTION, spec)])
+    quality = _teacher_quality(cfg)
     out = make_run_dir("train-teacher", cfg, root, digests)
 
     sup = corpora["sup"]
@@ -489,7 +495,7 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
     beam, nbest_size = cfg["decode"]["beam"], cfg["decode"]["nbest"]
     cap = cfg["decode"]["max_symbols_per_frame"]
     teacher = load_checkpoint(checkpoint)
-    corpora, digests = load_corpora(data_dir)
+    corpora, digests = load_corpora(data_dir, [(f"checkpoint {checkpoint}", teacher)])
     out = make_run_dir("pseudo-label", cfg, root, (*digests, teacher.checkpoint_sha256))
 
     # the teacher decodes raw features: no dropout or augmentation exists
@@ -542,9 +548,10 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
     validate_distill_setup(cfg, teacher.encoder.subsample)
     kind = _distill_kind(cfg)
     weights = _combined_config(cfg)
-    corpora, digests = load_corpora(data_dir)
-    _check_shifts([kind.shift_n], corpora["unsup"], teacher.encoder.subsample)
     spec = _data_spec(cfg)
+    corpora, digests = load_corpora(data_dir, [
+        (DATA_SECTION, spec), (f"teacher checkpoint {teacher_checkpoint}", teacher)])
+    _check_shifts([kind.shift_n], corpora["unsup"], teacher.encoder.subsample)
     pseudo = load_pseudo_labels(pseudo_label_file, spec.vocab_size)
     if weights.weight_hard_on_pseudo > 0 or weights.weight_distill > 0:
         missing = [u.utt_id for u in corpora["unsup"].utterances if u.utt_id not in pseudo]
@@ -563,7 +570,7 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
             )
 
     out = make_run_dir("distill", cfg, root,
-                       _inputs((*digests, teacher.checkpoint_sha256), pseudo_label_file))
+                       (*digests, teacher.checkpoint_sha256, _sha256(pseudo_label_file)))
 
     model = TransducerModel(spec.vocab_size, spec.feat_dim, _encoder(cfg, "student"),
                             seed=cfg["seed"] + 13)
@@ -599,24 +606,36 @@ def run_rows(cfg: dict, rows: dict, data_dir, teacher_checkpoint, pseudo_label_f
     return wers
 
 
+def _train_rows(command: str, cfg: dict, rows: dict, data_dir, teacher_checkpoint,
+                pseudo_label_file, root, check=lambda teacher, corpora: None) -> tuple:
+    """What ``distill --grid`` and ``sweep-shift`` share: check the inputs
+    (and ``check`` the teacher and corpora), make the run directory, then
+    ``run_rows``.  Returns the run directory and each row's eval WER."""
+    teacher = load_checkpoint(teacher_checkpoint)
+    spec = _data_spec(cfg)
+    corpora, digests = load_corpora(data_dir, [
+        (DATA_SECTION, spec), (f"teacher checkpoint {teacher_checkpoint}", teacher)])
+    check(teacher, corpora)
+    load_pseudo_labels(pseudo_label_file, spec.vocab_size)  # no run dir on a bad record
+    out = make_run_dir(command, cfg, root,
+                       (*digests, teacher.checkpoint_sha256, _sha256(pseudo_label_file)))
+    return out, run_rows(cfg, rows, data_dir, teacher_checkpoint, pseudo_label_file, root=out)
+
+
 def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root=None) -> Path:
     """Train one student per ``GRID_ROWS`` row and evaluate each."""
-    cfg = resolve_config(cfg)
-    _, digests = load_corpora(data_dir)
-    load_pseudo_labels(pseudo_label_file, _data_spec(cfg).vocab_size)  # no run dir on a bad record
-    out = make_run_dir("distill-grid", cfg, root,
-                       _inputs(digests, teacher_checkpoint, pseudo_label_file))
-    summary = run_rows(cfg, GRID_ROWS, data_dir, teacher_checkpoint, pseudo_label_file, root=out)
-    with open(out / "grid_summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    out, wers = _train_rows("distill-grid", resolve_config(cfg), GRID_ROWS, data_dir,
+                            teacher_checkpoint, pseudo_label_file, root)
+    _write_json(out / "grid_summary.json", wers)
     return out
 
 
-def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> Path:
+def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=None, root=None) -> Path:
+    """Score ``checkpoint`` on each corpus set named in ``sets`` (by default ``eval``)."""
     cfg = resolve_config(cfg)
+    sets = ("eval",) if sets is None else tuple(sets)
     model = load_checkpoint(checkpoint)
-    corpora, digests = load_corpora(data_dir)
+    corpora, digests = load_corpora(data_dir, [(f"checkpoint {checkpoint}", model)])
     for name in sets:
         if name not in corpora or not corpora[name].utterances:
             raise ConfigError(f"no utterances in evaluation set {name!r}")
@@ -642,126 +661,87 @@ def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=("eval",), root=None) -> 
 
 def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
                     shifts=None, root=None) -> Path:
+    """Train and evaluate one student per teacher shift of ``shifts`` (by
+    default 0 to 3) and tabulate each one's eval WER."""
     cfg = resolve_config(cfg)
-    kind = _distill_kind(cfg)
-    if not kind.kind.is_soft:
+    if not _distill_kind(cfg).kind.is_soft:
         raise ConfigError("sweep-shift requires a soft distillation kind")
     if not cfg["student"]["encoder"]["causal"]:
         raise ConfigError("sweep-shift expects a causal student encoder")
-    teacher = load_checkpoint(teacher_checkpoint)
-    if teacher.encoder.causal:
-        raise ConfigError("sweep-shift expects a non-causal teacher")
-    shifts = list(range(0, 4)) if shifts is None else list(shifts)
+    shifts = list(range(4) if shifts is None else shifts)
     if any(type(n) is not int for n in shifts) or len(set(shifts)) != len(shifts):
         raise ConfigError(f"sweep-shift needs distinct integer shifts, got {shifts}")
     if not shifts or min(shifts) < 0:
         raise ConfigError(f"sweep-shift needs one or more shifts >= 0, got {shifts}; "
                           f"--max-shift must be >= 0")
-    corpora, digests = load_corpora(data_dir)
-    _check_shifts(shifts, corpora["unsup"], teacher.encoder.subsample)
-    load_pseudo_labels(pseudo_label_file, _data_spec(cfg).vocab_size)  # no run dir on a bad record
 
-    out = make_run_dir("sweep-shift", cfg, root,
-                       _inputs((*digests, teacher.checkpoint_sha256), pseudo_label_file))
-    wers = run_rows(cfg, {n: {"distill": {"shift_n": n}} for n in shifts},
-                    data_dir, teacher_checkpoint, pseudo_label_file, root=out)
+    def check(teacher, corpora):
+        if teacher.encoder.causal:
+            raise ConfigError("sweep-shift expects a non-causal teacher")
+        _check_shifts(shifts, corpora["unsup"], teacher.encoder.subsample)
 
+    out, wers = _train_rows("sweep-shift", cfg, {n: {"distill": {"shift_n": n}} for n in shifts},
+                            data_dir, teacher_checkpoint, pseudo_label_file, root, check)
     table = out / "shift_sweep.tsv"
     with open(table, "w", encoding="utf-8") as f:
         f.write("shift\twer\n")
         for n, wer in wers.items():
             f.write(f"{n}\t{wer!r}\n")
-    with open(out / "shift_sweep.json", "w", encoding="utf-8") as f:
-        json.dump({"rows": [{"shift": n, "wer": w} for n, w in wers.items()]}, f,
-                  indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "shift_sweep.json",
+                {"rows": [{"shift": n, "wer": w} for n, w in wers.items()]})
     return table
 
 
 # ----- argparse surface -----
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY.PATH=VALUE", help="override a config key")
-    p.add_argument("--run-root", default=None,
-                   help=f"output root (default ${RUN_ROOT_ENV} or ./runs)")
+# each command: its help, its flags after COMMON_FLAGS and its cmd_* call of (args, config)
+COMMON_FLAGS = {"--config": {"help": "JSON config file"},
+                "--set": {"dest": "overrides", "action": "append", "default": [],
+                          "metavar": "KEY.PATH=VALUE", "help": "override a config key"},
+                "--run-root": {"help": f"output root (default ${RUN_ROOT_ENV} or ./runs)"}}
+MODEL_INPUTS = dict.fromkeys(["--data-dir", "--checkpoint"], {"required": True})
+TEACHER_INPUTS = dict.fromkeys(["--data-dir", "--teacher", "--pseudo-labels"], {"required": True})
+COMMANDS = {
+    "gen-data": ("generate synthetic corpora", {},
+                 lambda a, cfg: cmd_gen_data(cfg, root=a.run_root)),
+    "train-teacher": ("train a teacher on the supervised split", {
+        "--data-dir": {"required": True}, "--preset": {"choices": sorted(TEACHER_PRESETS)}},
+        lambda a, cfg: cmd_train_teacher(_deep_merge(cfg, {"teacher": {"preset": a.preset}})
+                                         if a.preset else cfg, a.data_dir, root=a.run_root)),
+    "pseudo-label": (
+        "beam-decode the unsupervised split", MODEL_INPUTS,
+        lambda a, cfg: cmd_pseudo_label(cfg, a.checkpoint, a.data_dir, root=a.run_root)),
+    "distill": ("train a student against a teacher", {**TEACHER_INPUTS, "--grid": {
+        "action": "store_true", "help": "run the standard experiment grid instead of one row"}},
+        lambda a, cfg: (cmd_distill_grid if a.grid else cmd_distill)(
+            cfg, a.data_dir, a.teacher, a.pseudo_labels, root=a.run_root)),
+    "evaluate": (
+        "score a checkpoint on held-out data", {**MODEL_INPUTS, "--sets": {"nargs": "+"}},
+        lambda a, cfg: cmd_evaluate(cfg, a.checkpoint, a.data_dir, sets=a.sets, root=a.run_root)),
+    "sweep-shift": (
+        "sweep the teacher time shift", {**TEACHER_INPUTS, "--max-shift": {"type": int}},
+        lambda a, cfg: cmd_sweep_shift(
+            cfg, a.data_dir, a.teacher, a.pseudo_labels, root=a.run_root,
+            shifts=None if a.max_shift is None else list(range(a.max_shift + 1)))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="transducer-distill",
-        description="Sequence-transducer distillation pipeline",
-    )
+    parser = argparse.ArgumentParser(prog="transducer-distill",
+                                     description="Sequence-transducer distillation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate synthetic corpora")
-    _add_common(p)
-
-    p = sub.add_parser("train-teacher", help="train a teacher on the supervised split")
-    _add_common(p)
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--preset", default=None, choices=sorted(TEACHER_PRESETS))
-
-    p = sub.add_parser("pseudo-label", help="beam-decode the unsupervised split")
-    _add_common(p)
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--checkpoint", required=True)
-
-    p = sub.add_parser("distill", help="train a student against a teacher")
-    _add_common(p)
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--pseudo-labels", required=True)
-    p.add_argument("--grid", action="store_true",
-                   help="run the standard experiment grid instead of one row")
-
-    p = sub.add_parser("evaluate", help="score a checkpoint on held-out data")
-    _add_common(p)
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--sets", nargs="+", default=["eval"])
-
-    p = sub.add_parser("sweep-shift", help="sweep the teacher time shift")
-    _add_common(p)
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--pseudo-labels", required=True)
-    p.add_argument("--max-shift", type=int, default=3)
-
+    for name, (text, flags, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, options in {**COMMON_FLAGS, **flags}.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides)
-        if args.command == "gen-data":
-            out = cmd_gen_data(cfg, root=args.run_root)
-        elif args.command == "train-teacher":
-            if args.preset:
-                cfg["teacher"]["preset"] = args.preset
-            out = cmd_train_teacher(cfg, args.data_dir, root=args.run_root)
-        elif args.command == "pseudo-label":
-            out = cmd_pseudo_label(cfg, args.checkpoint, args.data_dir, root=args.run_root)
-        elif args.command == "distill":
-            if args.grid:
-                out = cmd_distill_grid(cfg, args.data_dir, args.teacher,
-                                       args.pseudo_labels, root=args.run_root)
-            else:
-                out = cmd_distill(cfg, args.data_dir, args.teacher,
-                                  args.pseudo_labels, root=args.run_root)
-        elif args.command == "evaluate":
-            out = cmd_evaluate(cfg, args.checkpoint, args.data_dir,
-                               sets=tuple(args.sets), root=args.run_root)
-        elif args.command == "sweep-shift":
-            out = cmd_sweep_shift(cfg, args.data_dir, args.teacher,
-                                  args.pseudo_labels,
-                                  shifts=list(range(args.max_shift + 1)),
-                                  root=args.run_root)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command!r}")
+        out = COMMANDS[args.command][2](args, load_config(args.config, args.overrides))
     except (ConfigError, ValueError, FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -158,18 +158,14 @@ class TransducerModel:
     def predictor_states(self, label_seqs) -> list:
         """(states, inputs) of the predictor over BOS + y for each y, side by side:
         stacked vector-matrix products round as the same products one by one."""
-        p = self.params
         inputs = [np.concatenate(([self.blank], self._check_labels(y))) for y in label_seqs]
         padded = np.full((len(inputs), max(map(len, inputs), default=0)), self.blank)
         for row, seq in zip(padded, inputs):
             row[: len(seq)] = seq
-        states = (p["embed"][padded][:, :, None, :] @ p["pred_w"].T)[:, :, 0]
+        states = np.empty(padded.shape + (self.encoder.hidden,))
         h = np.zeros((len(inputs), self.encoder.hidden))
         for u in range(padded.shape[1]):
-            row = states[:, u]
-            row += (h[:, None, :] @ p["pred_r"].T)[:, 0]
-            row += p["pred_b"]
-            h = np.tanh(row, out=row)
+            h = states[:, u] = self._predictor_step(h, padded[:, u])
         return [(rows[: len(seq)], seq) for rows, seq in zip(states, inputs)]
 
     def _label_pass(self, enc_proj: np.ndarray, pred: np.ndarray):
@@ -274,11 +270,16 @@ class TransducerModel:
     # ----- incremental evaluation for decoding -----
 
     def predictor_start(self) -> np.ndarray:
-        p = self.params
-        return np.tanh(p["embed"][self.blank] @ p["pred_w"].T + p["pred_b"])
+        """The predictor state after BOS: the zero state advanced by blank."""
+        return self._predictor_step(np.zeros((1, self.encoder.hidden)), [self.blank])[0]
 
     def predictor_advance(self, states: np.ndarray, labels) -> np.ndarray:
         """Predictor states (n, H): row i advances state i by label i."""
+        return self._predictor_step(states, labels)
+
+    def _predictor_step(self, states: np.ndarray, labels) -> np.ndarray:
+        """The one predictor recurrence tanh(embed[y] W_p + h R_p + b_p), row by row;
+        the decode entry points above and ``predictor_states`` all take it."""
         p = self.params
         return np.tanh((p["embed"][labels][:, None, :] @ p["pred_w"].T)[:, 0]
                        + (states[:, None, :] @ p["pred_r"].T)[:, 0] + p["pred_b"])
@@ -363,6 +364,25 @@ def _read_exact(f, size: int, what: str) -> bytes:
     return raw
 
 
+def _check_tensors(path, entries, model: TransducerModel) -> None:
+    """The header's tensor list names each tensor of its model once, at its shape."""
+    for entry in entries:
+        missing = [k for k in ("name", "shape") if k not in entry]
+        if missing:
+            raise ModelError(f"checkpoint params entry {entry} lacks the keys {missing}")
+    names, known = [entry["name"] for entry in entries], sorted(model.params)
+    for problem, found in [("unknown", [n for n in names if n not in known]),
+                           ("repeated", [n for i, n in enumerate(names) if n in names[:i]]),
+                           ("missing", [n for n in known if n not in names])]:
+        if found:
+            raise ModelError(f"checkpoint {path} header: {problem} tensors {found}")
+    for entry in entries:
+        want = list(model.params[entry["name"]].shape)
+        if entry["shape"] != want:
+            raise ModelError(f"checkpoint {path} header: tensor {entry['name']!r} has shape "
+                             f"{entry['shape']}, not its model's {want}")
+
+
 def load_checkpoint(path) -> TransducerModel:
     """The model saved at ``path``, read once: ``checkpoint_sha256`` hashes the bytes parsed."""
     data = Path(path).read_bytes()
@@ -379,15 +399,11 @@ def load_checkpoint(path) -> TransducerModel:
             raise ModelError(f"checkpoint header lacks the keys {missing}")
         encoder = EncoderConfig(**header["encoder"])
         model = TransducerModel(header["vocab_size"], header["feat_dim"], encoder)
-        for entry in header["params"]:
-            missing = [k for k in ("name", "shape") if k not in entry]
-            if missing:
-                raise ModelError(f"checkpoint params entry {entry} lacks the keys {missing}")
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(f, count * 4, f"tensor {entry['name']!r}")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
-            model.params[entry["name"]] = arr.astype(np.float64)
+        _check_tensors(path, header["params"], model)
+        for name in (entry["name"] for entry in header["params"]):
+            raw = _read_exact(f, model.params[name].size * 4, f"tensor {name!r}")
+            arr = np.frombuffer(raw, dtype="<f4").reshape(model.params[name].shape)
+            model.params[name] = arr.astype(np.float64)
         trailing = len(f.read())
         if trailing:
             raise ModelError(f"checkpoint has {trailing} trailing bytes after the last tensor")

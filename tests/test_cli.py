@@ -467,7 +467,15 @@ class TestDistillAndEvaluate:
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw[:-6], "error: checkpoint tensor 'pred_w' holds 138 of 144 bytes"),
         (lambda raw: raw + b"pad", "error: checkpoint has 3 trailing bytes after the last tensor"),
-    ], ids=["truncated", "padded"])
+        (lambda raw: rewrite_header(raw, lambda header: header["params"].append(
+            {"name": "bogus", "shape": [2]})) + bytes(8),
+         "error: checkpoint {path} header: unknown tensors ['bogus']"),
+        # as many floats as the teacher's [6, 20], which loaded and then failed to encode
+        (lambda raw: rewrite_header(raw, lambda header: next(
+            e for e in header["params"] if e["name"] == "enc_w").update(shape=[2, 60])),
+         "error: checkpoint {path} header: tensor 'enc_w' has shape [2, 60], "
+         "not its model's [6, 20]"),
+    ], ids=["truncated", "padded", "unknown tensor", "reshaped tensor"])
     def test_damaged_checkpoint_exits_one(self, pipeline, tmp_path, capsys, command, edit,
                                           message):
         damaged = tmp_path / "damaged.ckpt"
@@ -478,7 +486,7 @@ class TestDistillAndEvaluate:
                               str(damaged), "--run-root", str(tmp_path / "runs"),
                               *SMOKE_SET_ARGS])
         assert exit_code == 1
-        assert capsys.readouterr().err.strip() == message
+        assert capsys.readouterr().err.strip() == message.format(path=damaged)
         assert not (tmp_path / "runs").exists()
 
     def test_checkpoint_hash_is_of_the_parsed_bytes(self, pipeline):
@@ -643,6 +651,17 @@ class TestSweepShift:
         assert lines[0] == "shift\twer"
         assert [int(l.split("\t")[0]) for l in lines[1:]] == [0, 1, 2]
 
+    def test_default_shifts_are_zero_to_three(self, pipeline, tmp_path, monkeypatch):
+        rows = []
+        monkeypatch.setattr(cli, "run_rows", lambda cfg, table, *args, **kwargs: (
+            rows.append(table) or {n: 0.5 for n in table}))
+        cfg = smoke_config("distill.kind=soft_efficient", "student.encoder.causal=true",
+                           "student.encoder.right_context=0")
+        table = cmd_sweep_shift(cfg, pipeline["data_dir"], pipeline["teacher"],
+                                pipeline["pseudo"], root=tmp_path)
+        assert rows == [{n: {"distill": {"shift_n": n}} for n in range(4)}]
+        assert table.read_text() == "shift\twer\n0\t0.5\n1\t0.5\n2\t0.5\n3\t0.5\n"
+
     SOFT_CAUSAL = ["--set", "distill.kind=soft_efficient", "--set", "student.encoder.causal=true",
                    "--set", "student.encoder.right_context=0"]
 
@@ -736,6 +755,46 @@ class TestSweepShift:
         assert set(built) <= {u.frames.tobytes() for u in unsup}
 
 
+class TestModelMatchesCorpus:
+    """Each command checks the model it runs or builds against the corpus
+    manifest's vocab_size and feat_dim before it makes its run directory."""
+
+    # command: (its arguments, the mismatched source, the dimension and its value)
+    CASES = {
+        "evaluate": (["evaluate", "--checkpoint", "model"], "checkpoint", "feat_dim", 5),
+        "pseudo-label": (["pseudo-label", "--checkpoint", "model"], "checkpoint", "vocab_size", 4),
+        "train-teacher": (["train-teacher"], "config", "vocab_size", 4),
+        "distill": (["distill", "--teacher", "model", "--pseudo-labels", "pseudo"],
+                    "teacher checkpoint", "feat_dim", 5),
+        "distill grid": (["distill", "--grid", "--teacher", "teacher", "--pseudo-labels",
+                          "pseudo"], "config", "feat_dim", 5),
+        "sweep-shift": (["sweep-shift", "--teacher", "model", "--pseudo-labels", "pseudo",
+                         *TestSweepShift.SOFT_CAUSAL], "teacher checkpoint", "vocab_size", 4),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_mismatch_exits_one_before_making_a_run_dir(self, pipeline, tmp_path, capsys, case):
+        args, source, dim, value = self.CASES[case]
+        corpus = {"vocab_size": 3, "feat_dim": 4}
+        model = tmp_path / "model.ckpt"
+        encoder = EncoderConfig(causal=False, left_context=2, right_context=2, subsample=1,
+                                hidden=6)
+        save_checkpoint(TransducerModel(**{**corpus, dim: value}, encoder=encoder), model)
+        files = {"model": str(model), "teacher": str(pipeline["teacher"]),
+                 "pseudo": str(pipeline["pseudo"])}
+        overrides = ["--set", f"data.{dim}={value}"] if source == "config" else []
+        runs = tmp_path / "runs"
+        exit_code = cli.main([*(files.get(a, a) for a in args), "--data-dir",
+                              str(pipeline["data_dir"]), "--run-root", str(runs),
+                              *SMOKE_SET_ARGS, *overrides])
+        assert exit_code == 1
+        name = "config section data" if source == "config" else f"{source} {model}"
+        manifest = pipeline["data_dir"] / "manifest.json"
+        assert capsys.readouterr().err == (
+            f"error: {name} has {dim} {value}, but corpus manifest {manifest} has {corpus[dim]}\n")
+        assert not runs.exists()
+
+
 class TestCommandSurface:
     """Each argv form of each command, pinned to its parsed arguments and to
     the ``cmd_*`` call that ``main`` makes; stubs stand in for the commands."""
@@ -773,20 +832,19 @@ class TestCommandSurface:
                          {**TEACHER_VARS, "grid": True},
                          ("cmd_distill_grid", ("D", "T", "P"), {"root": "R"})),
         "evaluate": (["evaluate", "--data-dir", "D", "--checkpoint", "C"],
-                     {"data_dir": "D", "checkpoint": "C", "sets": ["eval"]},
-                     ("cmd_evaluate", ("C", "D"), {"sets": ("eval",), "root": None})),
+                     {"data_dir": "D", "checkpoint": "C", "sets": None},
+                     ("cmd_evaluate", ("C", "D"), {"sets": None, "root": None})),
         "evaluate sets": (
             ["evaluate", "--data-dir", "D", "--checkpoint", "C", "SMOKE", "--sets", "unsup",
              "--run-root", "R"],
             {"data_dir": "D", "checkpoint": "C", "sets": ["unsup"]},
-            ("cmd_evaluate", ("C", "D"), {"sets": ("unsup",), "root": "R"})),
+            ("cmd_evaluate", ("C", "D"), {"sets": ["unsup"], "root": "R"})),
         "evaluate two sets": (
             ["evaluate", "--data-dir", "D", "--checkpoint", "C", "--sets", "sup", "eval"],
             {"data_dir": "D", "checkpoint": "C", "sets": ["sup", "eval"]},
-            ("cmd_evaluate", ("C", "D"), {"sets": ("sup", "eval"), "root": None})),
-        "sweep-shift": (["sweep-shift", *TEACHER_INPUTS], {**TEACHER_VARS, "max_shift": 3},
-                        ("cmd_sweep_shift", ("D", "T", "P"),
-                         {"shifts": [0, 1, 2, 3], "root": None})),
+            ("cmd_evaluate", ("C", "D"), {"sets": ["sup", "eval"], "root": None})),
+        "sweep-shift": (["sweep-shift", *TEACHER_INPUTS], {**TEACHER_VARS, "max_shift": None},
+                        ("cmd_sweep_shift", ("D", "T", "P"), {"shifts": None, "root": None})),
         "sweep-shift max-shift": (
             ["sweep-shift", *TEACHER_INPUTS, "--run-root", "R", "SMOKE", "--max-shift", "1"],
             {**TEACHER_VARS, "max_shift": 1},

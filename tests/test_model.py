@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,20 @@ class TestBackward:
             for name in m.params:
                 assert_rel_close(m.grads[name], want[name])
 
+    def test_predictor_states_equal_decode_steps(self, rng):
+        """Training's predictor states are the decoder's start and advance
+        states, bit for bit, for sequences of lengths 0 to 7 side by side."""
+        m = micro_model(hidden=16, vocab=6, seed=3)
+        for v in m.params.values():
+            v *= 10.0
+        seqs = [list(rng.integers(0, 6, size=n)) for n in rng.integers(0, 8, size=30)]
+        for (states, inputs), y in zip(m.predictor_states(seqs), seqs):
+            stepped = [m.predictor_start()]
+            for k in y:
+                stepped.append(m.predictor_advance(stepped[-1][None, :], [k])[0])
+            assert np.array_equal(inputs, [m.blank, *y])
+            assert states.tobytes() == np.array(stepped).tobytes()
+
     def test_gradient_buffers_match_param_shapes(self):
         m = micro_model()
         assert set(m.params) == set(m.grads)
@@ -365,6 +381,28 @@ class TestCheckpoint:
         path, data = self._saved(tmp_path)
         path.write_bytes(rewrite_header(data, lambda header: header["params"][0].pop(key)))
         with pytest.raises(ModelError, match=f"lacks the keys \\['{key}'\\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda params: params.pop("out_b"), r"missing tensors \['out_b'\]"),
+        (lambda params: params.update(bogus=np.zeros(3)), r"unknown tensors \['bogus'\]"),
+        (lambda params: params.update(enc_w=np.zeros((2, 10))),
+         r"tensor 'enc_w' has shape \[2, 10\], not its model's \[5, 4\]"),
+    ], ids=["missing", "unknown", "shape"])
+    def test_header_tensor_list_must_match_its_model(self, tmp_path, edit, message):
+        model = micro_model(hidden=5, seed=42)
+        edit(model.params)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(ModelError, match=f"checkpoint {re.escape(str(path))} header: {message}"):
+            load_checkpoint(path)
+
+    def test_header_repeated_tensor_rejected(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        data = rewrite_header(data, lambda header: header["params"].append(
+            {"name": "enc_b", "shape": [5]}))
+        path.write_bytes(data + np.zeros(5, dtype="<f4").tobytes())
+        with pytest.raises(ModelError, match=r"header: repeated tensors \['enc_b'\]"):
             load_checkpoint(path)
 
     def test_short_header_rejected(self, tmp_path):

@@ -9,8 +9,10 @@ model is an untrained one, so beam search pops many hypotheses per frame.
 The decoding rows decode one utterance, then a run of ``RUN`` utterances of
 the same shape: one utterance per call, and all of them in one lockstep call
 (the list-taking decoders; a tree whose decoders take one utterance has no
-lockstep rows).  The write_corpus row writes a generated 100-utterance
-corpus (3 to 6 labels of 2 to 4 frames each) to ``os.devnull``.  The step rows time one
+lockstep rows).  The predictor_states row runs the predictor over 30 label
+sequences of 0 to 7 labels side by side, as a training step does.  The
+write_corpus row writes a generated 100-utterance corpus (3 to 6 labels of
+2 to 4 frames each) to ``os.devnull``.  The step rows time one
 ``combined_loss`` step, gradients included, at the benchmark's weak_teacher
 shapes on utterances generated the same way: the hard and fsnorm_l1 student
 steps on 2 supervised and 22 unsupervised utterances, whose pseudo labels are
@@ -78,6 +80,7 @@ def layers(td):
     t_lat = teacher.build_lattice(x, y)
     _, grad = td.lattice.rnnt_loss_with_grad(lat, y)
     xs = [rng.normal(size=(T, FEAT)) for _ in range(RUN)]
+    seqs = [[int(k) for k in rng.integers(0, K, size=n)] for n in rng.integers(0, 8, size=30)]
     lockstep = hasattr(td.decode, "RUN_UTTERANCES")
 
     def alone(decoder, x, *args):
@@ -90,6 +93,7 @@ def layers(td):
     corpus, _ = td.generate(spec)
     return [
         ("forward", 200, lambda: model.forward(x, y)),
+        ("predictor_states, 30 sequences", 100, lambda: model.predictor_states(seqs)),
         ("forward_backward", 200, lambda: td.forward_backward(lat, y)),
         ("rnnt_loss_with_grad", 200, lambda: td.lattice.rnnt_loss_with_grad(lat, y)),
         ("backward", 200, lambda: model.backward(cache, grad)),
