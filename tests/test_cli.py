@@ -803,9 +803,9 @@ class TestCommandSurface:
     TEACHER_INPUTS = ["--data-dir", "D", "--teacher", "T", "--pseudo-labels", "P"]
     TEACHER_VARS = {"data_dir": "D", "teacher": "T", "pseudo_labels": "P"}
 
-    # id: (argv after the command, vars(args) beyond COMMON, the call:
-    # cmd_* name, positional arguments after the config, keywords); "SMOKE"
-    # in argv stands for SMOKE_SET_ARGS, and a "config" key for a config file
+    # id: (argv, vars(args) beyond COMMON, the call: cmd_* name, positional
+    # arguments after the config, keywords); in argv "SMOKE" stands for
+    # SMOKE_SET_ARGS and "CONFIG" for the path of a config file
     SURFACE = {
         "gen-data": (["gen-data"], {}, ("cmd_gen_data", (), {"root": None})),
         "gen-data set": (["gen-data", "SMOKE", "--run-root", "R"], {},
