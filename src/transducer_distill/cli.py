@@ -236,15 +236,12 @@ def load_config(path=None, overrides=()) -> dict:
     cfg = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as f:
-                user = json.load(f)
+            raw = Path(path).read_bytes()
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {path} is not valid JSON: {e}")
-        if not isinstance(user, dict):
+        cfg = data_mod.parse_json(raw, f"config file {path}", ConfigError)
+        if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-        cfg = user
     for item in overrides:
         cfg = _deep_merge(cfg, _override(item))
     return resolve_config(cfg)
@@ -283,14 +280,8 @@ def make_run_dir(command: str, cfg: dict, root=None, inputs=()) -> Path:
         name += "-" + config_hash(list(inputs))
     out = run_root(root) / name
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", cfg)
+    data_mod.write_json(out / "config.json", cfg)
     return out
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def _sha256(path) -> str:
@@ -353,21 +344,6 @@ def _check_shifts(shifts, unsup, subsample: int) -> None:
 # ----- corpus artifacts -----
 
 
-def _write_manifest(out: Path, cfg: dict, counts: dict) -> None:
-    manifest = {
-        "schema_version": 1,
-        "spec": cfg["data"],
-        "files": {
-            "supervised": "sup.jsonl",
-            "unsupervised": "unsup.jsonl",
-            "unsup_refs": "unsup_refs.jsonl",
-            "eval": "eval.jsonl",
-        },
-        "counts": counts,
-    }
-    _write_json(out / "manifest.json", manifest)
-
-
 # the corpus set parsed last, keyed by the sha256 of its files' bytes
 _LAST_CORPORA = {}
 
@@ -383,7 +359,7 @@ def load_corpora(data_dir, models=()) -> tuple:
     if not manifest_path.exists():
         raise ConfigError(f"no corpus manifest at {manifest_path}")
     raw = manifest_path.read_bytes()
-    manifest = json.loads(raw)
+    manifest = data_mod.parse_json(raw, f"corpus manifest {manifest_path}", ConfigError)
     names = ("supervised", "unsupervised", "unsup_refs", "eval")
     files = manifest.get("files") if isinstance(manifest, dict) else None
     if not isinstance(files, dict) or not all(isinstance(files.get(k), str) for k in names):
@@ -441,7 +417,13 @@ def cmd_gen_data(cfg: dict, root=None) -> Path:
     data_mod.write_corpus(out / "unsup.jsonl", unsup)
     data_mod.write_hidden_refs(out / "unsup_refs.jsonl", unsup)
     data_mod.write_corpus(out / "eval.jsonl", ev)
-    _write_manifest(out, cfg, {"supervised": len(sup), "unsupervised": len(unsup), "eval": len(ev)})
+    data_mod.write_json(out / "manifest.json", {
+        "schema_version": 1,
+        "spec": cfg["data"],
+        "files": {"supervised": "sup.jsonl", "unsupervised": "unsup.jsonl",
+                  "unsup_refs": "unsup_refs.jsonl", "eval": "eval.jsonl"},
+        "counts": {"supervised": len(sup), "unsupervised": len(unsup), "eval": len(ev)},
+    })
     return out
 
 
@@ -451,12 +433,13 @@ def _train(model, sup, unsup, cfg, loss_fn, log_path) -> None:
         sup, unsup, train["batch_size"], train["sup_fraction"], seed=cfg["seed"]
     )
     opt = SGD(lr=train["lr"], momentum=train["momentum"])
-    with open(log_path, "w", encoding="utf-8") as log:
+
+    def steps():  # each step's record is written before the next step runs
         for step in range(train["steps"]):
-            batch = next(stream)
-            loss, terms = train_step(model, batch, loss_fn, opt)
-            log.write(json.dumps({"step": step, "total": loss, "terms": terms}, sort_keys=True))
-            log.write("\n")
+            loss, terms = train_step(model, next(stream), loss_fn, opt)
+            yield {"step": step, "total": loss, "terms": terms}
+
+    data_mod.write_records(log_path, steps())
 
 
 def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
@@ -532,10 +515,7 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
     path = out / "pseudo_labels.jsonl"
     write_pseudo_labels(path, records)
     if failures:
-        with open(out / "decode_failures.jsonl", "w", encoding="utf-8") as f:
-            for item in failures:
-                f.write(json.dumps(item, sort_keys=True))
-                f.write("\n")
+        data_mod.write_records(out / "decode_failures.jsonl", failures)
     return path
 
 
@@ -601,8 +581,8 @@ def run_rows(cfg: dict, rows: dict, data_dir, teacher_checkpoint, pseudo_label_f
         # through the module global, which a caller may rebind to observe rows
         ckpt = cmd_distill(row_cfg, data_dir, teacher_checkpoint, pseudo_label_file, root=root,
                            teacher_lattices=teacher_lattices)
-        with open(cmd_evaluate(row_cfg, ckpt, data_dir, root=root), encoding="utf-8") as f:
-            wers[name] = json.load(f)["sets"]["eval"]["wer"]
+        report = cmd_evaluate(row_cfg, ckpt, data_dir, root=root)
+        wers[name] = data_mod.parse_json(report.read_bytes(), str(report))["sets"]["eval"]["wer"]
     return wers
 
 
@@ -626,7 +606,7 @@ def cmd_distill_grid(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
     """Train one student per ``GRID_ROWS`` row and evaluate each."""
     out, wers = _train_rows("distill-grid", resolve_config(cfg), GRID_ROWS, data_dir,
                             teacher_checkpoint, pseudo_label_file, root)
-    _write_json(out / "grid_summary.json", wers)
+    data_mod.write_json(out / "grid_summary.json", wers)
     return out
 
 
@@ -687,8 +667,8 @@ def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
         f.write("shift\twer\n")
         for n, wer in wers.items():
             f.write(f"{n}\t{wer!r}\n")
-    _write_json(out / "shift_sweep.json",
-                {"rows": [{"shift": n, "wer": w} for n, w in wers.items()]})
+    data_mod.write_json(out / "shift_sweep.json",
+                        {"rows": [{"shift": n, "wer": w} for n, w in wers.items()]})
     return table
 
 

@@ -206,13 +206,33 @@ def write_corpus(path, corpus: Corpus) -> None:
     rounded to 9 decimals once per utterance, so files re-read value-exactly.
     ``np.round(v, 9)`` is a fixed point of ``round(v, 9)`` on generated
     frames, so this writes the bytes of a per-value ``round``."""
+    write_records(path, ({"utt_id": utt.utt_id, "frames": np.round(utt.frames, 9).tolist(),
+                          **({} if utt.labels is None else {"labels": list(utt.labels)})}
+                         for utt in corpus.utterances))
+
+
+def write_records(path, records) -> None:
+    """A JSON-lines file: one ``json.dumps(rec, sort_keys=True)`` line per
+    record, each written before the next record is drawn."""
     with open(path, "w", encoding="utf-8") as f:
-        for utt in corpus.utterances:
-            rec = {"utt_id": utt.utt_id, "frames": np.round(utt.frames, 9).tolist()}
-            if utt.labels is not None:
-                rec["labels"] = list(utt.labels)
+        for rec in records:
             f.write(json.dumps(rec, sort_keys=True))
             f.write("\n")
+
+
+def write_json(path, obj) -> None:
+    """A JSON document: indented by 2, keys sorted, then a newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def parse_json(raw: bytes, place: str, error=DataError):
+    """The JSON value of UTF-8 ``raw``; bad UTF-8 or JSON raises ``error`` naming ``place``."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise error(f"{place}: not valid JSON ({e})") from None
 
 
 class RecordError(DataError):
@@ -224,13 +244,10 @@ def read_records(path, keys):
     is ``"<path>:<line>"`` and each record is an object holding ``keys`` and
     a string ``utt_id`` that no other line of the file holds."""
     lines = {}  # utt_id -> the line that holds it
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for number, line in enumerate(f, 1):
             place = f"{path}:{number}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise RecordError(f"{place}: not a JSON record ({e})") from None
+            obj = parse_json(line, place, RecordError)
             if not isinstance(obj, dict):
                 raise RecordError(f"{place}: not a JSON object")
             missing = [k for k in keys if k not in obj]
@@ -282,12 +299,8 @@ def read_corpus(path, split: str, vocab_size=None, feat_dim=None) -> Corpus:
 
 
 def write_hidden_refs(path, corpus: Corpus) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for utt in corpus.utterances:
-            ref = corpus.hidden_refs.get(utt.utt_id)
-            if ref is not None:
-                f.write(json.dumps({"utt_id": utt.utt_id, "labels": list(ref)}, sort_keys=True))
-                f.write("\n")
+    write_records(path, ({"utt_id": utt.utt_id, "labels": list(ref)} for utt in corpus.utterances
+                         if (ref := corpus.hidden_refs.get(utt.utt_id)) is not None))
 
 
 def read_hidden_refs(path, vocab_size=None) -> dict:

@@ -16,13 +16,12 @@ deterministic.
 """
 
 import heapq
-import json
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .data import RecordError, read_records, record_labels
+from .data import RecordError, read_records, record_labels, write_records
 from .lattice import forward_backward
 
 DEFAULT_MAX_SYMBOLS_PER_FRAME = 5
@@ -196,22 +195,9 @@ class PseudoLabelRecord:
 
 
 def write_pseudo_labels(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(
-                json.dumps(
-                    {
-                        "utt_id": rec.utt_id,
-                        "labels": list(rec.labels),
-                        "score": rec.score,
-                        "nbest": [
-                            {"labels": list(l), "score": s} for l, s in rec.nbest
-                        ],
-                    },
-                    sort_keys=True,
-                )
-            )
-            f.write("\n")
+    write_records(path, ({"utt_id": rec.utt_id, "labels": list(rec.labels), "score": rec.score,
+                          "nbest": [{"labels": list(l), "score": s} for l, s in rec.nbest]}
+                         for rec in records))
 
 
 def read_pseudo_labels(path, vocab_size=None) -> dict:

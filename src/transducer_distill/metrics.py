@@ -1,8 +1,8 @@
 """Word-error-rate via Levenshtein alignment, with pooled corpus aggregation."""
 
-import json
 from dataclasses import dataclass, field
 
+from .data import write_json
 # beam_search is not called here; perfbench/spans.py times metrics.beam_search
 from .decode import DEFAULT_MAX_SYMBOLS_PER_FRAME, beam_search, greedy_decode  # noqa: F401
 
@@ -137,6 +137,4 @@ def write_report(path, sets: dict, metadata: dict | None = None) -> None:
         "macro_average": macro_average(sets.values()) if sets else None,
         "metadata": metadata or {},
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, payload)

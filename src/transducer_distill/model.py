@@ -9,12 +9,14 @@ on parameters; ``train_step`` is the single mutation point.
 import hashlib
 import io
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .data import parse_json
 from .lattice import Lattice
 
 CHECKPOINT_MAGIC = b"TDCKPT01"
@@ -56,6 +58,27 @@ class EncoderConfig:
         return self.left_context + 1 + self.right_context
 
 
+def param_shapes(vocab_size: int, feat_dim: int, encoder: EncoderConfig) -> list:
+    """(name, shape) of each parameter, in the order of the initial random draws."""
+    for name, n in [("vocab_size", vocab_size), ("feat_dim", feat_dim)]:
+        if type(n) is not int or n < 1:
+            raise ModelError(f"{name} must be an integer >= 1, got {n!r}")
+    H, K1 = encoder.hidden, vocab_size + 1
+    return [
+        ("enc_w", (H, encoder.window * feat_dim)),
+        ("enc_b", (H,)),
+        ("embed", (K1, H)),
+        ("pred_w", (H, H)),
+        ("pred_r", (H, H)),
+        ("pred_b", (H,)),
+        ("joint_enc", (H, H)),
+        ("joint_pred", (H, H)),
+        ("joint_b", (H,)),
+        ("out_w", (K1, H)),
+        ("out_b", (K1,)),
+    ]
+
+
 class TransducerModel:
     """Parameter container with analytic forward/backward passes.
 
@@ -65,29 +88,10 @@ class TransducerModel:
     """
 
     def __init__(self, vocab_size: int, feat_dim: int, encoder: EncoderConfig, seed: int = 0):
-        if vocab_size < 1:
-            raise ModelError("vocab_size must be >= 1")
-        if feat_dim < 1:
-            raise ModelError("feat_dim must be >= 1")
+        shapes = param_shapes(vocab_size, feat_dim, encoder)
         self.vocab_size = vocab_size
         self.feat_dim = feat_dim
         self.encoder = encoder
-
-        H = encoder.hidden
-        K1 = vocab_size + 1
-        shapes = [
-            ("enc_w", (H, encoder.window * feat_dim)),
-            ("enc_b", (H,)),
-            ("embed", (K1, H)),
-            ("pred_w", (H, H)),
-            ("pred_r", (H, H)),
-            ("pred_b", (H,)),
-            ("joint_enc", (H, H)),
-            ("joint_pred", (H, H)),
-            ("joint_b", (H,)),
-            ("out_w", (K1, H)),
-            ("out_b", (K1,)),
-        ]
         rng = np.random.default_rng(seed)
         self.params = {
             name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in shapes
@@ -364,49 +368,66 @@ def _read_exact(f, size: int, what: str) -> bytes:
     return raw
 
 
-def _check_tensors(path, entries, model: TransducerModel) -> None:
-    """The header's tensor list names each tensor of its model once, at its shape."""
+def _check_header(where: str, header) -> tuple:
+    """A checkpoint header's vocab size, feature dimension and encoder, checked for type and
+    range, and its (name, shape) tensor list: each tensor of that model once, at its shape."""
+    if not isinstance(header, dict):
+        raise ModelError(f"{where} must be a JSON object, not {type(header).__name__}")
+    if header.get("format_version") != 1:
+        raise ModelError(f"unsupported checkpoint version {header.get('format_version')}")
+    missing = [k for k in ("encoder", "vocab_size", "feat_dim", "params") if k not in header]
+    if missing:
+        raise ModelError(f"{where} lacks the keys {missing}")
+    dims, entries = (header["vocab_size"], header["feat_dim"]), header["params"]
+    enc, want = header["encoder"], {f.name: f.type.__name__ for f in fields(EncoderConfig)}
+    if not isinstance(enc, dict) or {k: type(v).__name__ for k, v in enc.items()} != want:
+        raise ModelError(f"{where}: encoder must be an object of types {want}, got {enc!r}")
+    try:
+        encoder = EncoderConfig(**enc)
+        shapes = dict(param_shapes(*dims, encoder))
+    except ModelError as e:
+        raise ModelError(f"{where}: {e}") from None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ModelError(f"{where}: params must be a list of objects, got {entries!r}")
     for entry in entries:
         missing = [k for k in ("name", "shape") if k not in entry]
         if missing:
-            raise ModelError(f"checkpoint params entry {entry} lacks the keys {missing}")
-    names, known = [entry["name"] for entry in entries], sorted(model.params)
+            raise ModelError(f"{where}: params entry {entry} lacks the keys {missing}")
+    names, known = [entry["name"] for entry in entries], sorted(shapes)
     for problem, found in [("unknown", [n for n in names if n not in known]),
                            ("repeated", [n for i, n in enumerate(names) if n in names[:i]]),
                            ("missing", [n for n in known if n not in names])]:
         if found:
-            raise ModelError(f"checkpoint {path} header: {problem} tensors {found}")
+            raise ModelError(f"{where}: {problem} tensors {found}")
     for entry in entries:
-        want = list(model.params[entry["name"]].shape)
+        want = list(shapes[entry["name"]])
         if entry["shape"] != want:
-            raise ModelError(f"checkpoint {path} header: tensor {entry['name']!r} has shape "
+            raise ModelError(f"{where}: tensor {entry['name']!r} has shape "
                              f"{entry['shape']}, not its model's {want}")
+    return (*dims, encoder, [(name, shapes[name]) for name in names])
 
 
 def load_checkpoint(path) -> TransducerModel:
-    """The model saved at ``path``, read once: ``checkpoint_sha256`` hashes the bytes parsed."""
+    """The model saved at ``path``, read once: ``checkpoint_sha256`` hashes the
+    bytes parsed.  The header and every tensor's bytes are checked before the
+    model is built, so no header makes it allocate more than the file holds."""
     data = Path(path).read_bytes()
+    where = f"checkpoint {path} header"
     with io.BytesIO(data) as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ModelError(f"not a checkpoint file (bad magic {magic!r})")
         (hlen,) = struct.unpack("<I", _read_exact(f, 4, "header length field"))
-        header = json.loads(_read_exact(f, hlen, "header").decode("utf-8"))
-        if header.get("format_version") != 1:
-            raise ModelError(f"unsupported checkpoint version {header.get('format_version')}")
-        missing = [k for k in ("encoder", "vocab_size", "feat_dim", "params") if k not in header]
-        if missing:
-            raise ModelError(f"checkpoint header lacks the keys {missing}")
-        encoder = EncoderConfig(**header["encoder"])
-        model = TransducerModel(header["vocab_size"], header["feat_dim"], encoder)
-        _check_tensors(path, header["params"], model)
-        for name in (entry["name"] for entry in header["params"]):
-            raw = _read_exact(f, model.params[name].size * 4, f"tensor {name!r}")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(model.params[name].shape)
-            model.params[name] = arr.astype(np.float64)
+        header = parse_json(_read_exact(f, hlen, "header"), where, ModelError)
+        vocab_size, feat_dim, encoder, tensors = _check_header(where, header)
+        params = {}
+        for name, shape in tensors:
+            raw = _read_exact(f, math.prod(shape) * 4, f"tensor {name!r}")
+            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
         trailing = len(f.read())
         if trailing:
             raise ModelError(f"checkpoint has {trailing} trailing bytes after the last tensor")
-        model.zero_grad()
+    model = TransducerModel(vocab_size, feat_dim, encoder)
+    model.params.update(params)
     model.checkpoint_sha256 = hashlib.sha256(data).hexdigest()
     return model

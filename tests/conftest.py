@@ -19,15 +19,20 @@ def uniform_lattice(T: int, U: int, K: int) -> Lattice:
     return Lattice(np.full((T, U + 1, K + 1), -np.log(K + 1)))
 
 
+def replace_header(data: bytes, blob: bytes) -> bytes:
+    """A checkpoint's bytes with the header bytes ``blob`` in place of its own."""
+    start = len(CHECKPOINT_MAGIC) + 4
+    (hlen,) = struct.unpack("<I", data[len(CHECKPOINT_MAGIC):start])
+    return data[:len(CHECKPOINT_MAGIC)] + struct.pack("<I", len(blob)) + blob + data[start + hlen:]
+
+
 def rewrite_header(data: bytes, edit) -> bytes:
     """A checkpoint's bytes with ``edit`` applied to its parsed JSON header."""
-    magic = data[:len(CHECKPOINT_MAGIC)]
-    start = len(magic) + 4
-    (hlen,) = struct.unpack("<I", data[len(magic):start])
+    start = len(CHECKPOINT_MAGIC) + 4
+    (hlen,) = struct.unpack("<I", data[len(CHECKPOINT_MAGIC):start])
     header = json.loads(data[start:start + hlen])
     edit(header)
-    blob = json.dumps(header).encode("utf-8")
-    return magic + struct.pack("<I", len(blob)) + blob + data[start + hlen:]
+    return replace_header(data, json.dumps(header).encode("utf-8"))
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from transducer_distill.model import (
     load_checkpoint, save_checkpoint, ModelError, TransducerModel, EncoderConfig,
 )
 
-from conftest import rewrite_header
+from conftest import replace_header, rewrite_header
 from test_acceptance import _causal_config, _weak_teacher_config
 
 
@@ -222,6 +222,34 @@ class TestTrainTeacher:
             cmd_train_teacher(cfg, pipeline["data_dir"], root=tmp_path)
 
 
+class TestTrainingLog:
+    @pytest.mark.parametrize("command, log", [("train-teacher", "train_log.jsonl"),
+                                              ("distill", "metrics.jsonl")])
+    def test_failed_run_keeps_its_log_through_the_last_finished_step(
+            self, pipeline, tmp_path, monkeypatch, command, log):
+        real, results = cli.train_step, []
+
+        def fails_at_step_3(*args):
+            if len(results) == 3:
+                raise RuntimeError("step 3 failed")
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "train_step", fails_at_step_3)
+        cfg = smoke_config("distill.kind=hard")
+        with pytest.raises(RuntimeError, match="step 3 failed"):
+            if command == "train-teacher":
+                cmd_train_teacher(cfg, pipeline["data_dir"], root=tmp_path)
+            else:
+                cmd_distill(cfg, pipeline["data_dir"], pipeline["teacher"], pipeline["pseudo"],
+                            root=tmp_path)
+        [path] = tmp_path.glob(f"*/{log}")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [sorted(r) for r in records] == [["step", "terms", "total"]] * 3
+        assert [(r["step"], r["total"], r["terms"]) for r in records] == [
+            (step, *result) for step, result in enumerate(results)]
+
+
 class TestPseudoLabel:
     def test_covers_unsupervised_split(self, pipeline):
         records = read_pseudo_labels(pipeline["pseudo"])
@@ -325,6 +353,11 @@ class TestPseudoLabelParse:
         assert len(parses) == 2
         cli.load_pseudo_labels(copy, 4)
         assert len(parses) == 3
+
+
+# the types of a checkpoint header's encoder, as a message template gives them
+ENCODER_TYPES = ("{{'causal': 'bool', 'left_context': 'int', 'right_context': 'int', "
+                 "'subsample': 'int', 'hidden': 'int'}}")
 
 
 class TestDistillAndEvaluate:
@@ -475,7 +508,24 @@ class TestDistillAndEvaluate:
             e for e in header["params"] if e["name"] == "enc_w").update(shape=[2, 60])),
          "error: checkpoint {path} header: tensor 'enc_w' has shape [2, 60], "
          "not its model's [6, 20]"),
-    ], ids=["truncated", "padded", "unknown tensor", "reshaped tensor"])
+        (lambda raw: rewrite_header(raw, lambda header: header.update(vocab_size="3")),
+         "error: checkpoint {path} header: vocab_size must be an integer >= 1, got '3'"),
+        (lambda raw: rewrite_header(raw, lambda header: header.update(vocab_size=3.0)),
+         "error: checkpoint {path} header: vocab_size must be an integer >= 1, got 3.0"),
+        (lambda raw: rewrite_header(raw, lambda header: header["encoder"].update(extra=1)),
+         "error: checkpoint {path} header: encoder must be an object of types " + ENCODER_TYPES
+         + ", got {{'causal': False, 'hidden': 6, 'left_context': 2, 'right_context': 2, "
+         "'subsample': 1, 'extra': 1}}"),
+        (lambda raw: rewrite_header(raw, lambda header: header.update(encoder="x")),
+         "error: checkpoint {path} header: encoder must be an object of types " + ENCODER_TYPES
+         + ", got 'x'"),
+        (lambda raw: rewrite_header(raw, lambda header: header.update(params=5)),
+         "error: checkpoint {path} header: params must be a list of objects, got 5"),
+        (lambda raw: replace_header(raw, b"[1]"),
+         "error: checkpoint {path} header must be a JSON object, not list"),
+    ], ids=["truncated", "padded", "unknown tensor", "reshaped tensor", "string vocab_size",
+            "float vocab_size", "extra encoder key", "string encoder", "integer params",
+            "list header"])
     def test_damaged_checkpoint_exits_one(self, pipeline, tmp_path, capsys, command, edit,
                                           message):
         damaged = tmp_path / "damaged.ckpt"
@@ -1012,6 +1062,44 @@ class TestExitCodes:
         assert exit_code == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}:2: utt_id {utt_id!r} repeats line 1\n", err
+        assert not runs.exists()
+
+    # each input parsed as JSON: (command and its extra arguments, the file,
+    # how errors name it); "teacher", "pseudo" and "config" are copies
+    JSON_INPUTS = {
+        "config": (["evaluate", "--checkpoint", "teacher", "--config", "config"], "config",
+                   "config file {path}"),
+        "manifest": (["evaluate", "--checkpoint", "teacher"], "manifest.json",
+                     "corpus manifest {path}"),
+        "corpus record": (["evaluate", "--checkpoint", "teacher"], "eval.jsonl", "{path}:1"),
+        "pseudo-label record": (["distill", "--teacher", "teacher", "--pseudo-labels", "pseudo"],
+                                "pseudo", "{path}:1"),
+        "checkpoint header": (["evaluate", "--checkpoint", "teacher"], "teacher",
+                              "checkpoint {path} header"),
+    }
+
+    @pytest.mark.parametrize("text", [b'{"seed": "\xff"}', b"{x"], ids=["bad UTF-8", "bad JSON"])
+    @pytest.mark.parametrize("case", sorted(JSON_INPUTS))
+    def test_unparsable_input_names_its_file(self, pipeline, tmp_path, capsys, case, text):
+        args, name, place = self.JSON_INPUTS[case]
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data_dir"], data)
+        files = {"teacher": shutil.copyfile(pipeline["teacher"], tmp_path / "teacher.ckpt"),
+                 "pseudo": shutil.copyfile(pipeline["pseudo"], tmp_path / "pseudo.jsonl"),
+                 "config": tmp_path / "config.json"}
+        path = files.get(name, data / name)
+        if name == "teacher":
+            path.write_bytes(replace_header(path.read_bytes(), text))
+        elif path.suffix == ".jsonl":  # the first record
+            path.write_bytes(b"\n".join([text, *path.read_bytes().split(b"\n")[1:]]))
+        else:
+            path.write_bytes(text)
+        runs = tmp_path / "runs"
+        exit_code = cli.main([*(str(files.get(a, a)) for a in args), "--data-dir", str(data),
+                              "--run-root", str(runs), *SMOKE_SET_ARGS])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {place.format(path=path)}: not valid JSON ("), err
         assert not runs.exists()
 
     # each command's arguments and input flags; no input it names exists

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,31 @@ class TestCheckpoint:
         path.write_bytes(data + np.zeros(5, dtype="<f4").tobytes())
         with pytest.raises(ModelError, match=r"header: repeated tensors \['enc_b'\]"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("tensors, message", [
+        ("saved", r"tensor 'embed' has shape \[4, 5\], not its model's \[100001, 5\]"),
+        ("claimed", r"tensor 'embed' holds \d+ of 2000020 bytes"),
+    ], ids=["saved tensor list", "claimed tensor list"])
+    def test_large_claim_rejected_before_the_model_is_built(self, tmp_path, tensors, message):
+        """A model of the claimed vocab holds 17.6 MB of parameters and gradients."""
+        path, data = self._saved(tmp_path)
+
+        def claim(header):
+            header["vocab_size"] = 100_000
+            if tensors == "claimed":
+                for entry in header["params"]:
+                    if entry["name"] in ("embed", "out_w", "out_b"):
+                        entry["shape"][0] = 100_001
+
+        path.write_bytes(rewrite_header(data, claim))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match=message):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
 
     def test_short_header_rejected(self, tmp_path):
         path, data = self._saved(tmp_path)
