@@ -8,13 +8,7 @@ plus a synthetic data pipeline and CLI to run teacher/student experiments
 end to end.
 """
 
-from .lattice import (
-    Lattice,
-    brute_force_log_prob,
-    forward_backward,
-    path_mass,
-    rnnt_loss,
-)
+from .lattice import Lattice, forward_backward, rnnt_loss
 from .model import EncoderConfig, SGD, TransducerModel, load_checkpoint, save_checkpoint, train_step
 from .decode import beam_search, greedy_decode, rescore_nbest
 from .distill import (
@@ -36,9 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Lattice",
     "forward_backward",
-    "brute_force_log_prob",
     "rnnt_loss",
-    "path_mass",
     "TransducerModel",
     "EncoderConfig",
     "SGD",

@@ -239,9 +239,10 @@ def load_config(path=None, overrides=()) -> dict:
             raw = Path(path).read_bytes()
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        cfg = data_mod.parse_json(raw, f"config file {path}", ConfigError)
+        place = f"config file {path}"
+        cfg = data_mod.parse_json(raw, place, ConfigError)
         if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
+            raise ConfigError(f"{place}: root must be a JSON object, not {type(cfg).__name__}")
     for item in overrides:
         cfg = _deep_merge(cfg, _override(item))
     return resolve_config(cfg)

@@ -213,12 +213,16 @@ def read_pseudo_labels(path, vocab_size=None) -> dict:
         scores = [obj["score"], *(e["score"] for e in nbest)]
         if not all(type(v) in (int, float) for v in scores):
             raise RecordError(f"{place}: every score must be a number")
+        try:
+            scores = [float(v) for v in scores]
+        except OverflowError:  # a JSON integer beyond the float range
+            raise RecordError(f"{place}: a score is too large for a float") from None
         record = PseudoLabelRecord(
             utt_id=obj["utt_id"],
             labels=record_labels(obj["labels"], place, vocab_size),
-            score=float(obj["score"]),
-            nbest=[(record_labels(e["labels"], place, vocab_size), float(e["score"]))
-                   for e in nbest],
+            score=scores[0],
+            nbest=[(record_labels(e["labels"], place, vocab_size), score)
+                   for e, score in zip(nbest, scores[1:])],
         )
         if not np.all(np.isfinite(scores)):
             raise RecordError(f"{place}: non-finite score in {scores}")

@@ -364,7 +364,7 @@ def save_checkpoint(model: TransducerModel, path) -> None:
 def _read_exact(f, size: int, what: str) -> bytes:
     raw = f.read(size)
     if len(raw) != size:
-        raise ModelError(f"checkpoint {what} holds {len(raw)} of {size} bytes")
+        raise ModelError(f"{what} holds {len(raw)} of {size} bytes")
     return raw
 
 
@@ -373,8 +373,9 @@ def _check_header(where: str, header) -> tuple:
     range, and its (name, shape) tensor list: each tensor of that model once, at its shape."""
     if not isinstance(header, dict):
         raise ModelError(f"{where} must be a JSON object, not {type(header).__name__}")
-    if header.get("format_version") != 1:
-        raise ModelError(f"unsupported checkpoint version {header.get('format_version')}")
+    version = header.get("format_version")
+    if type(version) is not int or version != 1:  # not True or 1.0, which equal 1
+        raise ModelError(f"{where}: unsupported checkpoint version {version!r}")
     missing = [k for k in ("encoder", "vocab_size", "feat_dim", "params") if k not in header]
     if missing:
         raise ModelError(f"{where} lacks the keys {missing}")
@@ -412,21 +413,22 @@ def load_checkpoint(path) -> TransducerModel:
     bytes parsed.  The header and every tensor's bytes are checked before the
     model is built, so no header makes it allocate more than the file holds."""
     data = Path(path).read_bytes()
-    where = f"checkpoint {path} header"
+    ckpt = f"checkpoint {path}"
+    where = f"{ckpt} header"
     with io.BytesIO(data) as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
-            raise ModelError(f"not a checkpoint file (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", _read_exact(f, 4, "header length field"))
-        header = parse_json(_read_exact(f, hlen, "header"), where, ModelError)
+            raise ModelError(f"{ckpt}: not a checkpoint file (bad magic {magic!r})")
+        (hlen,) = struct.unpack("<I", _read_exact(f, 4, f"{ckpt}: header length field"))
+        header = parse_json(_read_exact(f, hlen, where), where, ModelError)
         vocab_size, feat_dim, encoder, tensors = _check_header(where, header)
         params = {}
         for name, shape in tensors:
-            raw = _read_exact(f, math.prod(shape) * 4, f"tensor {name!r}")
+            raw = _read_exact(f, math.prod(shape) * 4, f"{ckpt}: tensor {name!r}")
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
         trailing = len(f.read())
         if trailing:
-            raise ModelError(f"checkpoint has {trailing} trailing bytes after the last tensor")
+            raise ModelError(f"{ckpt} has {trailing} trailing bytes after the last tensor")
     model = TransducerModel(vocab_size, feat_dim, encoder)
     model.params.update(params)
     model.checkpoint_sha256 = hashlib.sha256(data).hexdigest()

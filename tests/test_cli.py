@@ -498,8 +498,11 @@ class TestDistillAndEvaluate:
 
     @pytest.mark.parametrize("command", ["evaluate", "pseudo-label", "distill"])
     @pytest.mark.parametrize("edit, message", [
-        (lambda raw: raw[:-6], "error: checkpoint tensor 'pred_w' holds 138 of 144 bytes"),
-        (lambda raw: raw + b"pad", "error: checkpoint has 3 trailing bytes after the last tensor"),
+        (lambda raw: raw[:-6], "error: checkpoint {path}: tensor 'pred_w' holds 138 of 144 bytes"),
+        (lambda raw: raw + b"pad",
+         "error: checkpoint {path} has 3 trailing bytes after the last tensor"),
+        (lambda raw: b"XXXXPT01" + raw[8:],
+         "error: checkpoint {path}: not a checkpoint file (bad magic b'XXXXPT01')"),
         (lambda raw: rewrite_header(raw, lambda header: header["params"].append(
             {"name": "bogus", "shape": [2]})) + bytes(8),
          "error: checkpoint {path} header: unknown tensors ['bogus']"),
@@ -523,9 +526,15 @@ class TestDistillAndEvaluate:
          "error: checkpoint {path} header: params must be a list of objects, got 5"),
         (lambda raw: replace_header(raw, b"[1]"),
          "error: checkpoint {path} header must be a JSON object, not list"),
-    ], ids=["truncated", "padded", "unknown tensor", "reshaped tensor", "string vocab_size",
-            "float vocab_size", "extra encoder key", "string encoder", "integer params",
-            "list header"])
+        # each equals 1 in Python but is not the integer 1
+        *((lambda raw, v=version: rewrite_header(raw, lambda header: header.update(
+            format_version=v)),
+           f"error: checkpoint {{path}} header: unsupported checkpoint version {version!r}")
+          for version in (True, 1.0, "1", 2)),
+    ], ids=["truncated", "padded", "bad magic", "unknown tensor", "reshaped tensor",
+            "string vocab_size", "float vocab_size", "extra encoder key", "string encoder",
+            "integer params", "list header", "version true", "version 1.0", "version string 1",
+            "version 2"])
     def test_damaged_checkpoint_exits_one(self, pipeline, tmp_path, capsys, command, edit,
                                           message):
         damaged = tmp_path / "damaged.ckpt"
@@ -978,6 +987,8 @@ class TestExitCodes:
             "distill", "pseudo", lambda r: r.update(score=float("nan")), "non-finite score"),
         "string score": (
             "distill", "pseudo", lambda r: r.update(score="-1.5"), "every score must be a number"),
+        "score beyond the float range": (
+            "distill", "pseudo", lambda r: r.update(score=10**400), "too large for a float"),
         "pseudo label utt_id not a string": (
             "distill", "pseudo", lambda r: r.update(utt_id=3), "utt_id must be a string, got 3"),
         "corpus utt_id not a string": (
@@ -1023,6 +1034,16 @@ class TestExitCodes:
         assert exit_code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:1: ") and message in err, err
+        assert not runs.exists()
+
+    def test_config_root_not_an_object_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1]")
+        runs = tmp_path / "runs"
+        exit_code = cli.main(["gen-data", "--config", str(config), "--run-root", str(runs)])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config file {config}: root must be a JSON object, not list\n", err
         assert not runs.exists()
 
     # (command and its extra arguments, file whose line 2 takes line 1's utt_id)

@@ -1,3 +1,4 @@
+import json
 import math
 import weakref
 from collections import Counter
@@ -585,7 +586,7 @@ class TestRescore:
         x = rng.normal(size=(3, 3))
         [nbest] = beam_search(m, [x], beam=4)
         scores = rescore_nbest(m, x, nbest)
-        from transducer_distill.lattice import brute_force_log_prob
+        from oracles import brute_force_log_prob
 
         for (labels, _), s in zip(nbest, scores):
             lat = m.build_lattice(x, list(labels))
@@ -621,3 +622,11 @@ class TestPseudoLabelFile:
         path = tmp_path / "pl.jsonl"
         write_pseudo_labels(path, [rec])
         assert read_pseudo_labels(path)["u"].score == score
+
+    def test_integer_score_beyond_int64_loads_as_float(self, tmp_path):
+        path = tmp_path / "pl.jsonl"
+        entry = {"labels": [0], "score": 2**70}
+        path.write_text(json.dumps({"utt_id": "u", **entry, "nbest": [entry]}) + "\n")
+        record = read_pseudo_labels(path)["u"]
+        assert record.score == 1.1805916207174113e21 and type(record.score) is float
+        assert record.nbest == [((0,), 1.1805916207174113e21)]

@@ -6,22 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transducer_distill.lattice import (
-    ENUMERATION_LIMIT,
-    EnumerationLimitError,
     Lattice,
     LatticeError,
     LatticeShapeError,
     NonFiniteLatticeError,
-    brute_force_log_prob,
     forward_backward,
     logsumexp,
-    path_mass,
     rnnt_loss,
     rnnt_loss_with_grad,
     rnnt_losses_with_grad,
 )
 
 from conftest import random_lattice, uniform_lattice
+from oracles import (
+    ENUMERATION_LIMIT,
+    EnumerationLimitError,
+    brute_force_log_prob,
+    path_mass,
+    validate_lattice,
+)
 
 
 def blank_dominant_lattice(T, U, K, p_blank=0.9):
@@ -277,6 +280,15 @@ class TestForwardBackwardProperties:
         log_prob, _, _ = forward_backward(lat, y)
         assert log_prob == pytest.approx(brute_force_log_prob(lat, y), abs=1e-9)
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(lattice_and_labels(), min_size=1, max_size=4))
+    def test_batched_scan_matches_enumeration(self, batch):
+        """The scan that training runs, on a batch of mixed shapes, against the oracle."""
+        lattices, label_seqs = zip(*batch)
+        for (nll, _), lat, y in zip(rnnt_losses_with_grad(lattices, label_seqs), lattices,
+                                    label_seqs):
+            assert nll == pytest.approx(-brute_force_log_prob(lat, y), abs=1e-9)
+
     @settings(max_examples=50, deadline=None)
     @given(lattice_and_labels())
     def test_every_anti_diagonal_carries_the_total(self, case):
@@ -485,13 +497,13 @@ class TestPathMass:
 
 class TestLatticeType:
     def test_validate_accepts_normalized(self, rng):
-        random_lattice(rng, T=2, U=1, K=3).validate()
+        validate_lattice(random_lattice(rng, T=2, U=1, K=3))
 
     def test_validate_rejects_unnormalized(self, rng):
         lat = random_lattice(rng, T=2, U=1, K=3)
         lat.log_probs[0, 0, 0] += 0.5
         with pytest.raises(LatticeError):
-            lat.validate()
+            validate_lattice(lat)
 
     def test_rejects_bad_rank(self):
         with pytest.raises(LatticeShapeError):

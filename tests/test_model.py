@@ -16,6 +16,7 @@ from transducer_distill.model import (
 )
 
 from conftest import rewrite_header
+from oracles import validate_lattice
 
 
 def micro_model(causal=True, subsample=1, hidden=3, vocab=3, feat=2, seed=1):
@@ -174,7 +175,7 @@ class TestBuildLattice:
     def test_nodes_are_normalized(self, rng):
         m = micro_model(hidden=5)
         lat = m.build_lattice(rng.normal(size=(4, 2)), [0, 2])
-        lat.validate(atol=1e-6)
+        validate_lattice(lat, atol=1e-6)
         norms = logsumexp(lat.log_probs, axis=-1)
         assert np.max(np.abs(norms)) < 1e-10
 
