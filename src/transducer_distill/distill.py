@@ -9,7 +9,7 @@ their gradient w.r.t. the student side; the teacher is a frozen constant.
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -95,44 +95,50 @@ def _check_same_shape(teacher: Lattice, student: Lattice) -> None:
         )
 
 
-def soft_kl_full(teacher: Lattice, student: Lattice):
-    """KL(teacher || student) summed over every lattice node and label.
+def _flat_nodes(teachers, students, label_seqs=None):
+    """Check each pair of a batch, and its labels if given, in order; stack the
+    nodes both sides include, pair by pair in (t, u) order, as ``(2, rows, K+1)``
+    log-probabilities (teacher first), with each pair's (start row, end row,
+    skipped frames) and, given labels, each row's target (-1 on the u = U row)."""
+    spans, targets, end = [], [], 0
+    for i, (teacher, student) in enumerate(zip(teachers, students, strict=True)):
+        _check_same_shape(teacher, student)
+        skip = max(teacher.excluded_frames, student.excluded_frames)
+        if label_seqs is not None:
+            y = np.asarray(label_seqs[i], dtype=np.int64).reshape(-1).tolist()
+            if len(y) + 1 != teacher.num_label_rows:
+                raise LatticeShapeError(f"label sequence of length {len(y)} does not match lattice "
+                                        f"with {teacher.num_label_rows} label rows",
+                                        teacher.log_probs.shape, (len(y),))
+            targets += (y + [-1]) * (teacher.num_frames - skip)
+        spans.append((end, end + (teacher.num_frames - skip) * teacher.num_label_rows, skip))
+        end = spans[-1][1]
+    lp = np.concatenate([lat.log_probs[skip:].reshape(-1, lat.log_probs.shape[2])
+                         for lattices in (teachers, students)
+                         for lat, (_, _, skip) in zip(lattices, spans)])
+    return lp.reshape(2, end, lp.shape[1]), spans, np.array(targets, dtype=np.int64)
 
-    Returns ``(loss, grad)`` with the gradient taken w.r.t. the student
-    log-probabilities (simply -teacher_probs at included positions).
-    """
-    _check_same_shape(teacher, student)
-    skip = max(teacher.excluded_frames, student.excluded_frames)
 
-    t_lp = teacher.log_probs[skip:]
-    s_lp = student.log_probs[skip:]
+def _per_pair(students, spans, node_kl, grad) -> list:
+    """``(loss, grad)`` of each pair: the sum of its own slice of ``node_kl``, in the
+    order of one lattice alone, and its rows of ``grad``, zero on skipped frames."""
+    out = []
+    for student, (start, end, skip) in zip(students, spans):
+        g = np.zeros_like(student.log_probs)
+        g[skip:] = grad[start:end].reshape(g[skip:].shape)
+        out.append((float(node_kl[start:end].sum()), g))
+    return out
+
+
+def soft_kl_full(teachers, students) -> list:
+    """KL(teacher || student) of each (teacher, student) pair, summed over every
+    included node and label: ``[(loss, grad)]``, each gradient taken w.r.t. the
+    student log-probabilities (simply -teacher_probs at included positions)."""
+    if not teachers:
+        return []
+    (t_lp, s_lp), spans, _ = _flat_nodes(teachers, students)
     t_p = np.exp(t_lp)
-    node_kl = np.sum(t_p * (t_lp - s_lp), axis=-1)
-
-    grad = np.zeros_like(student.log_probs)
-    grad[skip:] = -t_p
-    return float(node_kl.sum()), grad
-
-
-def _three_class_log(lp: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Collapse each node of ``lp`` (..., T, U+1, K+1) to log-masses of
-    (target, blank, rest), stacked on a new leading axis of size 3.
-
-    Working entirely in log space keeps the masses finite even where the
-    linear probabilities underflow: the rest-mass is a log-add over the
-    non-target labels, in label order.  Structurally empty classes (the
-    target at the u=U row, the rest when K = 1 below it) are -inf and carry
-    zero teacher weight.
-    """
-    blank = lp.shape[-1] - 1
-    rows = np.arange(len(y))
-    classes = np.full((3,) + lp.shape[:-1], -np.inf)
-    classes[0][..., rows] = lp[..., rows, y]
-    classes[1] = lp[..., blank]
-    rest = lp[..., :blank].copy()
-    rest[..., rows, y] = -np.inf  # the target label is not part of "rest"
-    classes[2] = np.logaddexp.reduce(rest, axis=-1)
-    return classes
+    return _per_pair(students, spans, np.sum(t_p * (t_lp - s_lp), axis=-1), -t_p)
 
 
 def _kl_term(log_p, log_q):
@@ -143,45 +149,42 @@ def _kl_term(log_p, log_q):
     return out
 
 
-def soft_kl_efficient(teacher: Lattice, student: Lattice, labels):
-    """Three-class soft distillation: match (target, blank, rest) at each node.
+def soft_kl_efficient(teachers, students, label_seqs) -> list:
+    """Three-class soft distillation of each (teacher, student, labels) triple:
+    match (target, blank, rest) at each node; ``[(loss, grad)]``.
 
-    The coarsened KL never exceeds the full KL (log-sum inequality).
+    The coarsened KL never exceeds the full KL (log-sum inequality).  The
+    batch's nodes collapse at once in log space, so the masses stay finite
+    where the probabilities underflow.  Structurally empty classes (the target
+    at the u=U row, the rest when K = 1 below it) carry zero teacher weight.
     """
-    _check_same_shape(teacher, student)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if len(y) + 1 != teacher.num_label_rows:
-        raise LatticeShapeError(
-            f"label sequence of length {len(y)} does not match lattice with "
-            f"{teacher.num_label_rows} label rows",
-            teacher.log_probs.shape,
-            (len(y),),
-        )
-    skip = max(teacher.excluded_frames, student.excluded_frames)
-
+    if not teachers:
+        return []
+    lp, spans, targets = _flat_nodes(teachers, students, label_seqs)
+    blank = lp.shape[2] - 1
+    rows = np.flatnonzero(targets >= 0)
+    y = targets[rows]
     # classes[c, 0] is the teacher's, classes[c, 1] the student's mass
-    classes = _three_class_log(np.stack((teacher.log_probs[skip:], student.log_probs[skip:])), y)
+    classes = np.full((3,) + lp.shape[:2], -np.inf)
+    classes[0][:, rows] = lp[:, rows, y]
+    classes[1] = lp[:, :, blank]
+    rest = lp[:, :, :blank].copy()
+    rest[:, rows, y] = -np.inf  # the target label is not part of "rest"
+    classes[2] = reduce(np.logaddexp, np.moveaxis(rest, -1, 0))  # label by label
     (t_tgt, _), (t_blank, _), (t_rest, s_rest) = classes
     class_kl = _kl_term(classes[:, 0], classes[:, 1])
-    kl = class_kl[0] + class_kl[1] + class_kl[2]
-    loss = float(kl.sum())
 
     # gradient w.r.t. student log-probabilities via the class masses:
     # d/dlogp(target) = -exp(t_tgt), d/dlogp(blank) = -exp(t_blank),
     # d/dlogp(k in rest) = -exp(t_rest) * softmax of logp(k) within rest
-    s_lp = student.log_probs[skip:]
-    blank = student.blank
-
-    grad = np.zeros_like(student.log_probs)
-    gview = grad[skip:]
+    grad = np.empty_like(lp[1])
     rest_weight = np.where(t_rest > -np.inf, np.exp(t_rest), 0.0)
     has_rest = s_rest > -np.inf
-    inside = np.exp(s_lp[:, :, :blank] - np.where(has_rest, s_rest, 0.0)[..., None])
-    gview[:, :, :blank] = -rest_weight[..., None] * np.where(has_rest[..., None], inside, 0.0)
-    rows = np.arange(len(y))
-    gview[:, rows, y] = -np.exp(t_tgt[:, rows])
-    gview[:, :, blank] = -np.exp(t_blank)
-    return loss, grad
+    inside = np.exp(lp[1, :, :blank] - np.where(has_rest, s_rest, 0.0)[:, None])
+    grad[:, :blank] = -rest_weight[:, None] * np.where(has_rest[:, None], inside, 0.0)
+    grad[rows, y] = -np.exp(t_tgt[rows])
+    grad[:, blank] = -np.exp(t_blank)
+    return _per_pair(students, spans, class_kl[0] + class_kl[1] + class_kl[2], grad)
 
 
 def shift_teacher(teacher: Lattice, shift: int) -> Lattice:
@@ -266,7 +269,8 @@ def fs_norm_distill(teacher_scores, student_scores, target_index: int, kind: str
 # ----- batch-level combination -----
 #
 # Each term reads the student's passes of its label sequences and returns its loss
-# and the (scale, forward cache, lattice gradient) triples to backpropagate.
+# and the (scale, forward cache, lattice gradient) triples to backpropagate; a soft
+# term returns its inputs to the one soft-KL call of its run (``_soft_kl``).
 
 
 def _rnnt_term(passes, seqs):
@@ -286,11 +290,17 @@ def _soft_term(passes, seqs, teacher_model, teacher_lattices: dict, utt,
     teacher_lat = teacher_lattices[key]
     if kind.shift_n > 0:
         teacher_lat = shift_teacher(teacher_lat, kind.shift_n)
-    if kind.kind == LossKind.SOFT_FULL:
-        loss, g = soft_kl_full(teacher_lat, student_lat)
-    else:
-        loss, g = soft_kl_efficient(teacher_lat, student_lat, list(y))
-    return loss, [(1.0, cache, g)]
+    return teacher_lat, student_lat, list(y), cache
+
+
+def _soft_kl(kind: DistillLossKind, inputs) -> list:
+    """Each soft term's ``(loss, backward parts)``, from one soft-KL call over their inputs."""
+    if not inputs:
+        return []
+    teachers, students, label_seqs, caches = zip(*inputs)
+    kls = (soft_kl_full(teachers, students) if kind.kind == LossKind.SOFT_FULL
+           else soft_kl_efficient(teachers, students, label_seqs))
+    return [(loss, [(1.0, cache, g)]) for (loss, g), cache in zip(kls, caches)]
 
 
 def _fs_term(passes, seqs, record, kind: DistillLossKind):
@@ -315,7 +325,7 @@ def _utterance_terms(utt, kind: DistillLossKind, config: CombinedLossConfig, n_s
                      pseudo_labels, teacher_model, teacher_lattices):
     """``(log name, weight, label sequences, full_sum, term)`` of each loss
     term of ``utt``; ``term(passes, seqs)`` reads the student's pass of each
-    of those sequences, and its full-sum where ``full_sum``."""
+    of those sequences, and its full-sum where ``full_sum`` (all but soft)."""
     if utt.labels is not None:
         weight = config.weight_supervised_rnnt
         return [("supervised_rnnt", weight / n_sup, [utt.labels], True, _rnnt_term)] if weight > 0 else []
@@ -369,8 +379,9 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
     accumulated into ``model.grads`` scaled by the term weights, with one
     ``model.backward`` per term and lattice.  The step's predictor states run
     side by side once; then each run of utterances that read ``RUN_LATTICES``
-    or more (utterance, label sequence) pairs gets its passes (``_run_passes``),
-    runs its terms and backwards in order, and one ``predictor_backward``.
+    or more (utterance, label sequence) pairs gets its passes (``_run_passes``)
+    and one soft-KL call, then its terms' backwards in plan order and one
+    ``predictor_backward``.
     ``teacher_lattices`` memoizes the frozen teacher's lattices by
     (utt_id, label sequence); one dict may serve every call that uses the
     same teacher and corpus.
@@ -390,15 +401,19 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
         held += len(_sequences(terms))
         if held < RUN_LATTICES and i < len(plan) - 1:
             continue
-        for (utt, terms), passes in zip(run, _run_passes(model, run, predicted)):
-            for name, weight, ys, _, term in terms:
-                loss, parts = term([passes[tuple(y)] for y in ys], ys)
-                if not np.isfinite(loss):
-                    raise NonFiniteLossError(utt.utt_id, loss)
-                for scale, cache, g in parts:
-                    model.backward(cache, (scale * weight) * g, queue)
-                sums[name] += loss
-                counts[name] += 1
+        work = [(utt, name, weight, ys, full_sum, term, [passes[tuple(y)] for y in ys])
+                for (utt, terms), passes in zip(run, _run_passes(model, run, predicted))
+                for name, weight, ys, full_sum, term in terms]
+        soft = iter(_soft_kl(kind, [term(passes, ys) for *_, ys, full_sum, term, passes in work
+                                    if not full_sum]))
+        for utt, name, weight, ys, full_sum, term, passes in work:
+            loss, parts = term(passes, ys) if full_sum else next(soft)
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(utt.utt_id, loss)
+            for scale, cache, g in parts:
+                model.backward(cache, (scale * weight) * g, queue)
+            sums[name] += loss
+            counts[name] += 1
         model.predictor_backward(queue)
         run, held = [], 0
 

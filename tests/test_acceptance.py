@@ -118,9 +118,9 @@ class TestCriterion2:
             rng = np.random.default_rng(7200 + seed)
             teacher = random_lattice(rng, 2, 1, 3)
             student = random_lattice(rng, 2, 1, 3)
-            _, grad = soft_kl_full(teacher, student)
+            _, grad = soft_kl_full([teacher], [student])[0]
             errs.append(
-                _fd_check(lambda: soft_kl_full(teacher, student)[0], student.log_probs, grad)
+                _fd_check(lambda: soft_kl_full([teacher], [student])[0][0], student.log_probs, grad)
             )
         worst["soft_kl_full"] = max(errs)
 
@@ -130,11 +130,10 @@ class TestCriterion2:
             teacher = random_lattice(rng, 2, 2, 3)
             student = random_lattice(rng, 2, 2, 3)
             y = rng.integers(0, 3, size=2)
-            _, grad = soft_kl_efficient(teacher, student, y)
+            _, grad = soft_kl_efficient([teacher], [student], [y])[0]
             errs.append(
-                _fd_check(
-                    lambda: soft_kl_efficient(teacher, student, y)[0], student.log_probs, grad
-                )
+                _fd_check(lambda: soft_kl_efficient([teacher], [student], [y])[0][0],
+                          student.log_probs, grad)
             )
         worst["soft_kl_efficient"] = max(errs)
 
@@ -202,14 +201,14 @@ class TestCriterion3:
             teacher = random_lattice(rng, T, U, K)
             student = random_lattice(rng, T, U, K)
             y = rng.integers(0, K, size=U)
-            full, _ = soft_kl_full(teacher, student)
-            eff, _ = soft_kl_efficient(teacher, student, y)
+            full, _ = soft_kl_full([teacher], [student])[0]
+            eff, _ = soft_kl_efficient([teacher], [student], [y])[0]
             min_full = min(min_full, full)
             min_eff = min(min_eff, eff)
             max_violation = max(max_violation, eff - full)
         same = random_lattice(np.random.default_rng(1), 3, 2, 3)
-        zero_full, _ = soft_kl_full(same, Lattice(same.log_probs.copy()))
-        zero_eff, _ = soft_kl_efficient(same, Lattice(same.log_probs.copy()), [0, 1])
+        zero_full, _ = soft_kl_full([same], [Lattice(same.log_probs.copy())])[0]
+        zero_eff, _ = soft_kl_efficient([same], [Lattice(same.log_probs.copy())], [[0, 1]])[0]
         ok = (
             min_full >= 0.0
             and min_eff >= 0.0

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transducer_distill import distill
 from transducer_distill.cli import GRID_ROWS
@@ -27,7 +29,7 @@ from transducer_distill.lattice import (
     logsumexp,
     rnnt_loss_with_grad,
 )
-from transducer_distill.model import EncoderConfig, TransducerModel
+from transducer_distill.model import EncoderConfig, NonFiniteLossError, TransducerModel
 
 from conftest import random_lattice
 from test_decode import stacked_products_are_per_row
@@ -39,8 +41,8 @@ def lattice_from_probs(probs) -> Lattice:
 
 
 def reference_three_class_log(lat, y, skip):
-    """The looped form of ``_three_class_log`` for one lattice: the
-    rest-mass accumulates label by label with ``logaddexp``."""
+    """The looped form of ``soft_kl_efficient``'s three-class collapse for one
+    lattice: the rest-mass accumulates label by label with ``logaddexp``."""
     lp = lat.log_probs[skip:]
     T, U1, K1 = lp.shape
     blank = K1 - 1
@@ -58,8 +60,19 @@ def reference_three_class_log(lat, y, skip):
     return log_tgt, lp[:, :, blank], log_rest
 
 
+def reference_soft_kl_full(teacher, student):
+    """``soft_kl_full`` of one pair, on its own lattices rather than the batch's
+    stacked nodes: each node's KL summed over labels, then over the nodes."""
+    skip = max(teacher.excluded_frames, student.excluded_frames)
+    t_lp, s_lp = teacher.log_probs[skip:], student.log_probs[skip:]
+    t_p = np.exp(t_lp)
+    grad = np.zeros_like(student.log_probs)
+    grad[skip:] = -t_p
+    return float(np.sum(t_p * (t_lp - s_lp), axis=-1).sum()), grad
+
+
 def reference_soft_kl_efficient(teacher, student, labels):
-    """The looped form of ``soft_kl_efficient``."""
+    """The looped form of ``soft_kl_efficient`` for one pair."""
     y = np.asarray(labels, dtype=np.int64)
     skip = max(teacher.excluded_frames, student.excluded_frames)
     t_classes = reference_three_class_log(teacher, y, skip)
@@ -91,7 +104,7 @@ def reference_soft_kl_efficient(teacher, student, labels):
 class TestSoftKlFull:
     def test_zero_at_equality(self, rng):
         lat = random_lattice(rng, T=3, U=2, K=3)
-        loss, grad = soft_kl_full(lat, Lattice(lat.log_probs.copy()))
+        loss, grad = soft_kl_full([lat], [Lattice(lat.log_probs.copy())])[0]
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(grad, -np.exp(lat.log_probs))
 
@@ -99,7 +112,7 @@ class TestSoftKlFull:
         teacher = lattice_from_probs([[[0.7, 0.2, 0.1]]])
         student = lattice_from_probs([[[0.6, 0.2, 0.2]]])
         expected = 0.7 * math.log(0.7 / 0.6) + 0.1 * math.log(0.1 / 0.2)
-        loss, _ = soft_kl_full(teacher, student)
+        loss, _ = soft_kl_full([teacher], [student])[0]
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_non_negative_on_random_pairs(self):
@@ -107,26 +120,26 @@ class TestSoftKlFull:
             rng = np.random.default_rng(3000 + seed)
             teacher = random_lattice(rng, T=2, U=1, K=3)
             student = random_lattice(rng, T=2, U=1, K=3)
-            loss, _ = soft_kl_full(teacher, student)
+            loss, _ = soft_kl_full([teacher], [student])[0]
             assert loss >= 0.0
 
     def test_dimension_mismatch_names_both_shapes(self, rng):
         teacher = random_lattice(rng, T=3, U=1, K=2)
         student = random_lattice(rng, T=2, U=1, K=2)
         with pytest.raises(LatticeShapeError) as exc:
-            soft_kl_full(teacher, student)
+            soft_kl_full([teacher], [student])[0]
         assert "(3, 2, 3)" in str(exc.value) and "(2, 2, 3)" in str(exc.value)
 
     def test_gradient_matches_finite_differences(self, rng):
         teacher = random_lattice(rng, T=2, U=1, K=3)
         student = random_lattice(rng, T=2, U=1, K=3)
-        _, grad = soft_kl_full(teacher, student)
+        _, grad = soft_kl_full([teacher], [student])[0]
         h = 1e-6
         for idx in np.ndindex(student.log_probs.shape):
             student.log_probs[idx] += h
-            up, _ = soft_kl_full(teacher, student)
+            up, _ = soft_kl_full([teacher], [student])[0]
             student.log_probs[idx] -= 2 * h
-            down, _ = soft_kl_full(teacher, student)
+            down, _ = soft_kl_full([teacher], [student])[0]
             student.log_probs[idx] += h
             fd = (up - down) / (2 * h)
             assert fd == pytest.approx(grad[idx], rel=1e-4, abs=1e-8)
@@ -135,7 +148,7 @@ class TestSoftKlFull:
 class TestSoftKlEfficient:
     def test_zero_at_equality(self, rng):
         lat = random_lattice(rng, T=3, U=2, K=4)
-        loss, _ = soft_kl_efficient(lat, Lattice(lat.log_probs.copy()), [0, 1])
+        loss, _ = soft_kl_efficient([lat], [Lattice(lat.log_probs.copy())], [[0, 1]])[0]
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_three_class_value(self):
@@ -144,7 +157,7 @@ class TestSoftKlEfficient:
         teacher = lattice_from_probs([[[0.7, 0.2, 0.1], [0.3, 0.3, 0.4]]])
         student = lattice_from_probs([[[0.6, 0.2, 0.2], [0.3, 0.3, 0.4]]])
         expected = 0.7 * math.log(7.0 / 6.0) + 0.1 * math.log(0.5)
-        loss, _ = soft_kl_efficient(teacher, student, [0])
+        loss, _ = soft_kl_efficient([teacher], [student], [[0]])[0]
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_never_exceeds_full_kl(self):
@@ -156,8 +169,8 @@ class TestSoftKlEfficient:
             teacher = random_lattice(rng, T, U, K)
             student = random_lattice(rng, T, U, K)
             y = rng.integers(0, K, size=U)
-            eff, _ = soft_kl_efficient(teacher, student, y)
-            full, _ = soft_kl_full(teacher, student)
+            eff, _ = soft_kl_efficient([teacher], [student], [y])[0]
+            full, _ = soft_kl_full([teacher], [student])[0]
             assert eff <= full + 1e-9
             assert eff >= 0.0
 
@@ -166,13 +179,13 @@ class TestSoftKlEfficient:
         teacher = random_lattice(rng, T=2, U=2, K=3)
         student = random_lattice(rng, T=2, U=2, K=3)
         y = [2, 0]
-        _, grad = soft_kl_efficient(teacher, student, y)
+        _, grad = soft_kl_efficient([teacher], [student], [y])[0]
         h = 1e-6
         for idx in np.ndindex(student.log_probs.shape):
             student.log_probs[idx] += h
-            up, _ = soft_kl_efficient(teacher, student, y)
+            up, _ = soft_kl_efficient([teacher], [student], [y])[0]
             student.log_probs[idx] -= 2 * h
-            down, _ = soft_kl_efficient(teacher, student, y)
+            down, _ = soft_kl_efficient([teacher], [student], [y])[0]
             student.log_probs[idx] += h
             fd = (up - down) / (2 * h)
             assert fd == pytest.approx(grad[idx], rel=1e-4, abs=1e-8)
@@ -197,12 +210,105 @@ class TestSoftKlEfficient:
             rng = np.random.default_rng(700 + seed)
             teacher = shift_teacher(random_lattice(rng, T, len(y), K), shift)
             student = random_lattice(rng, T, len(y), K)
-            loss, grad = soft_kl_efficient(teacher, student, y)
+            loss, grad = soft_kl_efficient([teacher], [student], [y])[0]
             want_loss, want_grad = reference_soft_kl_efficient(teacher, student, y)
             # the same float operations in the same order: equal bit for bit
             assert loss == want_loss
             assert np.array_equal(grad, want_grad)
             assert np.all(grad[:shift] == 0.0)
+
+
+def scaled_lattice(rng, T, U, K, scale):
+    """``random_lattice`` with its logits multiplied by ``scale``: at 30 most
+    of a node's mass sits on one label and the rest underflows."""
+    logits = scale * rng.normal(size=(T, U + 1, K + 1))
+    return Lattice(logits - logsumexp(logits, axis=-1)[..., None])
+
+
+def assert_batch_equals_references(teachers, students, label_seqs):
+    """Both batched soft KLs give each pair the bits of its looped reference."""
+    efficient = soft_kl_efficient(teachers, students, label_seqs)
+    full = soft_kl_full(teachers, students)
+    assert len(efficient) == len(full) == len(teachers)
+    for t, s, y, eff, kl in zip(teachers, students, label_seqs, efficient, full):
+        for (loss, grad), (want_loss, want_grad) in [
+                (eff, reference_soft_kl_efficient(t, s, y)), (kl, reference_soft_kl_full(t, s))]:
+            assert loss == want_loss
+            assert grad.shape == want_grad.shape and grad.tobytes() == want_grad.tobytes()
+
+
+@st.composite
+def soft_batches(draw):
+    """A batch of 1 to 6 (teacher, student, labels) triples of mixed T, U and
+    shift, sharing K; a student may exclude frames of its own, up to all."""
+    K = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1.0, 3.0, 30.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        T, y = draw(st.integers(1, 8)), draw(st.lists(st.integers(0, K - 1), max_size=4))
+        teacher = shift_teacher(scaled_lattice(rng, T, len(y), K, scale),
+                                draw(st.integers(0, T - 1)))
+        student = Lattice(scaled_lattice(rng, T, len(y), K, scale).log_probs,
+                          excluded_frames=draw(st.sampled_from([0, 0, 1, T])))
+        batch.append((teacher, student, y))
+    return batch
+
+
+class TestSoftKlBatch:
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 30.0])
+    @pytest.mark.parametrize("K", [1, 2, 6])
+    def test_mixed_batch_equals_looped_references(self, K, scale):
+        """Every shift from 0 to T - 1 for T = 1, 3 and 7, U = 0 to 3 (K = 1
+        leaves the rest class empty below the u = U row), and a student whose
+        excluded frames cover its whole lattice."""
+        rng = np.random.default_rng(int(10 * K + scale))
+        teachers, students, label_seqs = [], [], []
+        for T in (1, 3, 7):
+            for shift in range(T):
+                y = [int(k) for k in rng.integers(0, K, size=(T + shift) % 4)]
+                teachers.append(shift_teacher(scaled_lattice(rng, T, len(y), K, scale), shift))
+                students.append(scaled_lattice(rng, T, len(y), K, scale))
+                label_seqs.append(y)
+        students[4] = Lattice(students[4].log_probs, excluded_frames=students[4].num_frames)
+        assert_batch_equals_references(teachers, students, label_seqs)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(soft_batches())
+    def test_batches_of_mixed_shapes_equal_looped_references(self, batch):
+        assert_batch_equals_references(*zip(*batch))
+
+    def test_empty_batch(self):
+        assert soft_kl_efficient([], [], []) == [] and soft_kl_full([], []) == []
+
+    SHAPE_MESSAGE = ("teacher/student lattices differ in shape: (3, 2, 3) vs (2, 2, 3); "
+                     "frame-local soft distillation requires identical T', U, K "
+                     "(sequence-level full-sum distillation has no such constraint)")
+    LABEL_MESSAGE = "label sequence of length 2 does not match lattice with 2 label rows"
+
+    @pytest.mark.parametrize("kernel,bad", [("efficient", "shape"), ("efficient", "labels"),
+                                            ("full", "shape")])
+    def test_bad_entry_mid_batch_raises_the_per_lattice_error(self, rng, kernel, bad):
+        """The entry's own error, as a batch of one raises it, whatever its
+        neighbours (the full KL reads no labels)."""
+        teachers = [random_lattice(rng, 3, 1, 2) for _ in range(3)]
+        students = [random_lattice(rng, 3, 1, 2) for _ in range(3)]
+        label_seqs = [[0], [1], [1]]
+        if bad == "shape":
+            students[1] = random_lattice(rng, 2, 1, 2)
+        else:
+            label_seqs[1] = [1, 0]
+        message = self.SHAPE_MESSAGE if bad == "shape" else self.LABEL_MESSAGE
+
+        def call(ts, ss, ys):
+            return soft_kl_efficient(ts, ss, ys) if kernel == "efficient" else soft_kl_full(ts, ss)
+
+        with pytest.raises(LatticeShapeError) as alone:
+            call([teachers[1]], [students[1]], [label_seqs[1]])
+        with pytest.raises(LatticeShapeError) as mid_batch:
+            call(teachers, students, label_seqs)
+        assert str(alone.value) == str(mid_batch.value) == message
+        assert alone.value.shapes == mid_batch.value.shapes
 
 
 class TestShiftTeacher:
@@ -228,7 +334,7 @@ class TestShiftTeacher:
         teacher = random_lattice(rng, T=4, U=1, K=2)
         student = random_lattice(rng, T=4, U=1, K=2)
         shifted = shift_teacher(teacher, 2)
-        loss, grad = soft_kl_full(shifted, student)
+        loss, grad = soft_kl_full([shifted], [student])[0]
         # direct computation over the overlapping frames only
         manual = float(
             np.sum(
@@ -473,6 +579,60 @@ class TestCombinedLoss:
             assert grad_norm > 0.0
 
 
+class TestNonFiniteLoss:
+    # (kernel -> the utterance whose terms it poisons, distillation kind, the
+    # utterance the error names): the soft KL of a run is computed before its
+    # terms run, yet an earlier utterance's non-finite term is still named first
+    CASES = [
+        ({"rnnt": "s-1"}, "hard", "s-1"),
+        ({"rnnt": "u-3"}, "soft_efficient", "u-3"),
+        ({"fs": "u-2"}, "fs_l1", "u-2"),
+        ({"soft": "u-4"}, "soft_efficient", "u-4"),
+        ({"soft": "u-5", "rnnt": "s-1"}, "soft_efficient", "s-1"),
+        ({"soft": "u-1", "rnnt": "u-4"}, "soft_efficient", "u-1"),
+        ({"fs": "u-2", "rnnt": "u-5"}, "fs_l1", "u-2"),
+    ]
+
+    @pytest.mark.parametrize("poison,kind,named", CASES, ids=[
+        "+".join(f"{kernel}@{utt}" for kernel, utt in poison.items()) + f"-{kind}"
+        for poison, kind, _ in CASES])
+    def test_names_the_first_non_finite_term_in_plan_order(self, monkeypatch, poison, kind,
+                                                           named):
+        student, teacher, batch, pseudo, kind = _random_step(3, 12, kind)
+        frames_of = {u.frames.tobytes(): u.utt_id for u in batch}
+        score_of = {-r.score: utt_id for utt_id, r in pseudo.items()}
+        owner = {}  # id of a student lattice -> its utterance
+        real_forward = student.forward
+        real_rnnt, real_fs = distill.rnnt_losses_with_grad, distill.fs_distill
+        real_soft = distill.soft_kl_efficient
+
+        def forward(x, y, **shared):
+            lat, cache = real_forward(x, y, **shared)
+            owner[id(lat)] = frames_of[x.tobytes()]
+            return lat, cache
+
+        def rnnt(lattices, label_seqs):
+            return [(np.inf, g) if owner[id(lat)] == poison.get("rnnt") else (nll, g)
+                    for lat, (nll, g) in zip(lattices, real_rnnt(lattices, label_seqs))]
+
+        def soft(teachers, students, label_seqs):
+            return [(np.inf, g) if owner[id(lat)] == poison.get("soft") else (loss, g)
+                    for lat, (loss, g) in zip(students, real_soft(teachers, students, label_seqs))]
+
+        def fs(teacher_nll, student_nll, flavor="l1"):
+            loss, grad = real_fs(teacher_nll, student_nll, flavor)
+            return (np.inf if score_of[teacher_nll] == poison.get("fs") else loss), grad
+
+        student.forward = forward
+        monkeypatch.setattr(distill, "rnnt_losses_with_grad", rnnt)
+        monkeypatch.setattr(distill, "soft_kl_efficient", soft)
+        monkeypatch.setattr(distill, "fs_distill", fs)
+        with pytest.raises(NonFiniteLossError) as exc:
+            combined_loss(student, batch, kind, CombinedLossConfig(1.0, 1.0, 1.0),
+                          pseudo_labels=pseudo, teacher_model=teacher)
+        assert exc.value.utt_id == named and exc.value.value == np.inf
+
+
 class TestCombinedLossConfig:
     def test_needs_a_positive_weight(self):
         with pytest.raises(DistillError):
@@ -517,9 +677,9 @@ def reference_soft_term(model, teacher_model, x, y, kind, weight):
     if kind.shift_n > 0:
         teacher_lat = shift_teacher(teacher_lat, kind.shift_n)
     if kind.kind == LossKind.SOFT_FULL:
-        loss, g = soft_kl_full(teacher_lat, student_lat)
+        loss, g = soft_kl_full([teacher_lat], [student_lat])[0]
     else:
-        loss, g = soft_kl_efficient(teacher_lat, student_lat, y)
+        loss, g = soft_kl_efficient([teacher_lat], [student_lat], [y])[0]
     if weight != 0.0:
         model.backward(cache, weight * g)
     return loss
@@ -816,6 +976,34 @@ class TestCombinedLossAgainstLoopReference:
         assert len(calls) == runs
         # every backward queued its predictor share, and each run ran its queue
         assert queues and all(q == [] for q in queues)
+
+    @pytest.mark.parametrize("bound", [1, 5, 32])
+    @pytest.mark.parametrize("kind,kernel", [("soft_efficient", "soft_kl_efficient"),
+                                             ("soft_full", "soft_kl_full")])
+    def test_one_soft_kl_per_run_keeps_the_bits(self, monkeypatch, kind, kernel, bound):
+        """A soft step makes one soft-KL call per run that holds a soft term,
+        over that run's terms, and gives the bits of one term at a time."""
+        student, teacher, batch, pseudo, kind = _random_step(11, 16, kind)
+        config = CombinedLossConfig(1.0, 1.0, 1.0)
+        want = _loss_and_grads(reference_combined_loss, student, batch, kind, config, pseudo,
+                               teacher)
+        calls, real_kernel = [], getattr(distill, kernel)
+
+        def batched_kl(teachers, students, *label_seqs):
+            calls.append(len(teachers))
+            return real_kernel(teachers, students, *label_seqs)
+
+        monkeypatch.setattr(distill, "RUN_LATTICES", bound)
+        monkeypatch.setattr(distill, kernel, batched_kl)
+        got = _loss_and_grads(combined_loss, student, batch, kind, config,
+                              pseudo_labels=pseudo, teacher_model=teacher)
+        assert got[0] == want[0] and got[1] == want[1]
+        for name in want[2]:
+            assert np.array_equal(got[2][name], want[2][name]), name
+        # each utterance reads one label sequence, so a run closes every
+        # ``bound`` utterances; the runs of supervised utterances alone make none
+        runs = [batch[start:start + bound] for start in range(0, len(batch), bound)]
+        assert calls == [n for n in (sum(u.labels is None for u in run) for run in runs) if n]
 
     def test_fsnorm_step_gradient_matches_finite_differences(self):
         """Three unsupervised utterances: each N-best list holds the empty

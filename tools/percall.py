@@ -9,8 +9,12 @@ model is an untrained one, so beam search pops many hypotheses per frame.
 The decoding rows decode one utterance, then a run of ``RUN`` utterances of
 the same shape: one utterance per call, and all of them in one lockstep call
 (the list-taking decoders; a tree whose decoders take one utterance has no
-lockstep rows).  The predictor_states row runs the predictor over 30 label
-sequences of 0 to 7 labels side by side, as a training step does.  The
+lockstep rows).  The soft KL rows run ``soft_kl_efficient`` over the lattices
+of ``SOFT`` utterances of 9 to 18 frames and 0 to 6 labels, each teacher
+lattice shifted by 0 to 3 frames: one lattice per call, then all of them in
+one call (a tree whose soft KL takes one lattice has no batched row).  The
+predictor_states row runs the predictor over 30 label sequences of 0 to 7
+labels side by side, as a training step does.  The
 write_corpus row writes a generated 100-utterance corpus (3 to 6 labels of
 2 to 4 frames each) to ``os.devnull``.  The step rows time one
 ``combined_loss`` step, gradients included, at the benchmark's weak_teacher
@@ -30,6 +34,7 @@ same script.  BLAS is pinned to one thread.
 """
 
 import argparse
+import inspect
 import os
 import sys
 import time
@@ -41,6 +46,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 T, U, K, H, FEAT = 14, 5, 6, 16, 8
 RUN = 32
+SOFT = 16
 BLOCKS = 30
 
 
@@ -82,9 +88,25 @@ def layers(td):
     xs = [rng.normal(size=(T, FEAT)) for _ in range(RUN)]
     seqs = [[int(k) for k in rng.integers(0, K, size=n)] for n in rng.integers(0, 8, size=30)]
     lockstep = hasattr(td.decode, "RUN_UTTERANCES")
+    batched_kl = "teachers" in inspect.signature(td.soft_kl_efficient).parameters
 
     def alone(decoder, x, *args):
         return decoder(model, [x], *args)[0] if lockstep else decoder(model, x, *args)
+
+    def soft_kl(teacher, student, labels):
+        """``soft_kl_efficient`` of one pair, as a batch of one where the tree has batches."""
+        if batched_kl:
+            return td.soft_kl_efficient([teacher], [student], [labels])[0]
+        return td.soft_kl_efficient(teacher, student, labels)
+
+    triples = []
+    for frames, labels, shift in zip(rng.integers(9, 19, size=SOFT), rng.integers(0, 7, size=SOFT),
+                                     rng.integers(0, 4, size=SOFT)):
+        x_soft = rng.normal(size=(int(frames), FEAT))
+        y_soft = [int(k) for k in rng.integers(0, K, size=labels)]
+        triples.append((td.shift_teacher(teacher.build_lattice(x_soft, y_soft), int(shift)),
+                        model.build_lattice(x_soft, y_soft), y_soft))
+    soft_batch = [list(side) for side in zip(*triples)]
 
     four = alone(td.beam_search, x, 8)[:4]
     spec = td.SyntheticSpec(vocab_size=K, feat_dim=FEAT, frames_per_label=(2, 4),
@@ -97,7 +119,10 @@ def layers(td):
         ("forward_backward", 200, lambda: td.forward_backward(lat, y)),
         ("rnnt_loss_with_grad", 200, lambda: td.lattice.rnnt_loss_with_grad(lat, y)),
         ("backward", 200, lambda: model.backward(cache, grad)),
-        ("soft_kl_efficient", 200, lambda: td.soft_kl_efficient(t_lat, lat, y)),
+        ("soft_kl_efficient", 200, lambda: soft_kl(t_lat, lat, y)),
+        (f"soft KL, {SOFT} lattices one by one", 20, lambda: [soft_kl(*t) for t in triples]),
+        *([(f"soft KL, {SOFT} lattices batched", 20, lambda: td.soft_kl_efficient(*soft_batch))]
+          if batched_kl else []),
         ("greedy decoding", 50, lambda: alone(td.greedy_decode, x)),
         ("beam search, beam 8", 5, lambda: alone(td.beam_search, x, 8)),
         (f"greedy, {RUN} utts one by one", 2, lambda: [alone(td.greedy_decode, x) for x in xs]),
