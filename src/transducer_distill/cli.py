@@ -643,7 +643,7 @@ def cmd_evaluate(cfg: dict, checkpoint, data_dir, sets=None, root=None) -> Path:
 def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
                     shifts=None, root=None) -> Path:
     """Train and evaluate one student per teacher shift of ``shifts`` (by
-    default 0 to 3) and tabulate each one's eval WER."""
+    default 0 to 3); return ``shift_sweep.json``, each shift's eval WER."""
     cfg = resolve_config(cfg)
     if not _distill_kind(cfg).kind.is_soft:
         raise ConfigError("sweep-shift requires a soft distillation kind")
@@ -663,13 +663,8 @@ def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
 
     out, wers = _train_rows("sweep-shift", cfg, {n: {"distill": {"shift_n": n}} for n in shifts},
                             data_dir, teacher_checkpoint, pseudo_label_file, root, check)
-    table = out / "shift_sweep.tsv"
-    with open(table, "w", encoding="utf-8") as f:
-        f.write("shift\twer\n")
-        for n, wer in wers.items():
-            f.write(f"{n}\t{wer!r}\n")
-    data_mod.write_json(out / "shift_sweep.json",
-                        {"rows": [{"shift": n, "wer": w} for n, w in wers.items()]})
+    table = out / "shift_sweep.json"
+    data_mod.write_json(table, {"rows": [{"shift": n, "wer": w} for n, w in wers.items()]})
     return table
 
 

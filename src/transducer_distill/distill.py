@@ -13,7 +13,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .lattice import (Lattice, LatticeShapeError, logsumexp, rnnt_losses_with_grad,
+from .lattice import (Lattice, LatticeShapeError, check_labels, logsumexp, rnnt_losses_with_grad,
                       rnnt_loss_with_grad)  # noqa: F401  (kept for callers that rebind it)
 from .model import NonFiniteLossError
 
@@ -105,7 +105,7 @@ def _flat_nodes(teachers, students, label_seqs=None):
         _check_same_shape(teacher, student)
         skip = max(teacher.excluded_frames, student.excluded_frames)
         if label_seqs is not None:
-            y = np.asarray(label_seqs[i], dtype=np.int64).reshape(-1).tolist()
+            y = check_labels(label_seqs[i], teacher.vocab_size).tolist()
             if len(y) + 1 != teacher.num_label_rows:
                 raise LatticeShapeError(f"label sequence of length {len(y)} does not match lattice "
                                         f"with {teacher.num_label_rows} label rows",

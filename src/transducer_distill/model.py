@@ -340,25 +340,24 @@ def train_step(model: TransducerModel, batch, loss_fn, optimizer) -> tuple[float
 
 
 def save_checkpoint(model: TransducerModel, path) -> None:
-    """Versioned binary container: header magic, JSON metadata, then named
-    parameter tensors as little-endian float32 in header order."""
-    names = sorted(model.params)
-    header = {
-        "format_version": 1,
-        "vocab_size": model.vocab_size,
-        "feat_dim": model.feat_dim,
-        "encoder": asdict(model.encoder),
-        "params": [
-            {"name": n, "shape": list(model.params[n].shape)} for n in names
-        ],
-    }
+    """Format 2: the magic, the header's length, a JSON header that describes the
+    model and holds its ``_digest``, then the payload: every tensor as
+    little-endian float32, in ``param_shapes`` order."""
+    payload = b"".join(
+        np.ascontiguousarray(model.params[name], dtype="<f4").tobytes()
+        for name, _ in param_shapes(model.vocab_size, model.feat_dim, model.encoder))
+    header = {"format_version": 2, "vocab_size": model.vocab_size, "feat_dim": model.feat_dim,
+              "encoder": asdict(model.encoder)}
+    header["sha256"] = _digest(header, payload)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for n in names:
-            f.write(np.ascontiguousarray(model.params[n], dtype="<f4").tobytes())
+    Path(path).write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+
+
+def _digest(header: dict, payload: bytes) -> str:
+    """The sha256 of the header's other keys, as sorted JSON, then the payload: a
+    changed value anywhere changes it, and a change of JSON whitespace does not."""
+    described = json.dumps({k: v for k, v in header.items() if k != "sha256"}, sort_keys=True)
+    return hashlib.sha256(described.encode("utf-8") + payload).hexdigest()
 
 
 def _read_exact(f, size: int, what: str) -> bytes:
@@ -369,49 +368,32 @@ def _read_exact(f, size: int, what: str) -> bytes:
 
 
 def _check_header(where: str, header) -> tuple:
-    """A checkpoint header's vocab size, feature dimension and encoder, checked for type and
-    range, and its (name, shape) tensor list: each tensor of that model once, at its shape."""
+    """A format 2 header's vocab size, feature dimension and encoder, checked for
+    type and range, and the (name, shape) list of their model's tensors."""
     if not isinstance(header, dict):
         raise ModelError(f"{where} must be a JSON object, not {type(header).__name__}")
     version = header.get("format_version")
-    if type(version) is not int or version != 1:  # not True or 1.0, which equal 1
+    if type(version) is not int or version != 2:  # not True or 2.0, which equal 2
         raise ModelError(f"{where}: unsupported checkpoint version {version!r}")
-    missing = [k for k in ("encoder", "vocab_size", "feat_dim", "params") if k not in header]
+    missing = [k for k in ("encoder", "vocab_size", "feat_dim", "sha256") if k not in header]
     if missing:
         raise ModelError(f"{where} lacks the keys {missing}")
-    dims, entries = (header["vocab_size"], header["feat_dim"]), header["params"]
+    dims = (header["vocab_size"], header["feat_dim"])
     enc, want = header["encoder"], {f.name: f.type.__name__ for f in fields(EncoderConfig)}
     if not isinstance(enc, dict) or {k: type(v).__name__ for k, v in enc.items()} != want:
         raise ModelError(f"{where}: encoder must be an object of types {want}, got {enc!r}")
     try:
         encoder = EncoderConfig(**enc)
-        shapes = dict(param_shapes(*dims, encoder))
+        return (*dims, encoder, param_shapes(*dims, encoder))
     except ModelError as e:
         raise ModelError(f"{where}: {e}") from None
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ModelError(f"{where}: params must be a list of objects, got {entries!r}")
-    for entry in entries:
-        missing = [k for k in ("name", "shape") if k not in entry]
-        if missing:
-            raise ModelError(f"{where}: params entry {entry} lacks the keys {missing}")
-    names, known = [entry["name"] for entry in entries], sorted(shapes)
-    for problem, found in [("unknown", [n for n in names if n not in known]),
-                           ("repeated", [n for i, n in enumerate(names) if n in names[:i]]),
-                           ("missing", [n for n in known if n not in names])]:
-        if found:
-            raise ModelError(f"{where}: {problem} tensors {found}")
-    for entry in entries:
-        want = list(shapes[entry["name"]])
-        if entry["shape"] != want:
-            raise ModelError(f"{where}: tensor {entry['name']!r} has shape "
-                             f"{entry['shape']}, not its model's {want}")
-    return (*dims, encoder, [(name, shapes[name]) for name in names])
 
 
 def load_checkpoint(path) -> TransducerModel:
     """The model saved at ``path``, read once: ``checkpoint_sha256`` hashes the
-    bytes parsed.  The header and every tensor's bytes are checked before the
-    model is built, so no header makes it allocate more than the file holds."""
+    bytes parsed.  The header, the payload's length and the sha256 of both are
+    checked before the model is built, so no header makes it allocate more than
+    the file holds."""
     data = Path(path).read_bytes()
     ckpt = f"checkpoint {path}"
     where = f"{ckpt} header"
@@ -421,15 +403,17 @@ def load_checkpoint(path) -> TransducerModel:
             raise ModelError(f"{ckpt}: not a checkpoint file (bad magic {magic!r})")
         (hlen,) = struct.unpack("<I", _read_exact(f, 4, f"{ckpt}: header length field"))
         header = parse_json(_read_exact(f, hlen, where), where, ModelError)
-        vocab_size, feat_dim, encoder, tensors = _check_header(where, header)
-        params = {}
-        for name, shape in tensors:
-            raw = _read_exact(f, math.prod(shape) * 4, f"{ckpt}: tensor {name!r}")
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-        trailing = len(f.read())
-        if trailing:
-            raise ModelError(f"{ckpt} has {trailing} trailing bytes after the last tensor")
+        payload = f.read()
+    vocab_size, feat_dim, encoder, shapes = _check_header(where, header)
+    sizes = [math.prod(shape) for _, shape in shapes]
+    if len(payload) != 4 * sum(sizes):
+        raise ModelError(f"{ckpt}: payload holds {len(payload)} bytes, "
+                         f"not the {4 * sum(sizes)} of its header's model")
+    if _digest(header, payload) != header["sha256"]:
+        raise ModelError(f"{ckpt}: header and payload do not match the header's sha256")
     model = TransducerModel(vocab_size, feat_dim, encoder)
-    model.params.update(params)
+    tensors = np.split(np.frombuffer(payload, dtype="<f4"), np.cumsum(sizes)[:-1])
+    for (name, shape), tensor in zip(shapes, tensors):
+        model.params[name] = tensor.reshape(shape).astype(np.float64)
     model.checkpoint_sha256 = hashlib.sha256(data).hexdigest()
     return model

@@ -498,23 +498,27 @@ class TestDistillAndEvaluate:
 
     @pytest.mark.parametrize("command", ["evaluate", "pseudo-label", "distill"])
     @pytest.mark.parametrize("edit, message", [
-        (lambda raw: raw[:-6], "error: checkpoint {path}: tensor 'pred_w' holds 138 of 144 bytes"),
+        # the teacher's 334 float32 parameters
+        (lambda raw: raw[:-6],
+         "error: checkpoint {path}: payload holds 1330 bytes, not the 1336 of its header's model"),
         (lambda raw: raw + b"pad",
-         "error: checkpoint {path} has 3 trailing bytes after the last tensor"),
+         "error: checkpoint {path}: payload holds 1339 bytes, not the 1336 of its header's model"),
+        (lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]),
+         "error: checkpoint {path}: header and payload do not match the header's sha256"),
+        # a value that changes no tensor's shape
+        (lambda raw: rewrite_header(raw, lambda header: header["encoder"].update(subsample=2)),
+         "error: checkpoint {path}: header and payload do not match the header's sha256"),
         (lambda raw: b"XXXXPT01" + raw[8:],
          "error: checkpoint {path}: not a checkpoint file (bad magic b'XXXXPT01')"),
-        (lambda raw: rewrite_header(raw, lambda header: header["params"].append(
-            {"name": "bogus", "shape": [2]})) + bytes(8),
-         "error: checkpoint {path} header: unknown tensors ['bogus']"),
-        # as many floats as the teacher's [6, 20], which loaded and then failed to encode
-        (lambda raw: rewrite_header(raw, lambda header: next(
-            e for e in header["params"] if e["name"] == "enc_w").update(shape=[2, 60])),
-         "error: checkpoint {path} header: tensor 'enc_w' has shape [2, 60], "
-         "not its model's [6, 20]"),
+        (lambda raw: raw[:10], "error: checkpoint {path}: header length field holds 2 of 4 bytes"),
+        (lambda raw: rewrite_header(raw, lambda header: header.pop("sha256")),
+         "error: checkpoint {path} header lacks the keys ['sha256']"),
         (lambda raw: rewrite_header(raw, lambda header: header.update(vocab_size="3")),
          "error: checkpoint {path} header: vocab_size must be an integer >= 1, got '3'"),
         (lambda raw: rewrite_header(raw, lambda header: header.update(vocab_size=3.0)),
          "error: checkpoint {path} header: vocab_size must be an integer >= 1, got 3.0"),
+        (lambda raw: rewrite_header(raw, lambda header: header.update(feat_dim=0)),
+         "error: checkpoint {path} header: feat_dim must be an integer >= 1, got 0"),
         (lambda raw: rewrite_header(raw, lambda header: header["encoder"].update(extra=1)),
          "error: checkpoint {path} header: encoder must be an object of types " + ENCODER_TYPES
          + ", got {{'causal': False, 'hidden': 6, 'left_context': 2, 'right_context': 2, "
@@ -522,19 +526,17 @@ class TestDistillAndEvaluate:
         (lambda raw: rewrite_header(raw, lambda header: header.update(encoder="x")),
          "error: checkpoint {path} header: encoder must be an object of types " + ENCODER_TYPES
          + ", got 'x'"),
-        (lambda raw: rewrite_header(raw, lambda header: header.update(params=5)),
-         "error: checkpoint {path} header: params must be a list of objects, got 5"),
         (lambda raw: replace_header(raw, b"[1]"),
          "error: checkpoint {path} header must be a JSON object, not list"),
-        # each equals 1 in Python but is not the integer 1
+        # the first three equal 2 in Python but are not the integer 2; 1 is the retired format
         *((lambda raw, v=version: rewrite_header(raw, lambda header: header.update(
             format_version=v)),
            f"error: checkpoint {{path}} header: unsupported checkpoint version {version!r}")
-          for version in (True, 1.0, "1", 2)),
-    ], ids=["truncated", "padded", "bad magic", "unknown tensor", "reshaped tensor",
-            "string vocab_size", "float vocab_size", "extra encoder key", "string encoder",
-            "integer params", "list header", "version true", "version 1.0", "version string 1",
-            "version 2"])
+          for version in (True, 2.0, "2", 1)),
+    ], ids=["truncated", "padded", "flipped payload byte", "edited subsample", "bad magic",
+            "short length field", "missing sha256", "string vocab_size", "float vocab_size",
+            "zero feat_dim", "extra encoder key", "string encoder", "list header",
+            "version true", "version 2.0", "version string 2", "version 1"])
     def test_damaged_checkpoint_exits_one(self, pipeline, tmp_path, capsys, command, edit,
                                           message):
         damaged = tmp_path / "damaged.ckpt"
@@ -706,9 +708,8 @@ class TestSweepShift:
         )
         table = cmd_sweep_shift(cfg, pipeline["data_dir"], pipeline["teacher"],
                                 pipeline["pseudo"], shifts=[0, 1, 2], root=tmp_path)
-        lines = table.read_text().splitlines()
-        assert lines[0] == "shift\twer"
-        assert [int(l.split("\t")[0]) for l in lines[1:]] == [0, 1, 2]
+        assert table.name == "shift_sweep.json"
+        assert [row["shift"] for row in json.loads(table.read_text())["rows"]] == [0, 1, 2]
 
     def test_default_shifts_are_zero_to_three(self, pipeline, tmp_path, monkeypatch):
         rows = []
@@ -719,7 +720,7 @@ class TestSweepShift:
         table = cmd_sweep_shift(cfg, pipeline["data_dir"], pipeline["teacher"],
                                 pipeline["pseudo"], root=tmp_path)
         assert rows == [{n: {"distill": {"shift_n": n}} for n in range(4)}]
-        assert table.read_text() == "shift\twer\n0\t0.5\n1\t0.5\n2\t0.5\n3\t0.5\n"
+        assert json.loads(table.read_text())["rows"] == [{"shift": n, "wer": 0.5} for n in range(4)]
 
     SOFT_CAUSAL = ["--set", "distill.kind=soft_efficient", "--set", "student.encoder.causal=true",
                    "--set", "student.encoder.right_context=0"]

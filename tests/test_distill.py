@@ -24,6 +24,7 @@ from transducer_distill.distill import (
 from transducer_distill.decode import PseudoLabelRecord
 from transducer_distill.lattice import (
     Lattice,
+    LatticeError,
     LatticeShapeError,
     forward_backward,
     logsumexp,
@@ -309,6 +310,14 @@ class TestSoftKlBatch:
             call(teachers, students, label_seqs)
         assert str(alone.value) == str(mid_batch.value) == message
         assert alone.value.shapes == mid_batch.value.shapes
+
+    @pytest.mark.parametrize("label", [2, -1], ids=["K", "minus one"])
+    def test_label_outside_the_vocab_raises(self, rng, label):
+        """K = 2: label K is blank's index, and -1 is the u = U row's "no target"."""
+        teachers = [random_lattice(rng, 3, 1, 2) for _ in range(2)]
+        students = [random_lattice(rng, 3, 1, 2) for _ in range(2)]
+        with pytest.raises(LatticeError, match="label out of range for vocab of size 2"):
+            soft_kl_efficient(teachers, students, [[0], [label]])
 
 
 class TestShiftTeacher:

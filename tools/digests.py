@@ -6,19 +6,22 @@ Runs ``perfbench/workloads.run_pass`` once for workload ``W`` (weak_teacher
 or causal_shift) and input seed ``N`` into a temporary directory, at the
 step scales ``SCALES`` (fractions of the acceptance-suite step counts, so a
 pass takes seconds), and prints as sorted JSON the sha256 of each file the
-pass wrote, keyed by its path under that directory.  Run directories are
-named by config and input hashes, so the keys of two trees match where
-their inputs do.  ``--src`` names the directory that holds the
-``transducer_distill`` package (default: this repository's ``src``), so a
-change that must keep every output byte can be checked by running the same
-script on both trees and comparing the two outputs.  BLAS is pinned to one
-thread.
+pass wrote.  Each key is the file's path under that directory with the
+inputs hash dropped from every run-directory name:
+``pseudo-label-<config>-<inputs>/...`` becomes ``pseudo-label-<config>/...``.
+So two trees compare file by file even where a changed checkpoint renames
+every run directory downstream of it.  Two files that map to one key exit 1.
+``--src`` names the directory that holds the ``transducer_distill`` package
+(default: this repository's ``src``), so a change that must keep every
+output byte can be checked by running the same script on both trees and
+comparing the two outputs.  BLAS is pinned to one thread.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -28,13 +31,22 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 REPO = Path(__file__).resolve().parents[1]
 SCALES = (0.05, 0.02)  # (teacher, student)
+# the inputs hash that ends a run-directory name, after its config hash
+INPUTS_HASH = re.compile(r"(-[0-9a-f]{12})-[0-9a-f]{12}$")
 
 
 def digests(root) -> dict:
-    """sha256 of every file under ``root``, by its path relative to ``root``."""
-    root = Path(root)
-    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(root.rglob("*")) if p.is_file()}
+    """sha256 of every file under ``root``, by its path relative to ``root``
+    with each run directory's inputs hash dropped."""
+    root, out = Path(root), {}
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            path = p.relative_to(root)
+            key = "/".join(INPUTS_HASH.sub(r"\1", part) for part in path.parts)
+            if key in out:
+                sys.exit(f"error: {path} and another file both map to {key}")
+            out[key] = hashlib.sha256(p.read_bytes()).hexdigest()
+    return out
 
 
 def main(argv=None) -> int:
