@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as data_mod
 from . import metrics as metrics_mod
 from .decode import (
@@ -38,7 +36,6 @@ from .lattice import LatticeError
 from .model import (
     SGD,
     EncoderConfig,
-    ModelError,
     TransducerModel,
     load_checkpoint,
     save_checkpoint,
@@ -361,15 +358,19 @@ def load_corpora(data_dir, models=()) -> tuple:
         raise ConfigError(f"no corpus manifest at {manifest_path}")
     raw = manifest_path.read_bytes()
     manifest = data_mod.parse_json(raw, f"corpus manifest {manifest_path}", ConfigError)
+
+    def section(key, names, want, what):
+        value = manifest.get(key) if isinstance(manifest, dict) else None
+        if not isinstance(value, dict) or not all(type(value.get(k)) is want for k in names):
+            raise ConfigError(f"corpus manifest {manifest_path} must {what}")
+        return value
+
     names = ("supervised", "unsupervised", "unsup_refs", "eval")
-    files = manifest.get("files") if isinstance(manifest, dict) else None
-    if not isinstance(files, dict) or not all(isinstance(files.get(k), str) for k in names):
-        raise ConfigError(f"corpus manifest {manifest_path} must name the files of {list(names)}")
-    spec = manifest.get("spec")
-    if not isinstance(spec, dict) or not all(
-            type(spec.get(k)) is int for k in ("vocab_size", "feat_dim")):
-        raise ConfigError(f"corpus manifest {manifest_path} must give the integers "
-                          f"spec.vocab_size and spec.feat_dim")
+    files = section("files", names, str, f"name the files of {list(names)}")
+    spec = section("spec", ("vocab_size", "feat_dim"), int,
+                   "give the integers spec.vocab_size and spec.feat_dim")
+    counts = section("counts", ("supervised", "unsupervised", "eval"), int,
+                     "give the integer record counts of supervised, unsupervised and eval")
     for name, model in models:
         for dim in ("vocab_size", "feat_dim"):
             if getattr(model, dim) != spec[dim]:
@@ -380,10 +381,16 @@ def load_corpora(data_dir, models=()) -> tuple:
     if key not in _LAST_CORPORA:
         _LAST_CORPORA.clear()
         vocab, feat = spec["vocab_size"], spec["feat_dim"]
-        sup = data_mod.read_corpus(paths[0], "sup", vocab, feat)
+        sup = data_mod.read_corpus(paths[0], "sup", vocab, feat, labelled=True)
         unsup = data_mod.read_corpus(paths[1], "unsup", vocab, feat)
         unsup.hidden_refs.update(data_mod.read_hidden_refs(paths[2], vocab))
-        ev = data_mod.read_corpus(paths[3], "eval", vocab, feat)
+        ev = data_mod.read_corpus(paths[3], "eval", vocab, feat, labelled=True)
+        # a file cut at a line boundary still parses: only its count tells
+        for path, parsed, split in zip(paths, (sup, unsup, unsup.hidden_refs, ev),
+                                       ("supervised", "unsupervised", "unsupervised", "eval")):
+            if len(parsed) != counts[split]:
+                raise ConfigError(f"{path} holds {len(parsed)} records, but corpus manifest "
+                                  f"{manifest_path} counts {counts[split]}")
         for utt in sup.utterances + unsup.utterances + ev.utterances:
             utt.frames.flags.writeable = False
         _LAST_CORPORA[key] = {"sup": sup, "unsup": unsup, "eval": ev}
@@ -480,43 +487,29 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
     cap = cfg["decode"]["max_symbols_per_frame"]
     teacher = load_checkpoint(checkpoint)
     corpora, digests = load_corpora(data_dir, [(f"checkpoint {checkpoint}", teacher)])
-    out = make_run_dir("pseudo-label", cfg, root, (*digests, teacher.checkpoint_sha256))
 
     # the teacher decodes raw features: no dropout or augmentation exists
-    # anywhere in this pipeline, matching the distillation protocol
+    # anywhere in this pipeline, matching the distillation protocol; a checked
+    # corpus and checkpoint leave rescoring the one step that can still fail
     utts = corpora["unsup"].utterances
-    try:
-        nbests = beam_search(teacher, [utt.frames for utt in utts], beam, cap)
-    except (DecodeError, ModelError, LatticeError):
-        nbests = [None] * len(utts)
     records = []
-    failures = []
-    for utt, nbest in zip(utts, nbests):
+    for utt, nbest in zip(utts, beam_search(teacher, [utt.frames for utt in utts], beam, cap)):
         try:
-            if nbest is None:  # the lockstep call failed: decode alone, to name each failure
-                [nbest] = beam_search(teacher, [utt.frames], beam, cap)
-            top = nbest[0][0]
             rescored = rescore_nbest(teacher, utt.frames, nbest)
-            pairs = sorted(
-                zip((labels for labels, _ in nbest), rescored),
-                key=lambda e: (-e[1], e[0]),
-            )
-            # the stored list always retains the pseudo label itself
-            top_pair = next(p for p in pairs if p[0] == top)
-            keep = pairs[:nbest_size]
-            if top_pair not in keep:
-                keep = keep[: nbest_size - 1] + [top_pair]
-                keep.sort(key=lambda e: (-e[1], e[0]))
-            records.append(PseudoLabelRecord(utt_id=utt.utt_id, labels=top,
-                                             score=top_pair[1], nbest=keep))
-        except (DecodeError, ModelError, LatticeError) as e:
-            # an utterance the teacher cannot decode must not kill the run
-            failures.append({"utt_id": utt.utt_id, "error": str(e)})
+        except LatticeError as e:
+            raise DecodeError(f"utterance {utt.utt_id}: {e}") from None
+        pairs = sorted(zip((hyp for hyp, _ in nbest), rescored), key=lambda e: (-e[1], e[0]))
+        # the stored list always retains the pseudo label, the beam's best;
+        # left out, it ranks below every kept pair
+        labels, score = next(p for p in pairs if p[0] == nbest[0][0])
+        keep = pairs[:nbest_size]
+        if (labels, score) not in keep:
+            keep[-1] = (labels, score)
+        records.append(PseudoLabelRecord(utt.utt_id, labels, score, keep))
 
+    out = make_run_dir("pseudo-label", cfg, root, (*digests, teacher.checkpoint_sha256))
     path = out / "pseudo_labels.jsonl"
     write_pseudo_labels(path, records)
-    if failures:
-        data_mod.write_records(out / "decode_failures.jsonl", failures)
     return path
 
 
@@ -537,18 +530,14 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
     if weights.weight_hard_on_pseudo > 0 or weights.weight_distill > 0:
         missing = [u.utt_id for u in corpora["unsup"].utterances if u.utt_id not in pseudo]
         if missing:
-            raise ConfigError(
-                f"pseudo-label file has no record for {len(missing)} unsupervised "
-                f"utterances, e.g. {missing[0]}; see decode_failures.jsonl next to it"
-            )
+            raise ConfigError(f"{pseudo_label_file}: no record for {len(missing)} "
+                              f"unsupervised utterances, e.g. {missing[0]}")
     if kind.kind.is_norm:
         short = [r.utt_id for r in pseudo.values() if len(r.nbest) < 2]
         if short:
             raise ConfigError(
-                f"pseudo-label file lacks N-best lists (>=2 hypotheses) for "
-                f"{len(short)} utterances, e.g. {short[0]}; regenerate with "
-                f"decode.nbest >= 2"
-            )
+                f"{pseudo_label_file}: no N-best list (>=2 hypotheses) for {len(short)} "
+                f"utterances, e.g. {short[0]}; regenerate with decode.nbest >= 2")
 
     out = make_run_dir("distill", cfg, root,
                        (*digests, teacher.checkpoint_sha256, _sha256(pseudo_label_file)))

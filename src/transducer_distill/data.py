@@ -8,6 +8,7 @@ specs reproduce identical corpora, batches, and corruptions.
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -274,20 +275,23 @@ def record_labels(value, place: str, vocab_size=None) -> tuple:
 def _record_frames(value, place: str, feat_dim=None) -> np.ndarray:
     try:
         frames = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged rows or non-numbers
+    except (TypeError, ValueError, OverflowError):  # ragged rows, non-numbers, or huge integers
         frames = np.empty(0)
+    # numpy reads a bool or a numeric string as a number; JSON numbers are int or float
     if (frames.ndim != 2 or frames.shape[0] < 1 or feat_dim not in (None, frames.shape[1])
-            or not np.all(np.isfinite(frames))):
+            or not np.all(np.isfinite(frames))
+            or not {float, int}.issuperset(map(type, chain.from_iterable(value)))):
         raise RecordError(f"{place}: frames must be one or more rows of "
                           f"{feat_dim or 'equally many'} finite numbers")
     return frames
 
 
-def read_corpus(path, split: str, vocab_size=None, feat_dim=None) -> Corpus:
+def read_corpus(path, split: str, vocab_size=None, feat_dim=None, labelled=False) -> Corpus:
     """Read a corpus file, checking each record: frames of ``feat_dim``
-    columns and labels in [0, ``vocab_size``), where given."""
+    columns and labels in [0, ``vocab_size``), where given, and labels on
+    every record where ``labelled``."""
     utterances = []
-    for place, obj in read_records(path, ("utt_id", "frames")):
+    for place, obj in read_records(path, ("utt_id", "frames") + ("labels",) * labelled):
         utterances.append(
             Utterance(
                 utt_id=obj["utt_id"],

@@ -391,9 +391,9 @@ def _check_header(where: str, header) -> tuple:
 
 def load_checkpoint(path) -> TransducerModel:
     """The model saved at ``path``, read once: ``checkpoint_sha256`` hashes the
-    bytes parsed.  The header, the payload's length and the sha256 of both are
-    checked before the model is built, so no header makes it allocate more than
-    the file holds."""
+    bytes parsed.  The header, the payload's length, the sha256 of both and the
+    finiteness of every value are checked before the model is built, so no
+    header makes it allocate more than the file holds."""
     data = Path(path).read_bytes()
     ckpt = f"checkpoint {path}"
     where = f"{ckpt} header"
@@ -411,8 +411,11 @@ def load_checkpoint(path) -> TransducerModel:
                          f"not the {4 * sum(sizes)} of its header's model")
     if _digest(header, payload) != header["sha256"]:
         raise ModelError(f"{ckpt}: header and payload do not match the header's sha256")
+    values = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(values).all():  # a model that no input could run
+        raise ModelError(f"{ckpt}: payload holds a NaN or infinite value")
     model = TransducerModel(vocab_size, feat_dim, encoder)
-    tensors = np.split(np.frombuffer(payload, dtype="<f4"), np.cumsum(sizes)[:-1])
+    tensors = np.split(values, np.cumsum(sizes)[:-1])
     for (name, shape), tensor in zip(shapes, tensors):
         model.params[name] = tensor.reshape(shape).astype(np.float64)
     model.checkpoint_sha256 = hashlib.sha256(data).hexdigest()

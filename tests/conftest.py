@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from transducer_distill.lattice import Lattice
-from transducer_distill.model import CHECKPOINT_MAGIC
+from transducer_distill.model import CHECKPOINT_MAGIC, _digest
 
 
 def random_lattice(rng: np.random.Generator, T: int, U: int, K: int) -> Lattice:
@@ -33,6 +33,17 @@ def rewrite_header(data: bytes, edit) -> bytes:
     header = json.loads(data[start:start + hlen])
     edit(header)
     return replace_header(data, json.dumps(header).encode("utf-8"))
+
+
+def set_payload_value(data: bytes, index: int, value: float) -> bytes:
+    """A checkpoint's bytes with its ``index``-th float32 set to ``value`` and
+    the header's sha256 recomputed, so that the file passes every byte check."""
+    start = len(CHECKPOINT_MAGIC) + 4
+    (hlen,) = struct.unpack("<I", data[len(CHECKPOINT_MAGIC):start])
+    header, payload = json.loads(data[start:start + hlen]), bytearray(data[start + hlen:])
+    payload[4 * index:4 * index + 4] = struct.pack("<f", value)
+    header["sha256"] = _digest(header, bytes(payload))
+    return replace_header(data[:start + hlen] + payload, json.dumps(header).encode("utf-8"))
 
 
 @pytest.fixture

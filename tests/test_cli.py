@@ -32,11 +32,12 @@ from transducer_distill.cli import (
 from transducer_distill import cli
 from transducer_distill import decode as decode_mod
 from transducer_distill.decode import DecodeError, read_pseudo_labels, write_pseudo_labels
+from transducer_distill.lattice import LatticeError
 from transducer_distill.model import (
     load_checkpoint, save_checkpoint, ModelError, TransducerModel, EncoderConfig,
 )
 
-from conftest import replace_header, rewrite_header
+from conftest import replace_header, rewrite_header, set_payload_value
 from test_acceptance import _causal_config, _weak_teacher_config
 
 
@@ -273,39 +274,43 @@ class TestPseudoLabel:
             cmd_pseudo_label(cfg, pipeline["teacher"], pipeline["data_dir"], root=tmp_path)
         assert not list(tmp_path.iterdir())
 
+    def pseudo_label(self, pipeline, runs):
+        return cli.main(["pseudo-label", "--data-dir", str(pipeline["data_dir"]),
+                         "--checkpoint", str(pipeline["teacher"]), "--run-root", str(runs),
+                         *SMOKE_SET_ARGS])
+
     @pytest.mark.parametrize("index", [0, 3])
-    @pytest.mark.parametrize("where", ["beam_search", "encode"])
-    def test_decode_error_skips_utterance(self, pipeline, tmp_path, monkeypatch, where, index):
-        # the bad utterance fails the lockstep call; decoded again one at a
-        # time, it alone is written to decode_failures.jsonl, and every other
-        # utterance keeps the bytes of its record
+    def test_rescoring_error_names_the_utterance(self, pipeline, tmp_path, monkeypatch, capsys,
+                                                 index):
         bad = load_corpora(pipeline["data_dir"])[0]["unsup"].utterances[index]
+        real = cli.rescore_nbest
+
+        def failing(model, x, nbest):
+            if np.array_equal(x, bad.frames):
+                raise LatticeError("lattice holds non-finite values")
+            return real(model, x, nbest)
+
+        monkeypatch.setattr(cli, "rescore_nbest", failing)
+        runs = tmp_path / "runs"
+        assert self.pseudo_label(pipeline, runs) == 1
+        assert capsys.readouterr().err == (
+            f"error: utterance {bad.utt_id}: lattice holds non-finite values\n")
+        assert not runs.exists()
+
+    @pytest.mark.parametrize("error", [DecodeError, ModelError])
+    @pytest.mark.parametrize("where", ["beam_search", "encode"])
+    def test_decoder_error_exits_one(self, pipeline, tmp_path, monkeypatch, capsys, where, error):
+        def failing(*args):
+            raise error("cannot decode")
+
         if where == "beam_search":
-            real = cli.beam_search
-
-            def failing(model, xs, *args):
-                if any(np.array_equal(x, bad.frames) for x in xs):
-                    raise DecodeError("cannot decode")
-                return real(model, xs, *args)
-
             monkeypatch.setattr(cli, "beam_search", failing)
         else:
-            real = TransducerModel.encode
-
-            def failing(self, x):
-                if np.array_equal(x, bad.frames):
-                    raise ModelError("cannot decode")
-                return real(self, x)
-
             monkeypatch.setattr(TransducerModel, "encode", failing)
-        path = cmd_pseudo_label(pipeline["cfg"], pipeline["teacher"],
-                                pipeline["data_dir"], root=tmp_path)
-        lines = pipeline["pseudo"].read_bytes().splitlines(keepends=True)
-        assert path.read_bytes() == b"".join(
-            line for line in lines if json.loads(line)["utt_id"] != bad.utt_id)
-        failure = {"utt_id": bad.utt_id, "error": "cannot decode"}
-        assert (path.parent / "decode_failures.jsonl").read_text() == (
-            json.dumps(failure, sort_keys=True) + "\n")
+        runs = tmp_path / "runs"
+        assert self.pseudo_label(pipeline, runs) == 1
+        assert capsys.readouterr().err == "error: cannot decode\n"
+        assert not runs.exists()
 
     def test_program_error_is_not_swallowed(self, pipeline, tmp_path, monkeypatch):
         def broken(*args):
@@ -505,6 +510,10 @@ class TestDistillAndEvaluate:
          "error: checkpoint {path}: payload holds 1339 bytes, not the 1336 of its header's model"),
         (lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]),
          "error: checkpoint {path}: header and payload do not match the header's sha256"),
+        # values that pass every byte check, sha256 included
+        *((lambda raw, v=value: set_payload_value(raw, 7, v),
+           "error: checkpoint {path}: payload holds a NaN or infinite value")
+          for value in (float("nan"), float("inf"), -float("inf"))),
         # a value that changes no tensor's shape
         (lambda raw: rewrite_header(raw, lambda header: header["encoder"].update(subsample=2)),
          "error: checkpoint {path}: header and payload do not match the header's sha256"),
@@ -533,7 +542,8 @@ class TestDistillAndEvaluate:
             format_version=v)),
            f"error: checkpoint {{path}} header: unsupported checkpoint version {version!r}")
           for version in (True, 2.0, "2", 1)),
-    ], ids=["truncated", "padded", "flipped payload byte", "edited subsample", "bad magic",
+    ], ids=["truncated", "padded", "flipped payload byte", "NaN value", "+inf value",
+            "-inf value", "edited subsample", "bad magic",
             "short length field", "missing sha256", "string vocab_size", "float vocab_size",
             "zero feat_dim", "extra encoder key", "string encoder", "list header",
             "version true", "version 2.0", "version string 2", "version 1"])
@@ -589,27 +599,74 @@ class TestLoadCorpora:
         with pytest.raises(ValueError, match="read-only"):
             utts[0].frames[0, 0] = 1.0
 
+    @staticmethod
+    def set_first_frame_value(path, value):
+        """Rewrite the first frame value of the file's first record."""
+        first, *rest = path.read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        record["frames"][0][0] = value
+        path.write_text("".join([json.dumps(record) + "\n", *rest]))
+
     def test_rewritten_file_is_parsed_again(self, pipeline, tmp_path):
         data = self.copy_data(pipeline, tmp_path)
         before, _ = load_corpora(data)
-        path = data / "eval.jsonl"
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        self.set_first_frame_value(data / "eval.jsonl", 7.5)
         after, _ = load_corpora(data)
         assert after is not before
-        assert after["eval"].utt_ids() == before["eval"].utt_ids()[:-1]
+        assert after["eval"].utt_ids() == before["eval"].utt_ids()
+        assert after["eval"].utterances[0].frames[0, 0] == 7.5
+        assert before["eval"].utterances[0].frames[0, 0] != 7.5
 
     def test_rewritten_file_gets_a_new_run_dir(self, pipeline, tmp_path):
         data, runs, cfg = self.copy_data(pipeline, tmp_path), tmp_path / "runs", smoke_config()
         first = cmd_evaluate(cfg, pipeline["teacher"], data, root=runs)
         report = first.read_bytes()
-        path = data / "eval.jsonl"
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        self.set_first_frame_value(data / "eval.jsonl", 7.5)
         second = cmd_evaluate(cfg, pipeline["teacher"], data, root=runs)
         assert second.parent != first.parent
         assert first.read_bytes() == report
-        lengths = [json.loads(r)["sets"]["eval"]["reference_length"]
-                   for r in (report, second.read_bytes())]
-        assert lengths[1] < lengths[0]
+        assert load_corpora(data)[0]["eval"].utterances[0].frames[0, 0] == 7.5
+
+    @pytest.mark.parametrize("name, split", [("sup.jsonl", "supervised"),
+                                             ("unsup.jsonl", "unsupervised"),
+                                             ("unsup_refs.jsonl", "unsupervised"),
+                                             ("eval.jsonl", "eval")])
+    def test_file_cut_at_a_line_boundary_exits_one(self, pipeline, tmp_path, capsys, name,
+                                                   split):
+        data = self.copy_data(pipeline, tmp_path)
+        path = data / name
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        exit_code = cli.main([
+            "evaluate", "--data-dir", str(data), "--checkpoint", str(pipeline["teacher"]),
+            "--run-root", str(tmp_path / "runs"), *SMOKE_SET_ARGS,
+        ])
+        assert exit_code == 1
+        count = json.loads((data / "manifest.json").read_text())["counts"][split]
+        assert count == len(lines)
+        assert capsys.readouterr().err == (
+            f"error: {path} holds {count - 1} records, but corpus manifest "
+            f"{data / 'manifest.json'} counts {count}\n")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("edit", [lambda m: m.pop("counts"),
+                                      lambda m: m["counts"].pop("eval"),
+                                      lambda m: m["counts"].update(supervised="6")],
+                             ids=["no counts", "no eval count", "string count"])
+    def test_manifest_without_a_count_exits_one(self, pipeline, tmp_path, capsys, edit):
+        data = self.copy_data(pipeline, tmp_path)
+        manifest = json.loads((data / "manifest.json").read_text())
+        edit(manifest)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        exit_code = cli.main([
+            "evaluate", "--data-dir", str(data), "--checkpoint", str(pipeline["teacher"]),
+            "--run-root", str(tmp_path / "runs"), *SMOKE_SET_ARGS,
+        ])
+        assert exit_code == 1
+        assert capsys.readouterr().err == (
+            f"error: corpus manifest {data / 'manifest.json'} must give the integer record "
+            f"counts of supervised, unsupervised and eval\n")
+        assert not (tmp_path / "runs").exists()
 
     def test_truncated_file_exits_one(self, pipeline, tmp_path, capsys):
         data = self.copy_data(pipeline, tmp_path)
@@ -646,6 +703,9 @@ class TestEmptyUnsupervisedCorpus:
         shutil.copytree(pipeline["data_dir"], data)
         for name in ("unsup.jsonl", "unsup_refs.jsonl"):
             (data / name).write_text("")
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["counts"]["unsupervised"] = 0
+        (data / "manifest.json").write_text(json.dumps(manifest))
         return data
 
     def distill(self, pipeline, data, tmp_path, *overrides):
@@ -1007,6 +1067,19 @@ class TestExitCodes:
             "train-teacher", "sup.jsonl", lambda r: [row.append(0.5) for row in r["frames"]],
             "rows of 4 finite numbers"),
         "no frames": ("train-teacher", "sup.jsonl", lambda r: r.update(frames=[]), "one or more rows"),
+        "frame value beyond the float range": (
+            "train-teacher", "sup.jsonl", lambda r: r["frames"][0].__setitem__(0, 10**400),
+            "rows of 4 finite numbers"),
+        "frame value true": (
+            "train-teacher", "sup.jsonl", lambda r: r["frames"][0].__setitem__(0, True),
+            "rows of 4 finite numbers"),
+        "frame value a numeric string": (
+            "train-teacher", "sup.jsonl", lambda r: r["frames"][0].__setitem__(0, "0.5"),
+            "rows of 4 finite numbers"),
+        "supervised record without labels": (
+            "train-teacher", "sup.jsonl", lambda r: r.pop("labels"), "lacks the keys ['labels']"),
+        "eval record without labels": (
+            "train-teacher", "eval.jsonl", lambda r: r.pop("labels"), "lacks the keys ['labels']"),
         "corpus label out of range": (
             "train-teacher", "sup.jsonl", lambda r: r.update(labels=[3]), "leave the range [0, 3)"),
         "reference labels not integers": (

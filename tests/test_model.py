@@ -20,7 +20,7 @@ from transducer_distill.model import (
     train_step,
 )
 
-from conftest import rewrite_header
+from conftest import rewrite_header, set_payload_value
 from oracles import validate_lattice
 
 
@@ -386,6 +386,21 @@ class TestCheckpoint:
         path.write_bytes(rewrite_header(data, lambda header: header.pop(key)))
         with pytest.raises(ModelError, match=f"header lacks the keys \\['{key}'\\]"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("index", [0, 100, 178])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected(self, tmp_path, index, value):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(set_payload_value(data, index, value))
+        with pytest.raises(ModelError, match=re.escape(
+                f"checkpoint {path}: payload holds a NaN or infinite value")):
+            load_checkpoint(path)
+
+    def test_finite_value_with_its_sha256_loads(self, tmp_path):
+        """The edit above passes every other check: with a finite value, it loads."""
+        path, data = self._saved(tmp_path)
+        path.write_bytes(set_payload_value(data, 0, 0.5))
+        assert load_checkpoint(path).params["enc_w"][0, 0] == 0.5  # the payload's first value
 
     def test_large_claim_rejected_before_the_model_is_built(self, tmp_path):
         """A model of the claimed vocab holds 17.6 MB of parameters and gradients."""
