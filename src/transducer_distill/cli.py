@@ -314,31 +314,6 @@ def _combined_config(cfg: dict) -> CombinedLossConfig:
     return CombinedLossConfig(w["supervised"], w["hard"], w["distill"])
 
 
-def validate_distill_setup(cfg: dict, teacher_subsample: int) -> None:
-    """Reject a soft kind whose teacher and student subsample time
-    differently: the one check that needs the teacher checkpoint."""
-    student_sub = cfg["student"]["encoder"]["subsample"]
-    if LossKind(cfg["distill"]["kind"]).is_soft and teacher_subsample != student_sub:
-        raise ConfigError(
-            f"soft distillation requires equal time subsampling, got teacher "
-            f"{teacher_subsample} vs student {student_sub}; use a sequence-level "
-            f"full-sum kind (fs_l1/fs_mse/fsnorm_l1/fsnorm_mse), which does not "
-            f"depend on the time dimension"
-        )
-
-
-def _check_shifts(shifts, unsup, subsample: int) -> None:
-    """Reject a shift at or past the teacher frames of the shortest
-    unsupervised utterance, before any training reaches it."""
-    if not unsup.utterances:  # nothing to shift
-        return
-    short = min(unsup.utterances, key=lambda u: len(u.frames))
-    frames = -(-len(short.frames) // subsample)
-    if max(shifts) >= frames:
-        raise ConfigError(f"shift {max(shifts)} >= {frames} teacher frames of the shortest "
-                          f"unsupervised utterance {short.utt_id}")
-
-
 # ----- corpus artifacts -----
 
 
@@ -513,46 +488,63 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
     return path
 
 
+def _distill_inputs(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file) -> tuple:
+    """Check every rule that the distill row ``cfg`` (resolved) puts on its
+    inputs; each command calls this before it makes a run directory.
+    Returns the teacher, the corpora, the pseudo labels and the input
+    digests that name the run."""
+    teacher = load_checkpoint(teacher_checkpoint)
+    kind, sub = LossKind(cfg["distill"]["kind"]), teacher.encoder.subsample
+    student_sub = cfg["student"]["encoder"]["subsample"]
+    if kind.is_soft and sub != student_sub:
+        raise ConfigError(
+            f"soft distillation requires equal time subsampling, got teacher {sub} vs student "
+            f"{student_sub}; use a sequence-level full-sum kind (fs_l1/fs_mse/fsnorm_l1/"
+            f"fsnorm_mse), which does not depend on the time dimension")
+    spec = _data_spec(cfg)
+    corpora, digests = load_corpora(data_dir, [
+        (DATA_SECTION, spec), (f"teacher checkpoint {teacher_checkpoint}", teacher)])
+    # the batch mixer checks that each split it draws from holds an utterance
+    data_mod.mix_batches(corpora["sup"], corpora["unsup"], cfg["train"]["batch_size"],
+                         cfg["train"]["sup_fraction"])
+    unsup, shift = corpora["unsup"].utterances, cfg["distill"]["shift_n"]
+    if unsup:  # the shift must leave the shortest utterance a teacher frame
+        short = min(unsup, key=lambda u: len(u.frames))
+        frames = -(-len(short.frames) // sub)
+        if shift >= frames:
+            raise ConfigError(f"shift {shift} >= {frames} teacher frames of the shortest "
+                              f"unsupervised utterance {short.utt_id}")
+    pseudo = load_pseudo_labels(pseudo_label_file, spec.vocab_size)
+    weights = cfg["distill"]["weights"]
+    if weights["hard"] > 0 or weights["distill"] > 0:  # a term reads the pseudo labels
+        missing = [u.utt_id for u in unsup if u.utt_id not in pseudo]
+        if missing:
+            raise ConfigError(f"{pseudo_label_file}: no record for {len(missing)} "
+                              f"unsupervised utterances, e.g. {missing[0]}")
+    if kind.is_norm:
+        one_best = [r.utt_id for r in pseudo.values() if len(r.nbest) < 2]
+        if one_best:
+            raise ConfigError(
+                f"{pseudo_label_file}: no N-best list (>=2 hypotheses) for {len(one_best)} "
+                f"utterances, e.g. {one_best[0]}; regenerate with decode.nbest >= 2")
+    return teacher, corpora, pseudo, (*digests, teacher.checkpoint_sha256,
+                                      _sha256(pseudo_label_file))
+
+
 def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root=None,
                 teacher_lattices=None) -> Path:
     """Train one student.  Rows that share a teacher and corpus may share
     one ``teacher_lattices`` memo; by default each call makes its own."""
     cfg = resolve_config(cfg)
-    teacher = load_checkpoint(teacher_checkpoint)
-    validate_distill_setup(cfg, teacher.encoder.subsample)
-    kind = _distill_kind(cfg)
-    weights = _combined_config(cfg)
-    spec = _data_spec(cfg)
-    corpora, digests = load_corpora(data_dir, [
-        (DATA_SECTION, spec), (f"teacher checkpoint {teacher_checkpoint}", teacher)])
-    _check_shifts([kind.shift_n], corpora["unsup"], teacher.encoder.subsample)
-    pseudo = load_pseudo_labels(pseudo_label_file, spec.vocab_size)
-    if weights.weight_hard_on_pseudo > 0 or weights.weight_distill > 0:
-        missing = [u.utt_id for u in corpora["unsup"].utterances if u.utt_id not in pseudo]
-        if missing:
-            raise ConfigError(f"{pseudo_label_file}: no record for {len(missing)} "
-                              f"unsupervised utterances, e.g. {missing[0]}")
-    if kind.kind.is_norm:
-        short = [r.utt_id for r in pseudo.values() if len(r.nbest) < 2]
-        if short:
-            raise ConfigError(
-                f"{pseudo_label_file}: no N-best list (>=2 hypotheses) for {len(short)} "
-                f"utterances, e.g. {short[0]}; regenerate with decode.nbest >= 2")
-
-    out = make_run_dir("distill", cfg, root,
-                       (*digests, teacher.checkpoint_sha256, _sha256(pseudo_label_file)))
-
+    teacher, corpora, pseudo, digests = _distill_inputs(cfg, data_dir, teacher_checkpoint,
+                                                        pseudo_label_file)
+    out = make_run_dir("distill", cfg, root, digests)
+    spec, kind = _data_spec(cfg), _distill_kind(cfg)
     model = TransducerModel(spec.vocab_size, spec.feat_dim, _encoder(cfg, "student"),
                             seed=cfg["seed"] + 13)
-
-    needs_teacher = kind.kind.is_soft
-    loss_fn = make_loss_fn(
-        kind,
-        weights,
-        pseudo_labels=pseudo,
-        teacher_model=teacher if needs_teacher else None,
-        teacher_lattices={} if teacher_lattices is None else teacher_lattices,
-    )
+    loss_fn = make_loss_fn(kind, _combined_config(cfg), pseudo_labels=pseudo,
+                           teacher_model=teacher if kind.kind.is_soft else None,
+                           teacher_lattices={} if teacher_lattices is None else teacher_lattices)
     _train(model, corpora["sup"], corpora["unsup"], cfg, loss_fn, out / "metrics.jsonl")
 
     ckpt = out / "student.ckpt"
@@ -577,18 +569,14 @@ def run_rows(cfg: dict, rows: dict, data_dir, teacher_checkpoint, pseudo_label_f
 
 
 def _train_rows(command: str, cfg: dict, rows: dict, data_dir, teacher_checkpoint,
-                pseudo_label_file, root, check=lambda teacher, corpora: None) -> tuple:
-    """What ``distill --grid`` and ``sweep-shift`` share: check the inputs
-    (and ``check`` the teacher and corpora), make the run directory, then
-    ``run_rows``.  Returns the run directory and each row's eval WER."""
-    teacher = load_checkpoint(teacher_checkpoint)
-    spec = _data_spec(cfg)
-    corpora, digests = load_corpora(data_dir, [
-        (DATA_SECTION, spec), (f"teacher checkpoint {teacher_checkpoint}", teacher)])
-    check(teacher, corpora)
-    load_pseudo_labels(pseudo_label_file, spec.vocab_size)  # no run dir on a bad record
-    out = make_run_dir(command, cfg, root,
-                       (*digests, teacher.checkpoint_sha256, _sha256(pseudo_label_file)))
+                pseudo_label_file, root) -> tuple:
+    """What ``distill --grid`` and ``sweep-shift`` share: check the inputs of
+    every row, make the run directory, then ``run_rows``.  Returns the run
+    directory and each row's eval WER."""
+    for overrides in rows.values():  # every row reads the same files: one digest names the run
+        *_, digests = _distill_inputs(resolve_config(_deep_merge(cfg, overrides)), data_dir,
+                                      teacher_checkpoint, pseudo_label_file)
+    out = make_run_dir(command, cfg, root, digests)
     return out, run_rows(cfg, rows, data_dir, teacher_checkpoint, pseudo_label_file, root=out)
 
 
@@ -644,14 +632,11 @@ def cmd_sweep_shift(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file,
     if not shifts or min(shifts) < 0:
         raise ConfigError(f"sweep-shift needs one or more shifts >= 0, got {shifts}; "
                           f"--max-shift must be >= 0")
-
-    def check(teacher, corpora):
-        if teacher.encoder.causal:
-            raise ConfigError("sweep-shift expects a non-causal teacher")
-        _check_shifts(shifts, corpora["unsup"], teacher.encoder.subsample)
+    if load_checkpoint(teacher_checkpoint).encoder.causal:
+        raise ConfigError("sweep-shift expects a non-causal teacher")
 
     out, wers = _train_rows("sweep-shift", cfg, {n: {"distill": {"shift_n": n}} for n in shifts},
-                            data_dir, teacher_checkpoint, pseudo_label_file, root, check)
+                            data_dir, teacher_checkpoint, pseudo_label_file, root)
     table = out / "shift_sweep.json"
     data_mod.write_json(table, {"rows": [{"shift": n, "wer": w} for n, w in wers.items()]})
     return table

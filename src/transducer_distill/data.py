@@ -289,14 +289,16 @@ def _record_frames(value, place: str, feat_dim=None) -> np.ndarray:
 def read_corpus(path, split: str, vocab_size=None, feat_dim=None, labelled=False) -> Corpus:
     """Read a corpus file, checking each record: frames of ``feat_dim``
     columns and labels in [0, ``vocab_size``), where given, and labels on
-    every record where ``labelled``."""
+    every record where ``labelled``, on none where not."""
     utterances = []
     for place, obj in read_records(path, ("utt_id", "frames") + ("labels",) * labelled):
+        if not labelled and "labels" in obj:  # hidden references stay out of training
+            raise RecordError(f"{place}: a record of the unlabelled {split} split holds labels")
         utterances.append(
             Utterance(
                 utt_id=obj["utt_id"],
                 frames=_record_frames(obj["frames"], place, feat_dim),
-                labels=record_labels(obj["labels"], place, vocab_size) if "labels" in obj else None,
+                labels=record_labels(obj["labels"], place, vocab_size) if labelled else None,
             )
         )
     return Corpus(split=split, utterances=utterances)

@@ -342,10 +342,17 @@ def train_step(model: TransducerModel, batch, loss_fn, optimizer) -> tuple[float
 def save_checkpoint(model: TransducerModel, path) -> None:
     """Format 2: the magic, the header's length, a JSON header that describes the
     model and holds its ``_digest``, then the payload: every tensor as
-    little-endian float32, in ``param_shapes`` order."""
-    payload = b"".join(
-        np.ascontiguousarray(model.params[name], dtype="<f4").tobytes()
-        for name, _ in param_shapes(model.vocab_size, model.feat_dim, model.encoder))
+    little-endian float32, in ``param_shapes`` order.  A value that is not
+    finite as float32 raises ModelError before anything is written, since
+    ``load_checkpoint`` rejects it."""
+    tensors = []
+    for name, _ in param_shapes(model.vocab_size, model.feat_dim, model.encoder):
+        with np.errstate(over="ignore"):  # beyond the float32 range casts to inf
+            tensors.append(np.ascontiguousarray(model.params[name], dtype="<f4"))
+        if not np.isfinite(tensors[-1]).all():
+            raise ModelError(f"checkpoint {path}: parameter {name} holds a value "
+                             f"that is not finite as float32")
+    payload = b"".join(t.tobytes() for t in tensors)
     header = {"format_version": 2, "vocab_size": model.vocab_size, "feat_dim": model.feat_dim,
               "encoder": asdict(model.encoder)}
     header["sha256"] = _digest(header, payload)

@@ -27,7 +27,6 @@ from transducer_distill.cli import (
     load_config,
     load_corpora,
     resolve_config,
-    validate_distill_setup,
 )
 from transducer_distill import cli
 from transducer_distill import decode as decode_mod
@@ -141,15 +140,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="banana"):
             smoke_config("distill.kind=banana")
 
-    def test_soft_with_subsample_mismatch_rejected(self):
-        cfg = smoke_config("distill.kind=soft_efficient", "student.encoder.subsample=2")
-        with pytest.raises(ConfigError, match="full-sum"):
-            validate_distill_setup(cfg, teacher_subsample=1)
-
-    def test_fs_with_subsample_mismatch_allowed(self):
-        cfg = smoke_config("distill.kind=fs_l1", "student.encoder.subsample=2")
-        validate_distill_setup(cfg, teacher_subsample=1)
-
     def test_fsnorm_single_hypothesis_rejected(self):
         with pytest.raises(ConfigError, match="nbest"):
             smoke_config("distill.kind=fsnorm_l1", "decode.nbest=1")
@@ -216,6 +206,19 @@ class TestTrainTeacher:
         ckpt = cmd_train_teacher(cfg, pipeline["data_dir"], root=tmp_path)
         assert load_checkpoint(ckpt).encoder.hidden == hidden
 
+    def test_subsample_and_label_noise_draw_their_own_seeds(self, pipeline, tmp_path,
+                                                            monkeypatch):
+        seeds = {}
+        for name in ("subsample_corpus", "corrupt_labels"):
+            def recording(*args, seed, real=getattr(cli.data_mod, name), name=name, **kwargs):
+                seeds[name] = seed
+                return real(*args, seed=seed, **kwargs)
+
+            monkeypatch.setattr(cli.data_mod, name, recording)
+        cfg = smoke_config("seed=5", "teacher.preset=S3", "train.steps=0")
+        cmd_train_teacher(cfg, pipeline["data_dir"], root=tmp_path)
+        assert seeds == {"subsample_corpus": 5 + 101, "corrupt_labels": 5 + 202}
+
     def test_unknown_preset_rejected(self, pipeline, tmp_path):
         cfg = smoke_config()
         cfg["teacher"]["preset"] = "XXL"
@@ -273,6 +276,28 @@ class TestPseudoLabel:
         with pytest.raises(ConfigError, match="nbest"):
             cmd_pseudo_label(cfg, pipeline["teacher"], pipeline["data_dir"], root=tmp_path)
         assert not list(tmp_path.iterdir())
+
+    def test_pseudo_label_is_the_beam_top_whatever_rescoring_prefers(self, pipeline, tmp_path,
+                                                                     monkeypatch):
+        lists, real = [], cli.beam_search
+
+        def recording(*args):
+            lists.extend(real(*args))
+            return lists
+
+        monkeypatch.setattr(cli, "beam_search", recording)
+        # rescoring ranks the beam's hypotheses in reverse: the beam top scores 0
+        monkeypatch.setattr(cli, "rescore_nbest",
+                            lambda model, x, nbest: [float(i) for i in range(len(nbest))])
+        records = read_pseudo_labels(cmd_pseudo_label(pipeline["cfg"], pipeline["teacher"],
+                                                      pipeline["data_dir"], root=tmp_path))
+        utts = load_corpora(pipeline["data_dir"])[0]["unsup"].utterances
+        assert len(lists) == len(utts) and any(len(nbest) > 1 for nbest in lists)
+        for utt, nbest in zip(utts, lists):
+            rec = records[utt.utt_id]
+            assert (rec.labels, rec.score) == (tuple(nbest[0][0]), 0.0)
+            assert tuple(rec.nbest[0][0]) == tuple(nbest[-1][0])
+            assert rec.nbest[0][1] == len(nbest) - 1
 
     def pseudo_label(self, pipeline, runs):
         return cli.main(["pseudo-label", "--data-dir", str(pipeline["data_dir"]),
@@ -709,10 +734,12 @@ class TestEmptyUnsupervisedCorpus:
         return data
 
     def distill(self, pipeline, data, tmp_path, *overrides):
+        """``distill`` with each override set, or given as a flag where it is one."""
         return cli.main([
             "distill", "--data-dir", str(data), "--teacher", str(pipeline["teacher"]),
             "--pseudo-labels", str(pipeline["pseudo"]), "--run-root", str(tmp_path / "runs"),
-            *SMOKE_SET_ARGS, *(a for item in overrides for a in ("--set", item)),
+            *SMOKE_SET_ARGS, *(a for item in overrides
+                               for a in ([item] if item.startswith("--") else ["--set", item])),
         ])
 
     def test_supervised_only_student_trains(self, pipeline, data, tmp_path, capsys):
@@ -722,11 +749,15 @@ class TestEmptyUnsupervisedCorpus:
         assert exit_code == 0, err
         assert out.strip().endswith("student.ckpt")
 
-    def test_soft_row_exits_one(self, pipeline, data, tmp_path, capsys):
-        exit_code = self.distill(pipeline, data, tmp_path, "distill.kind=soft_efficient")
+    @pytest.mark.parametrize("overrides", [["distill.kind=soft_efficient"], ["--grid"]],
+                             ids=["soft row", "grid"])
+    def test_row_drawing_unsupervised_batches_exits_one(self, pipeline, data, tmp_path, capsys,
+                                                        overrides):
+        exit_code = self.distill(pipeline, data, tmp_path, *overrides)
         assert exit_code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unsupervised corpus is empty"), err
+        assert not (tmp_path / "runs").exists()  # the grid's student row trains on sup alone
 
 
 class TestDistillGrid:
@@ -830,6 +861,17 @@ class TestSweepShift:
         assert short.utt_id in err
         assert not list(tmp_path.iterdir())
 
+    def test_causal_teacher_exits_one_before_making_a_run_dir(self, pipeline, tmp_path, capsys):
+        teacher, runs = tmp_path / "causal.ckpt", tmp_path / "runs"
+        encoder = EncoderConfig(causal=True, left_context=2, right_context=0, subsample=1,
+                                hidden=6)
+        save_checkpoint(TransducerModel(vocab_size=3, feat_dim=4, encoder=encoder), teacher)
+        args = self.shift_args(pipeline, runs, "sweep-shift")
+        args[args.index("--teacher") + 1] = str(teacher)
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == "error: sweep-shift expects a non-causal teacher\n"
+        assert not runs.exists()
+
     def test_shift_below_shortest_utterance_trains(self, pipeline, tmp_path, capsys):
         frames = len(self.shortest_unsup(pipeline).frames)
         args = self.shift_args(pipeline, tmp_path, "distill")
@@ -873,6 +915,54 @@ class TestSweepShift:
         assert set(builds.values()) == {1}
         assert len(set(built)) == len(built)
         assert set(built) <= {u.frames.tobytes() for u in unsup}
+
+
+class TestRowsCheckedBeforeTheRunDir:
+    """``distill --grid`` and ``sweep-shift`` check the inputs of every row
+    before they make their run directory, so a row that cannot run stops the
+    command before any student trains."""
+
+    # case: (command, its overrides, the pseudo-label file's edit, what the error says)
+    CASES = {
+        "grid, nbest 1, 1-best labels": (["distill", "--grid"], ["decode.nbest=1"], "1-best",
+                                         "decode.nbest >= 2"),
+        "grid, 1-best labels": (["distill", "--grid"], [], "1-best",
+                                "no N-best list (>=2 hypotheses) for 8 utterances"),
+        "grid, a record missing": (["distill", "--grid"], [], "drop",
+                                   "no record for 1 unsupervised utterances"),
+        "sweep, student subsample 2": (
+            ["sweep-shift"], ["distill.kind=soft_efficient", "student.encoder.causal=true",
+                              "student.encoder.right_context=0", "student.encoder.subsample=2"],
+            None, "soft distillation requires equal time subsampling, got teacher 1 vs student 2"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bad_row_exits_one_with_no_run_dir(self, pipeline, tmp_path, monkeypatch, capsys,
+                                               case):
+        command, overrides, edit, message = self.CASES[case]
+        records = list(read_pseudo_labels(pipeline["pseudo"]).values())
+        if edit == "1-best":
+            records = [decode_mod.PseudoLabelRecord(r.utt_id, r.labels, r.score,
+                                                    [(r.labels, r.score)]) for r in records]
+        elif edit == "drop":
+            records = records[:-1]
+        pseudo = tmp_path / "pseudo.jsonl"
+        write_pseudo_labels(pseudo, records)
+
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "_train", no_training)
+        runs = tmp_path / "runs"
+        exit_code = cli.main([
+            *command, "--data-dir", str(pipeline["data_dir"]),
+            "--teacher", str(pipeline["teacher"]), "--pseudo-labels", str(pseudo),
+            "--run-root", str(runs), *SMOKE_SET_ARGS,
+            *(a for item in overrides for a in ("--set", item))])
+        err = capsys.readouterr().err
+        assert exit_code == 1, err
+        assert err.startswith("error:") and message in err, err
+        assert not runs.exists()
 
 
 class TestModelMatchesCorpus:
@@ -1080,6 +1170,9 @@ class TestExitCodes:
             "train-teacher", "sup.jsonl", lambda r: r.pop("labels"), "lacks the keys ['labels']"),
         "eval record without labels": (
             "train-teacher", "eval.jsonl", lambda r: r.pop("labels"), "lacks the keys ['labels']"),
+        "unsupervised record with labels": (
+            "train-teacher", "unsup.jsonl", lambda r: r.update(labels=[0]),
+            "a record of the unlabelled unsup split holds labels"),
         "corpus label out of range": (
             "train-teacher", "sup.jsonl", lambda r: r.update(labels=[3]), "leave the range [0, 3)"),
         "reference labels not integers": (

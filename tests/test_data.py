@@ -182,7 +182,7 @@ class TestCorpusFiles:
         sup, _ = generate(spec())
         path = tmp_path / "sup.jsonl"
         write_corpus(path, sup)
-        loaded = read_corpus(path, "sup")
+        loaded = read_corpus(path, "sup", labelled=True)
         for a, b in zip(sup.utterances, loaded.utterances):
             assert a.utt_id == b.utt_id
             assert np.array_equal(a.frames, b.frames)
@@ -192,7 +192,7 @@ class TestCorpusFiles:
         sup, _ = generate(spec())
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_corpus(p1, sup)
-        write_corpus(p2, read_corpus(p1, "sup"))
+        write_corpus(p2, read_corpus(p1, "sup", labelled=True))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_hidden_refs_round_trip(self, tmp_path):
@@ -236,7 +236,7 @@ class TestCorpusFiles:
         self.edited(path, 2, utt_id=utt_id)
         with pytest.raises(data_mod.RecordError,
                            match=f"^{path}:2: utt_id must be a string, got "):
-            read_corpus(path, "sup")
+            read_corpus(path, "sup", labelled=True)
 
 
 def reference_split(s, tag, size, stream):
@@ -317,7 +317,7 @@ class TestPerUtteranceRounding:
         path = tmp_path / "c.jsonl"
         write_corpus(path, corpus)
         again = tmp_path / "again.jsonl"
-        loaded = read_corpus(path, "sup")
+        loaded = read_corpus(path, "sup", labelled=True)
         write_corpus(again, loaded)
         assert again.read_bytes() == path.read_bytes()
         for x, utt in zip(frames, loaded.utterances):

@@ -334,6 +334,13 @@ class TestShiftTeacher:
         assert np.array_equal(out.log_probs[2], lat.log_probs[0])
         assert np.array_equal(out.log_probs[4], lat.log_probs[2])
 
+    def test_shift_of_a_shifted_lattice_adds_its_excluded_frames(self, rng):
+        lat = random_lattice(rng, T=6, U=1, K=2)
+        out = shift_teacher(shift_teacher(lat, 1), 2)
+        assert out.excluded_frames == 3
+        assert np.array_equal(out.log_probs[3:], lat.log_probs[:3])
+        assert shift_teacher(out, 0).excluded_frames == 3
+
     def test_shift_beyond_length_rejected(self, rng):
         lat = random_lattice(rng, T=3, U=0, K=2)
         with pytest.raises(DistillError):

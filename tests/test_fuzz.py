@@ -1,13 +1,13 @@
 """A property-based fuzz of the corpus and pseudo-label readers, through the CLI.
 
-One record of a valid ``sup.jsonl`` or ``pseudo_labels.jsonl`` is mutated: a
-field is set to a value of some JSON type (bools, huge integers, NaN, empty
-and ragged lists among them) or dropped, or the file is cut or has a byte
-flipped inside the record.  ``train-teacher`` or ``distill`` then runs with
-``train.steps=0`` through ``cli.main``.  The property: the command never exits
-2; it exits 0 exactly where the file still holds valid records, as the
-oracles below define them; and an exit 1 prints ``error: <file>`` and leaves
-no run directory.
+One record of a valid ``sup.jsonl``, ``unsup.jsonl`` or ``pseudo_labels.jsonl``
+is mutated: a field is set (or added) to a value of some JSON type (bools,
+huge integers, NaN, empty and ragged lists among them) or dropped, or the file
+is cut or has a byte flipped inside the record.  ``train-teacher`` or
+``distill`` then runs with ``train.steps=0`` through ``cli.main``.  The
+property: the command never exits 2; it exits 0 exactly where the file still
+holds valid records, as the oracles below define them; and an exit 1 prints
+``error: <file>`` and leaves no run directory.
 """
 
 import contextlib
@@ -29,9 +29,11 @@ from test_cli import SMOKE_SET_ARGS, smoke_config
 
 VOCAB, FEAT = 3, 4  # the smoke corpus's vocab_size and feat_dim
 
-# the places a mutation sets or drops, where the record has them
+# the places a mutation sets or drops where the record has them, or adds under a parent it has
 SUP_PATHS = [("utt_id",), ("frames",), ("frames", 0), ("frames", 0, 0), ("frames", -1, -1),
              ("labels",), ("labels", 0), ("extra",)]
+UNSUP_PATHS = [("utt_id",), ("frames",), ("frames", 0), ("frames", 0, 0), ("frames", -1, -1),
+               ("labels",), ("extra",)]
 PSEUDO_PATHS = [("utt_id",), ("labels",), ("labels", 0), ("score",), ("nbest",), ("nbest", 0),
                 ("nbest", 0, "labels"), ("nbest", 0, "labels", 0), ("nbest", 0, "score"),
                 ("nbest", -1, "score"), ("extra",), ("nbest", 0, "extra")]
@@ -69,6 +71,11 @@ def valid_sup(rec) -> bool:
                     for row in frames))
 
 
+def valid_unsup(rec) -> bool:
+    """A supervised record's utt_id and frames, and no labels."""
+    return isinstance(rec, dict) and "labels" not in rec and valid_sup({**rec, "labels": []})
+
+
 def valid_pseudo(rec) -> bool:
     nbest = rec.get("nbest") if isinstance(rec, dict) else None
     return (isinstance(rec, dict) and {"utt_id", "labels", "score", "nbest"} <= rec.keys()
@@ -97,16 +104,17 @@ def records_of(raw: bytes, valid) -> list | None:
 
 def mutate(raw: bytes, index: int, op: str, choice: int, value, mask: int, paths) -> bytes:
     """``raw`` with one record mutated: a path of ``paths`` that the record has
-    set to ``value`` or dropped, or the file cut, or one byte flipped by
-    ``mask``, at an offset inside the record's line."""
+    set to ``value`` or dropped, a key of ``paths`` that it lacks added, or the
+    file cut, or one byte flipped by ``mask``, at an offset inside the record's
+    line."""
     lines = list(io.BytesIO(raw))
     index %= len(lines)
     if op in ("cut", "flip"):
         at = sum(map(len, lines[:index])) + choice % len(lines[index])
         return raw[:at] if op == "cut" else raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
     record = json.loads(lines[index])
-    here = [p for p in paths
-            if _has(record, p) or (op == "set" and p[-1] == "extra" and _has(record, p[:-1]))]
+    here = [p for p in paths if _has(record, p)
+            or (op == "set" and isinstance(p[-1], str) and _has(record, p[:-1]))]
     *parents, last = here[choice % len(here)]
     target = record
     for key in parents:
@@ -176,6 +184,25 @@ def test_mutated_corpus_record(pipeline, index, op, choice, value, mask):
         count = json.loads((data / "manifest.json").read_text())["counts"]["supervised"]
         code, err = run(["train-teacher", "--data-dir", str(data), "--run-root", str(runs)])
         check(code, err, records is not None and len(records) == count, path, runs)
+
+
+@FUZZ
+@given(**MUTATIONS)
+@example(index=0, op="set", choice=5, value=[0, 1], mask=1)  # labels added
+def test_mutated_unlabelled_record(pipeline, index, op, choice, value, mask):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, runs = Path(tmp) / "data", Path(tmp) / "runs"
+        shutil.copytree(pipeline["data_dir"], data)
+        path = data / "unsup.jsonl"
+        path.write_bytes(mutate(path.read_bytes(), index, op, choice, value, mask, UNSUP_PATHS))
+        records = records_of(path.read_bytes(), valid_unsup)
+        count = json.loads((data / "manifest.json").read_text())["counts"]["unsupervised"]
+        read = records is not None and len(records) == count
+        # the pseudo terms need a pseudo label for each utterance of a file read
+        covered = read and {r["utt_id"] for r in records} <= set(pipeline["unsup"])
+        code, err = run(["distill", "--data-dir", str(data), "--teacher", str(pipeline["teacher"]),
+                         "--pseudo-labels", str(pipeline["pseudo"]), "--run-root", str(runs)])
+        check(code, err, covered, path if not read else pipeline["pseudo"], runs)
 
 
 @FUZZ

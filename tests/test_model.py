@@ -314,6 +314,20 @@ class TestTrainStep:
             loss, _ = train_step(m, [(x, y)], supervised_loss_fn, opt)
         assert loss < 0.1
 
+    def test_momentum_carries_the_first_gradient_into_the_second_step(self):
+        m = micro_model()
+        before = m.params["out_b"].copy()
+        lr, momentum = 0.5, 0.9
+        g1, g2 = np.arange(1.0, 1.0 + m.vocab_size + 1), np.full(m.vocab_size + 1, -0.25)
+        opt = SGD(lr=lr, momentum=momentum)
+        for g in (g1, g2):
+            m.zero_grad()
+            m.grads["out_b"][:] = g
+            opt.step(m)
+        # the velocity after step 2 is momentum * g1 + g2
+        assert np.array_equal(m.params["out_b"], before - lr * g1 - lr * (momentum * g1 + g2))
+        assert np.allclose(before - m.params["out_b"], lr * (g1 + g2 + momentum * g1))
+
     def test_training_is_reproducible(self, rng):
         x = rng.normal(size=(5, 2))
         y = [0, 1]
@@ -395,6 +409,16 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match=re.escape(
                 f"checkpoint {path}: payload holds a NaN or infinite value")):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, float("nan"), float("inf")])
+    def test_value_not_finite_as_float32_refused_before_writing(self, tmp_path, value):
+        m = micro_model(hidden=5, seed=42)
+        m.params["out_b"][0] = value
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ModelError, match=re.escape(
+                f"checkpoint {path}: parameter out_b holds a value that is not finite as float32")):
+            save_checkpoint(m, path)
+        assert not path.exists()
 
     def test_finite_value_with_its_sha256_loads(self, tmp_path):
         """The edit above passes every other check: with a finite value, it loads."""
