@@ -366,6 +366,10 @@ def load_corpora(data_dir, models=()) -> tuple:
             if len(parsed) != counts[split]:
                 raise ConfigError(f"{path} holds {len(parsed)} records, but corpus manifest "
                                   f"{manifest_path} counts {counts[split]}")
+        strays = set(unsup.hidden_refs).symmetric_difference(unsup.utt_ids())
+        if strays:
+            raise ConfigError(f"{paths[2]} and {paths[1]} name different utterances, "
+                              f"{min(strays)!r} among them")
         for utt in sup.utterances + unsup.utterances + ev.utterances:
             utt.frames.flags.writeable = False
         _LAST_CORPORA[key] = {"sup": sup, "unsup": unsup, "eval": ev}

@@ -17,7 +17,6 @@ class WerReport:
     deletions: int = 0
     insertions: int = 0
     reference_length: int = 0
-    empty_reference: bool = False
 
     @property
     def errors(self) -> int:
@@ -33,7 +32,6 @@ class WerReport:
             deletions=self.deletions + other.deletions,
             insertions=self.insertions + other.insertions,
             reference_length=self.reference_length + other.reference_length,
-            empty_reference=self.empty_reference or other.empty_reference,
         )
 
 
@@ -57,7 +55,7 @@ def edit_distance(ref, hyp) -> WerReport:
             insert = cost[i][j - 1] + 1
             cost[i][j] = min(sub, delete, insert)
 
-    report = WerReport(reference_length=n, empty_reference=(n == 0 and m > 0))
+    report = WerReport(reference_length=n)
     i, j = n, m
     while i > 0 or j > 0:
         if i > 0 and j > 0 and cost[i][j] == cost[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):

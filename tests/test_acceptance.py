@@ -3,12 +3,19 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Criteria 1-6 and 10-11 are exact numerical/behavioral gates; criteria 7-9
 test whether the qualitative teacher-quality and causal/non-causal findings
-replicate on the synthetic task across five seeds.
+replicate on the synthetic task across five seeds.  Criteria 7-9 run the
+benchmark's recipes (``perfbench/workloads.py``) at full scale, so that one
+table drives both.
 """
 
 import json
 import math
+import multiprocessing
+import os
+import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +26,9 @@ from transducer_distill.cli import (
     cmd_evaluate,
     cmd_gen_data,
     cmd_pseudo_label,
-    cmd_sweep_shift,
     cmd_train_teacher,
     load_config,
-    run_rows,
 )
-from transducer_distill.data import Utterance
-from transducer_distill.decode import PseudoLabelRecord
 from transducer_distill.distill import (
     fs_distill,
     fs_norm_distill,
@@ -49,6 +52,14 @@ from transducer_distill.model import (
 
 from conftest import random_lattice
 from oracles import brute_force_log_prob, path_mass
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+# criteria 7-9: the benchmark recipes they run, and each recipe's seeds
+RECIPES = ("weak_teacher", "causal_shift")
+SEEDS = range(5)
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def report(num, ok, detail):
@@ -294,99 +305,87 @@ class TestCriterion6:
         )
 
 
-def _weak_teacher_config(seed):
-    """S3-analog setting: a small teacher trained on 30%-corrupted labels."""
-    return {
-        "seed": seed,
-        "data": {
-            "vocab_size": 6, "feat_dim": 8, "frames_per_label": [2, 4],
-            "noise_sigma": 0.25, "label_len_range": [3, 6],
-            "num_supervised": 200, "num_unsupervised": 60, "num_eval": 100,
-            "seed": seed,
-        },
-        "teacher": {
-            "preset": None,
-            "quality": {"size": "S", "supervised_fraction": 1.0, "label_noise_rate": 0.3},
-            "encoder": {"causal": False, "left_context": 2, "right_context": 2, "subsample": 1},
-        },
-        "student": {
-            "encoder": {"causal": False, "left_context": 2, "right_context": 2,
-                        "subsample": 1, "hidden": 16},
-        },
-        "train": {"steps": 600, "batch_size": 8, "lr": 0.05, "momentum": 0.9,
-                  "sup_fraction": 1.0},
-        "decode": {"beam": 8, "nbest": 4, "max_symbols_per_frame": 5},
-        "distill": {"kind": "hard",
-                    "weights": {"supervised": 1.0, "hard": 1.0, "distill": 0.0}},
-    }
-
-
-def _student_train_section():
-    return {"steps": 700, "batch_size": 24, "lr": 0.015, "momentum": 0.9,
-            "sup_fraction": 0.1}
-
-
 def _wer_of(report_path):
     with open(report_path, encoding="utf-8") as f:
         return json.load(f)["sets"]["eval"]["wer"]
 
 
-@pytest.fixture(scope="module")
-def weak_teacher_wers(tmp_path_factory):
-    """Criteria 7 and 8 share one pipeline: per seed, train the S3-analog
-    teacher, pseudo-label, then train hard / FS-L1 / FS-Norm-L1 students."""
-    root = tmp_path_factory.mktemp("weak-teacher")
-    rows = {"hard": [], "fs_l1": [], "fsnorm_l1": [], "teacher": []}
-    start = time.monotonic()
-    for seed in range(5):
-        cfg = load_config()
-        cfg.update(_weak_teacher_config(seed))
-        data_dir = cmd_gen_data(cfg, root=root)
-        teacher = cmd_train_teacher(cfg, data_dir, root=root)
-        pseudo = cmd_pseudo_label(cfg, teacher, data_dir, root=root)
-        rows["teacher"].append(_wer_of(cmd_evaluate(cfg, teacher, data_dir, root=root)))
+def run_recipe(name, seed, root):
+    """One seed of the benchmark recipe ``name`` at full scale, under
+    ``root``: gen-data, the teacher, its pseudo labels and its evaluate,
+    then the recipe's distill rows.  Returns each row's eval WER by name."""
+    cfg, distill_stage = workloads.WORKLOADS[name].plan(seed, scales=(1.0, 1.0))
+    data_dir = cmd_gen_data(cfg, root=root)
+    teacher = cmd_train_teacher(cfg, data_dir, root=root)
+    pseudo = cmd_pseudo_label(cfg, teacher, data_dir, root=root)
+    wers = {"teacher": _wer_of(cmd_evaluate(cfg, teacher, data_dir, root=root))}
+    distill_stage(data_dir, teacher, pseudo, root, wers)
+    return wers
 
-        grid = {
-            "hard": ("hard", {"supervised": 1.0, "hard": 1.0, "distill": 0.0}),
-            "fs_l1": ("fs_l1", {"supervised": 1.0, "hard": 0.0, "distill": 1.0}),
-            "fsnorm_l1": ("fsnorm_l1", {"supervised": 1.0, "hard": 0.0, "distill": 1.0}),
-        }
-        wers = run_rows(cfg, {
-            row: {"train": _student_train_section(),
-                  "distill": {"kind": kind, "weights": weights}}
-            for row, (kind, weights) in grid.items()
-        }, data_dir, teacher, pseudo, root=root)
-        for row, wer in wers.items():
-            rows[row].append(wer)
-    rows["elapsed"] = time.monotonic() - start
-    return rows
+
+@pytest.fixture(scope="module")
+def recipe_runs(tmp_path_factory):
+    """``(start, wers)``: the monotonic time of first use, and
+    ``wers(name, seed)``, ``run_recipe``'s result for that job.  Each
+    (recipe, seed) job runs under its own directory.  With one usable core,
+    a job runs in this process when it is asked for.  Otherwise every job
+    starts at first use in one process pool of a worker per core, each
+    worker with BLAS pinned to one thread."""
+    root = tmp_path_factory.mktemp("recipes")
+    jobs = {(name, seed): root / f"{name}-{seed}" for name in RECIPES for seed in SEEDS}
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    start = time.monotonic()
+    if workers == 1:
+        yield start, lambda name, seed: run_recipe(name, seed, jobs[name, seed])
+        return
+    with pytest.MonkeyPatch.context() as env, ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        for var in BLAS_THREADS:  # read by each worker's BLAS as it loads
+            env.setenv(var, "1")
+        futures = {job: pool.submit(run_recipe, *job, path) for job, path in jobs.items()}
+        try:
+            yield start, lambda name, seed: futures[name, seed].result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+@pytest.fixture(scope="module")
+def weak_teacher_wers(recipe_runs):
+    """Criteria 7 and 8 share one recipe: per seed, an S3-analog teacher (S
+    width, 30 %-corrupted labels), its pseudo labels, then hard / FS-L1 /
+    FS-Norm-L1 students.  Also the seconds from the pool's first use until
+    every seed's WERs are in."""
+    start, wers = recipe_runs
+    seeds = [wers("weak_teacher", seed) for seed in SEEDS]
+    return seeds, time.monotonic() - start
 
 
 class TestCriterion7:
     def test_fs_beats_hard_under_weak_teacher(self, weak_teacher_wers):
-        w = weak_teacher_wers
-        wins = sum(f <= h for f, h in zip(w["fs_l1"], w["hard"]))
+        seeds, elapsed = weak_teacher_wers
+        wins = sum(w["fs_l1"] <= w["hard"] for w in seeds)
         pairs = ", ".join(
-            f"seed{i}: teacher={t:.3f} hard={h:.3f} fs={f:.3f}"
-            for i, (t, h, f) in enumerate(zip(w["teacher"], w["hard"], w["fs_l1"]))
+            f"seed{i}: teacher={w['teacher']:.3f} hard={w['hard']:.3f} fs={w['fs_l1']:.3f}"
+            for i, w in enumerate(seeds)
         )
         # the wall time on a line of its own, so that the same code prints
         # the same ACCEPTANCE line on every run
-        print(f"\ncriterion 7 fixture wall time: {w['elapsed']:.0f}s (bound 600s)")
+        print(f"\ncriterion 7 fixture wall time: {elapsed:.0f}s (bound 600s)")
         report(
             7,
-            wins >= 4 and w["elapsed"] < 600.0,
+            wins >= 4 and elapsed < 600.0,
             f"weak-teacher replication: FS-L1 <= hard in {wins}/5 seeds ({pairs})",
         )
 
 
 class TestCriterion8:
     def test_norm_improves_fs(self, weak_teacher_wers):
-        w = weak_teacher_wers
-        wins = sum(n <= f for n, f in zip(w["fsnorm_l1"], w["fs_l1"]))
+        seeds, _ = weak_teacher_wers
+        wins = sum(w["fsnorm_l1"] <= w["fs_l1"] for w in seeds)
         pairs = ", ".join(
-            f"seed{i}: teacher={t:.3f} fs={f:.3f} fsnorm={n:.3f}"
-            for i, (t, f, n) in enumerate(zip(w["teacher"], w["fs_l1"], w["fsnorm_l1"]))
+            f"seed{i}: teacher={w['teacher']:.3f} fs={w['fs_l1']:.3f} "
+            f"fsnorm={w['fsnorm_l1']:.3f}"
+            for i, w in enumerate(seeds)
         )
         report(
             8,
@@ -395,75 +394,28 @@ class TestCriterion8:
         )
 
 
-def _causal_config(seed):
-    """Non-causal teacher, causal student, alignment-shift setting."""
-    return {
-        "seed": seed,
-        "data": {
-            "vocab_size": 6, "feat_dim": 8, "frames_per_label": [3, 3],
-            "noise_sigma": 1.0, "label_len_range": [3, 6],
-            "num_supervised": 200, "num_unsupervised": 150, "num_eval": 80,
-            "seed": seed,
-        },
-        "teacher": {
-            "preset": None,
-            "quality": {"size": "L", "supervised_fraction": 1.0, "label_noise_rate": 0.0},
-            "encoder": {"causal": False, "left_context": 3, "right_context": 3, "subsample": 1},
-        },
-        "student": {
-            "encoder": {"causal": True, "left_context": 4, "right_context": 0,
-                        "subsample": 1, "hidden": 16},
-        },
-        "train": {"steps": 700, "batch_size": 8, "lr": 0.05, "momentum": 0.9,
-                  "sup_fraction": 1.0},
-        "decode": {"beam": 8, "nbest": 4, "max_symbols_per_frame": 5},
-        "distill": {"kind": "soft_efficient", "shift_n": 0,
-                    "weights": {"supervised": 1.0, "hard": 0.0, "distill": 0.3}},
-    }
-
-
 @pytest.fixture(scope="module")
-def causal_sweep_wers(tmp_path_factory):
-    root = tmp_path_factory.mktemp("causal")
-    rows = {"soft": [], "fs_l1": [], "teacher": []}
-    for seed in range(5):
-        cfg = load_config()
-        cfg.update(_causal_config(seed))
-        data_dir = cmd_gen_data(cfg, root=root)
-        teacher = cmd_train_teacher(cfg, data_dir, root=root)
-        pseudo = cmd_pseudo_label(cfg, teacher, data_dir, root=root)
-        rows["teacher"].append(_wer_of(cmd_evaluate(cfg, teacher, data_dir, root=root)))
-
-        sweep_cfg = {**cfg, "train": {"steps": 500, "batch_size": 16, "lr": 0.02,
-                                      "momentum": 0.9, "sup_fraction": 0.1}}
-        table = cmd_sweep_shift(sweep_cfg, data_dir, teacher, pseudo,
-                                shifts=[0, 1, 2, 3], root=root)
-        with open(table.parent / "shift_sweep.json", encoding="utf-8") as f:
-            sweep = {row["shift"]: row["wer"] for row in json.load(f)["rows"]}
-        rows["soft"].append(sweep)
-
-        fs_row = {"distill": {"kind": "fs_l1", "shift_n": 0,
-                              "weights": {"supervised": 1.0, "hard": 1.0, "distill": 1.0}}}
-        fs = run_rows(sweep_cfg, {"fs_l1": fs_row}, data_dir, teacher, pseudo, root=root)
-        rows["fs_l1"].append(fs["fs_l1"])
-    return rows
+def causal_sweep_wers(recipe_runs):
+    """Criterion 9's recipe, per seed: a non-causal teacher, its pseudo
+    labels, then causal students by soft distillation at teacher shifts 0-3
+    and one unshifted FS-L1 student."""
+    _, wers = recipe_runs
+    return [wers("causal_shift", seed) for seed in SEEDS]
 
 
 class TestCriterion9:
     def test_shift_sweep_and_fs_robustness(self, causal_sweep_wers):
-        w = causal_sweep_wers
         shape_wins = 0
         fs_wins = 0
         lines = []
-        for seed in range(5):
-            sweep = w["soft"][seed]
-            at_zero = sweep[0]
-            best_shifted = min(v for n, v in sweep.items() if n > 0)
-            fs = w["fs_l1"][seed]
+        for seed, w in enumerate(causal_sweep_wers):
+            at_zero = w["soft@0"]
+            best_shifted = min(w[f"soft@{n}"] for n in (1, 2, 3))
+            fs = w["fs_l1"]
             shape_wins += at_zero > best_shifted
             fs_wins += fs < at_zero
             lines.append(
-                f"seed{seed}: teacher={w['teacher'][seed]:.3f} soft@0={at_zero:.3f} "
+                f"seed{seed}: teacher={w['teacher']:.3f} soft@0={at_zero:.3f} "
                 f"best-shifted={best_shifted:.3f} fs={fs:.3f}"
             )
         report(

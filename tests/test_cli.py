@@ -37,7 +37,7 @@ from transducer_distill.model import (
 )
 
 from conftest import replace_header, rewrite_header, set_payload_value
-from test_acceptance import _causal_config, _weak_teacher_config
+from test_acceptance import RECIPES, workloads
 
 
 SMOKE_OVERRIDES = [
@@ -124,10 +124,11 @@ class TestConfig:
 
     def test_table_and_acceptance_configs_resolve(self):
         assert resolve_config(DEFAULT_CONFIG) == DEFAULT_CONFIG
-        for make in (_weak_teacher_config, _causal_config):
-            cfg = resolve_config(make(0))
+        for name in RECIPES:
+            recipe, _ = workloads.WORKLOADS[name].plan(0, scales=(1.0, 1.0))
+            cfg = resolve_config(recipe)
             assert resolve_config(cfg) == cfg
-            assert cfg["teacher"]["quality"] == make(0)["teacher"]["quality"]
+            assert cfg["teacher"]["quality"] == recipe["teacher"]["quality"]
 
     def test_hash_is_stable_and_sensitive(self):
         a = load_config()
@@ -1250,6 +1251,27 @@ class TestExitCodes:
         assert exit_code == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}:2: utt_id {utt_id!r} repeats line 1\n", err
+        assert not runs.exists()
+
+    @pytest.mark.parametrize("args", [["train-teacher"],
+                                      ["evaluate", "--checkpoint", "teacher", "--sets", "unsup"]],
+                             ids=["train-teacher", "evaluate unsup"])
+    def test_refs_naming_other_utterances_exit_one_before_making_a_run_dir(self, pipeline,
+                                                                           tmp_path, capsys, args):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data_dir"], data)
+        path = data / "unsup_refs.jsonl"
+        first, *rest = path.read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        renamed = dict(record, utt_id=record["utt_id"] + "-renamed")
+        path.write_text("".join([json.dumps(renamed) + "\n", *rest]))
+        runs = tmp_path / "runs"
+        exit_code = cli.main([*(str(pipeline["teacher"]) if a == "teacher" else a for a in args),
+                              "--data-dir", str(data), "--run-root", str(runs), *SMOKE_SET_ARGS])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path} and {data / 'unsup.jsonl'} name different utterances, "
+                       f"{record['utt_id']!r} among them\n"), err
         assert not runs.exists()
 
     # each input parsed as JSON: (command and its extra arguments, the file,

@@ -1,12 +1,13 @@
 """A property-based fuzz of the corpus and pseudo-label readers, through the CLI.
 
-One record of a valid ``sup.jsonl``, ``unsup.jsonl`` or ``pseudo_labels.jsonl``
-is mutated: a field is set (or added) to a value of some JSON type (bools,
-huge integers, NaN, empty and ragged lists among them) or dropped, or the file
-is cut or has a byte flipped inside the record.  ``train-teacher`` or
-``distill`` then runs with ``train.steps=0`` through ``cli.main``.  The
-property: the command never exits 2; it exits 0 exactly where the file still
-holds valid records, as the oracles below define them; and an exit 1 prints
+One record of a valid ``sup.jsonl``, ``unsup.jsonl``, ``eval.jsonl``,
+``unsup_refs.jsonl`` or ``pseudo_labels.jsonl`` is mutated: a field is set (or
+added) to a value of some JSON type (bools, huge integers, NaN, empty and
+ragged lists among them) or dropped, or the file is cut or has a byte flipped
+inside the record.  ``train-teacher``, ``distill`` (with ``train.steps=0``) or
+``evaluate --sets eval unsup`` then runs through ``cli.main``.  The property:
+the command never exits 2; it exits 0 exactly where the file still holds
+valid records, as the oracles below define them; and an exit 1 prints
 ``error: <file>`` and leaves no run directory.
 """
 
@@ -34,6 +35,7 @@ SUP_PATHS = [("utt_id",), ("frames",), ("frames", 0), ("frames", 0, 0), ("frames
              ("labels",), ("labels", 0), ("extra",)]
 UNSUP_PATHS = [("utt_id",), ("frames",), ("frames", 0), ("frames", 0, 0), ("frames", -1, -1),
                ("labels",), ("extra",)]
+REFS_PATHS = [("utt_id",), ("labels",), ("labels", 0), ("extra",)]
 PSEUDO_PATHS = [("utt_id",), ("labels",), ("labels", 0), ("score",), ("nbest",), ("nbest", 0),
                 ("nbest", 0, "labels"), ("nbest", 0, "labels", 0), ("nbest", 0, "score"),
                 ("nbest", -1, "score"), ("extra",), ("nbest", 0, "extra")]
@@ -74,6 +76,11 @@ def valid_sup(rec) -> bool:
 def valid_unsup(rec) -> bool:
     """A supervised record's utt_id and frames, and no labels."""
     return isinstance(rec, dict) and "labels" not in rec and valid_sup({**rec, "labels": []})
+
+
+def valid_ref(rec) -> bool:
+    return (isinstance(rec, dict) and {"utt_id", "labels"} <= rec.keys()
+            and isinstance(rec["utt_id"], str) and label_list(rec["labels"]))
 
 
 def valid_pseudo(rec) -> bool:
@@ -218,3 +225,39 @@ def test_mutated_pseudo_label_record(pipeline, index, op, choice, value, mask):
                          "--teacher", str(pipeline["teacher"]), "--pseudo-labels", str(path),
                          "--run-root", str(runs)])
         check(code, err, valid, path, runs)
+
+
+
+def evaluate_mutated(pipeline, name, paths, valid, split, *mutation) -> None:
+    """Mutate one record of the corpus file ``name``, run ``evaluate --sets
+    eval unsup`` with the module's teacher and check the property; the file
+    is valid where its records are and the manifest counts them for
+    ``split``, and where any utt_id it holds is an unsupervised one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data, runs = Path(tmp) / "data", Path(tmp) / "runs"
+        shutil.copytree(pipeline["data_dir"], data)
+        path = data / name
+        path.write_bytes(mutate(path.read_bytes(), *mutation, paths))
+        records = records_of(path.read_bytes(), valid)
+        count = json.loads((data / "manifest.json").read_text())["counts"][split]
+        code, err = run(["evaluate", "--data-dir", str(data), "--checkpoint",
+                         str(pipeline["teacher"]), "--sets", "eval", "unsup",
+                         "--run-root", str(runs)])
+        check(code, err, records is not None and len(records) == count and (
+            split != "unsupervised" or {r["utt_id"] for r in records} <= set(pipeline["unsup"])),
+            path, runs)
+
+
+@FUZZ
+@given(**MUTATIONS)
+def test_mutated_eval_record(pipeline, index, op, choice, value, mask):
+    evaluate_mutated(pipeline, "eval.jsonl", SUP_PATHS, valid_sup, "eval",
+                     index, op, choice, value, mask)
+
+
+@FUZZ
+@given(**MUTATIONS)
+@example(index=0, op="set", choice=0, value="sup-00001", mask=1)  # utt_id of no unsup record
+def test_mutated_reference_record(pipeline, index, op, choice, value, mask):
+    evaluate_mutated(pipeline, "unsup_refs.jsonl", REFS_PATHS, valid_ref, "unsupervised",
+                     index, op, choice, value, mask)

@@ -44,9 +44,8 @@ class TestEditDistance:
         rep = edit_distance(["a", "b"], [])
         assert rep.deletions == 2 and rep.wer == pytest.approx(1.0)
 
-    def test_empty_reference_flagged(self):
+    def test_empty_reference_counts_insertions(self):
         rep = edit_distance([], ["a", "b"])
-        assert rep.empty_reference
         assert rep.insertions == 2
         assert rep.wer == pytest.approx(2.0)  # I / max(1, ref_len)
 
