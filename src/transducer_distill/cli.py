@@ -20,8 +20,8 @@ from . import metrics as metrics_mod
 from .decode import (
     DEFAULT_MAX_SYMBOLS_PER_FRAME,
     DecodeError,
-    PseudoLabelRecord,
     beam_search,
+    pseudo_label_record,
     rescore_nbest,
     read_pseudo_labels,
     write_pseudo_labels,
@@ -214,11 +214,13 @@ def _check_values(cfg: dict) -> None:
         except ValueError as e:
             raise ConfigError(f"bad {section} config: {e}") from None
     # (key, low, high) of the keys that no dataclass owns; None is unbounded
-    for key, low, high in [("data.num_eval", 1, None), ("train.steps", 0, None),
-                           ("train.batch_size", 1, None), ("train.sup_fraction", 0, 1),
+    for key, low, high in [("seed", 0, None), ("data.seed", 0, None), ("data.num_eval", 1, None),
+                           ("train.steps", 0, None), ("train.batch_size", 1, None),
+                           ("train.sup_fraction", 0, 1),
                            *((f"decode.{name}", 1, None) for name in cfg["decode"])]:
-        section, name = key.split(".")
-        value = cfg[section][name]
+        value = cfg
+        for name in key.split("."):
+            value = value[name]
         if value < low or (high is not None and value > high):
             bound = f">= {low}" if high is None else f"in [{low}, {high}]"
             raise ConfigError(f"config key {key} must be {bound}, got {value!r}")
@@ -477,14 +479,7 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
             rescored = rescore_nbest(teacher, utt.frames, nbest)
         except LatticeError as e:
             raise DecodeError(f"utterance {utt.utt_id}: {e}") from None
-        pairs = sorted(zip((hyp for hyp, _ in nbest), rescored), key=lambda e: (-e[1], e[0]))
-        # the stored list always retains the pseudo label, the beam's best;
-        # left out, it ranks below every kept pair
-        labels, score = next(p for p in pairs if p[0] == nbest[0][0])
-        keep = pairs[:nbest_size]
-        if (labels, score) not in keep:
-            keep[-1] = (labels, score)
-        records.append(PseudoLabelRecord(utt.utt_id, labels, score, keep))
+        records.append(pseudo_label_record(utt.utt_id, nbest, rescored, nbest_size))
 
     out = make_run_dir("pseudo-label", cfg, root, (*digests, teacher.checkpoint_sha256))
     path = out / "pseudo_labels.jsonl"

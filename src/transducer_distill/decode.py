@@ -174,24 +174,27 @@ def rescore_nbest(model, x, nbest: list) -> list:
 
 @dataclass
 class PseudoLabelRecord:
-    """Teacher output for one unsupervised utterance.
-
-    ``labels``/``score`` hold the top-1 pseudo label and its (full-sum
-    rescored) log probability; ``nbest`` holds (labels, score) pairs for the
-    hypothesis list when N-best generation is configured.
-    """
+    """Teacher output for one unsupervised utterance: ``nbest`` holds distinct
+    (labels, full-sum rescored log probability) pairs, and ``nbest[target]``
+    is the pseudo label and its score."""
 
     utt_id: str
-    labels: tuple
-    score: float
     nbest: list
+    target: int
 
-    def target_index(self) -> int:
-        """Position of the pseudo label inside the N-best list."""
-        for i, (labels, _) in enumerate(self.nbest):
-            if tuple(labels) == tuple(self.labels):
-                return i
-        raise DecodeError(f"pseudo label missing from N-best for {self.utt_id}")
+    labels = property(lambda self: self.nbest[self.target][0])
+    score = property(lambda self: self.nbest[self.target][1])
+
+
+def pseudo_label_record(utt_id: str, beam: list, rescored: list, size: int) -> PseudoLabelRecord:
+    """A record from a ``beam_search`` list and its ``rescore_nbest`` scores: the
+    ``size`` best pairs by rescored score (ties to the smaller labels), the beam's
+    best (the pseudo label) replacing the last pair when it ranks below them."""
+    pairs = sorted(zip((labels for labels, _ in beam), rescored), key=lambda e: (-e[1], e[0]))
+    target, keep = (beam[0][0], rescored[0]), pairs[:size]
+    if target not in keep:
+        keep[-1] = target
+    return PseudoLabelRecord(utt_id, keep, keep.index(target))
 
 
 def write_pseudo_labels(path, records) -> None:
@@ -202,8 +205,8 @@ def write_pseudo_labels(path, records) -> None:
 
 def read_pseudo_labels(path, vocab_size=None) -> dict:
     """Read a pseudo-label file, checking each record's keys and types, that
-    its scores are finite and its pseudo label is in its N-best list, and,
-    with ``vocab_size``, that its labels lie in [0, vocab_size)."""
+    its scores are finite, its N-best hypotheses distinct, its (labels, score)
+    an N-best pair and, with ``vocab_size``, its labels in [0, vocab_size)."""
     records = {}
     for place, obj in read_records(path, ("utt_id", "labels", "score", "nbest")):
         nbest = obj["nbest"]
@@ -217,17 +220,17 @@ def read_pseudo_labels(path, vocab_size=None) -> dict:
             scores = [float(v) for v in scores]
         except OverflowError:  # a JSON integer beyond the float range
             raise RecordError(f"{place}: a score is too large for a float") from None
-        record = PseudoLabelRecord(
-            utt_id=obj["utt_id"],
-            labels=record_labels(obj["labels"], place, vocab_size),
-            score=scores[0],
-            nbest=[(record_labels(e["labels"], place, vocab_size), score)
-                   for e, score in zip(nbest, scores[1:])],
-        )
+        labels = record_labels(obj["labels"], place, vocab_size)
+        pairs = [(record_labels(e["labels"], place, vocab_size), score)
+                 for e, score in zip(nbest, scores[1:])]
         if not np.all(np.isfinite(scores)):
             raise RecordError(f"{place}: non-finite score in {scores}")
-        if record.labels not in [labels for labels, _ in record.nbest]:
-            raise RecordError(f"{place}: pseudo label {list(record.labels)} is not in its "
-                              f"N-best list")
-        records[record.utt_id] = record
+        if len({hyp for hyp, _ in pairs}) < len(pairs):
+            raise RecordError(f"{place}: the N-best list repeats a hypothesis")
+        try:
+            target = pairs.index((labels, scores[0]))
+        except ValueError:
+            raise RecordError(f"{place}: pseudo label {list(labels)} with score {scores[0]!r} "
+                              f"is not one of its N-best pairs") from None
+        records[obj["utt_id"]] = PseudoLabelRecord(obj["utt_id"], pairs, target)
     return records

@@ -315,7 +315,7 @@ def _fs_term(passes, seqs, record, kind: DistillLossKind):
         )
     loss, dscores = fs_norm_distill(
         [score for _, score in record.nbest], [-nll for _, _, (nll, _) in passes],
-        record.target_index(), kind.kind.fs_flavor,
+        record.target, kind.kind.fs_flavor,
     )
     # score = -NLL, so d score / d lattice = -d NLL / d lattice
     return loss, [(-dscore, cache, g) for dscore, (_, cache, (_, g)) in zip(dscores, passes)]

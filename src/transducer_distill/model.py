@@ -191,10 +191,10 @@ class TransducerModel:
 
     def build_lattice(self, x, y) -> Lattice:
         """Normalized log posteriors P(k|t,u) of shape T' x (U+1) x (K+1)."""
-        return self.forward(x, y)[0]
+        return self.lattices(x, [y])[0]
 
     def lattices(self, x, label_seqs) -> list:
-        """``build_lattice`` of each label sequence, from one encoder pass."""
+        """The lattice of each label sequence, from one encoder pass."""
         enc_proj = self.encoder_pass(x)[2]
         return [Lattice(self._label_pass(enc_proj, pred)[0])
                 for pred, _ in self.predictor_states(label_seqs)]

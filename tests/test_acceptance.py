@@ -360,6 +360,7 @@ def weak_teacher_wers(recipe_runs):
     return seeds, time.monotonic() - start
 
 
+@pytest.mark.slow
 class TestCriterion7:
     def test_fs_beats_hard_under_weak_teacher(self, weak_teacher_wers):
         seeds, elapsed = weak_teacher_wers
@@ -378,6 +379,7 @@ class TestCriterion7:
         )
 
 
+@pytest.mark.slow
 class TestCriterion8:
     def test_norm_improves_fs(self, weak_teacher_wers):
         seeds, _ = weak_teacher_wers
@@ -403,6 +405,7 @@ def causal_sweep_wers(recipe_runs):
     return [wers("causal_shift", seed) for seed in SEEDS]
 
 
+@pytest.mark.slow
 class TestCriterion9:
     def test_shift_sweep_and_fs_robustness(self, causal_sweep_wers):
         shape_wins = 0

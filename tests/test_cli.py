@@ -261,7 +261,7 @@ class TestPseudoLabel:
         assert len(records) == 8
         for rec in records.values():
             assert 1 <= len(rec.nbest) <= 2
-            assert rec.target_index() >= 0
+            assert 0 <= rec.target < len(rec.nbest)
 
     def test_rerun_is_byte_identical(self, pipeline):
         before = pipeline["pseudo"].read_bytes()
@@ -943,8 +943,8 @@ class TestRowsCheckedBeforeTheRunDir:
         command, overrides, edit, message = self.CASES[case]
         records = list(read_pseudo_labels(pipeline["pseudo"]).values())
         if edit == "1-best":
-            records = [decode_mod.PseudoLabelRecord(r.utt_id, r.labels, r.score,
-                                                    [(r.labels, r.score)]) for r in records]
+            records = [decode_mod.PseudoLabelRecord(r.utt_id, [(r.labels, r.score)], 0)
+                       for r in records]
         elif edit == "drop":
             records = records[:-1]
         pseudo = tmp_path / "pseudo.jsonl"
@@ -1148,7 +1148,17 @@ class TestExitCodes:
             "utt_id must be a string, got None"),
         "pseudo label outside its N-best list": (
             "distill", "pseudo", lambda r: r.update(labels=[*r["labels"], 0, 0, 0]),
-            "is not in its N-best list"),
+            "is not one of its N-best pairs"),
+        "N-best list repeating a hypothesis": (
+            "distill", "pseudo", lambda r: r["nbest"].append(r["nbest"][-1]),
+            "the N-best list repeats a hypothesis"),
+        "pseudo label's score off its N-best entry": (
+            "distill", "pseudo", lambda r: r.update(score=r["score"] - 5),
+            "is not one of its N-best pairs"),
+        "N-best entry's score off the pseudo label's": (
+            "distill", "pseudo", lambda r: [e.update(score=e["score"] - 3) for e in r["nbest"]
+                                            if e["labels"] == r["labels"]],
+            "is not one of its N-best pairs"),
         "corpus record without frames": (
             "train-teacher", "sup.jsonl", lambda r: r.pop("frames"), "lacks the keys ['frames']"),
         "frame row of width 5": (
@@ -1327,6 +1337,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("overrides, key", [
         (["data.vocab_size=0"], "vocab_size"),
         (["data.num_eval=0"], "data.num_eval"),
+        (["seed=-1"], "config key seed must be >= 0"),
+        (["data.seed=-1"], "config key data.seed must be >= 0"),
         (["teacher.preset=XXL"], "teacher.preset"),
         (["teacher.quality.size=XL"], "teacher.quality.size"),
         (["teacher.quality.supervised_fraction=0"], "teacher.quality.supervised_fraction"),

@@ -596,21 +596,15 @@ class TestRescore:
 class TestPseudoLabelFile:
     def test_round_trip(self, tmp_path):
         records = [
-            PseudoLabelRecord(
-                utt_id="u-0",
-                labels=(1, 2),
-                score=-3.25,
-                nbest=[((1, 2), -3.25), ((1,), -4.5)],
-            ),
-            PseudoLabelRecord(utt_id="u-1", labels=(), score=-0.125, nbest=[((), -0.125)]),
+            PseudoLabelRecord(utt_id="u-0", nbest=[((1,), -4.5), ((1, 2), -3.25)], target=1),
+            PseudoLabelRecord(utt_id="u-1", nbest=[((), -0.125)], target=0),
         ]
         path = tmp_path / "pl.jsonl"
         write_pseudo_labels(path, records)
         loaded = read_pseudo_labels(path)
         assert set(loaded) == {"u-0", "u-1"}
-        assert loaded["u-0"].labels == (1, 2)
-        assert loaded["u-0"].nbest == [((1, 2), -3.25), ((1,), -4.5)]
-        assert loaded["u-0"].target_index() == 0
+        assert loaded["u-0"] == records[0] and loaded["u-1"] == records[1]
+        assert (loaded["u-0"].labels, loaded["u-0"].score) == ((1, 2), -3.25)
         # byte-identical rewrite
         second = tmp_path / "pl2.jsonl"
         write_pseudo_labels(second, list(loaded.values()))
@@ -618,7 +612,7 @@ class TestPseudoLabelFile:
 
     def test_scores_reread_value_exact(self, tmp_path):
         score = -math.pi * 1.7182818
-        rec = PseudoLabelRecord("u", (0,), score, [((0,), score)])
+        rec = PseudoLabelRecord("u", [((0,), score)], 0)
         path = tmp_path / "pl.jsonl"
         write_pseudo_labels(path, [rec])
         assert read_pseudo_labels(path)["u"].score == score

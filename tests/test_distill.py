@@ -481,7 +481,7 @@ class TestCombinedLoss:
     def test_hard_distillation_uses_pseudo_labels(self, rng):
         model = self.build()
         batch = self.batch(rng)
-        pseudo = {"u-0": PseudoLabelRecord("u-0", (2,), -1.0, [((2,), -1.0)])}
+        pseudo = {"u-0": PseudoLabelRecord("u-0", [((2,), -1.0)], 0)}
         cfg = CombinedLossConfig(1.0, 1.0, 0.0)
         total, terms = combined_loss(
             model, batch, DistillLossKind(LossKind.HARD), cfg, pseudo_labels=pseudo
@@ -506,7 +506,7 @@ class TestCombinedLoss:
         unsup = Utterance("u-0", x.copy(), labels=None)
         lat = model.build_lattice(x, [0, 1])
         exact, _, _ = forward_backward(lat, [0, 1])
-        pseudo = {"u-0": PseudoLabelRecord("u-0", (0, 1), float(exact), [((0, 1), float(exact))])}
+        pseudo = {"u-0": PseudoLabelRecord("u-0", [((0, 1), float(exact))], 0)}
 
         cfg = CombinedLossConfig(1.0, 0.0, 1.0)
         total, terms = combined_loss(
@@ -529,7 +529,7 @@ class TestCombinedLoss:
         unsup = Utterance("u-0", x, labels=None)
         t_lat = teacher.build_lattice(x, [1])
         t_score, _, _ = forward_backward(t_lat, [1])
-        pseudo = {"u-0": PseudoLabelRecord("u-0", (1,), float(t_score), [((1,), float(t_score))])}
+        pseudo = {"u-0": PseudoLabelRecord("u-0", [((1,), float(t_score))], 0)}
         cfg = CombinedLossConfig(0.0, 0.0, 1.0)
         total, terms = combined_loss(
             student, [unsup], DistillLossKind(LossKind.FS_L1), cfg, pseudo_labels=pseudo
@@ -542,7 +542,7 @@ class TestCombinedLoss:
         student = self.build(seed=2, subsample=2)
         x = rng.normal(size=(6, 2))
         unsup = Utterance("u-0", x, labels=None)
-        pseudo = {"u-0": PseudoLabelRecord("u-0", (1,), -1.0, [((1,), -1.0)])}
+        pseudo = {"u-0": PseudoLabelRecord("u-0", [((1,), -1.0)], 0)}
         cfg = CombinedLossConfig(0.0, 0.0, 1.0)
         with pytest.raises(LatticeShapeError):
             combined_loss(
@@ -553,7 +553,7 @@ class TestCombinedLoss:
     def test_fsnorm_needs_a_real_list(self, rng):
         student = self.build(seed=2)
         unsup = Utterance("u-0", rng.normal(size=(4, 2)), labels=None)
-        pseudo = {"u-0": PseudoLabelRecord("u-0", (1,), -1.0, [((1,), -1.0)])}
+        pseudo = {"u-0": PseudoLabelRecord("u-0", [((1,), -1.0)], 0)}
         cfg = CombinedLossConfig(0.0, 0.0, 1.0)
         with pytest.raises(DistillError, match="N-best"):
             combined_loss(
@@ -566,15 +566,13 @@ class TestCombinedLoss:
         student = self.build(seed=2)
         x = rng.normal(size=(5, 2))
         unsup = Utterance("u-0", x, labels=None)
-        t_lat = teacher.build_lattice(x, [1, 0])
-        t_score, _, _ = forward_backward(t_lat, [1, 0])
         nbest = []
         for labels in [(1, 0), (1,), ()]:
             lat = teacher.build_lattice(x, list(labels))
             s, _, _ = forward_backward(lat, list(labels))
             nbest.append((labels, float(s)))
         nbest.sort(key=lambda e: -e[1])
-        pseudo = {"u-0": PseudoLabelRecord("u-0", (1, 0), float(t_score), nbest)}
+        pseudo = {"u-0": PseudoLabelRecord("u-0", nbest, [l for l, _ in nbest].index((1, 0)))}
 
         for kind in [
             DistillLossKind(LossKind.SOFT_FULL),
@@ -712,7 +710,7 @@ def reference_fs_term(model, x, record, kind, weight):
             caches.append(cache)
             grads.append(g)
         loss, dscores = reference_fs_norm_distill(
-            teacher_scores, student_scores, record.target_index(), kind.kind.fs_flavor
+            teacher_scores, student_scores, record.target, kind.kind.fs_flavor
         )
         if weight != 0.0:
             for dscore, cache, g in zip(dscores, caches, grads):
@@ -778,8 +776,7 @@ def _sharing_setup(seed=0):
             score, _, _ = forward_backward(teacher.build_lattice(x, list(labels)), list(labels))
             nbest.append((labels, float(score)))
         nbest.sort(key=lambda e: (-e[1], e[0]))
-        score = dict(nbest)[target]
-        pseudo[f"u-{i}"] = PseudoLabelRecord(f"u-{i}", target, score, nbest)
+        pseudo[f"u-{i}"] = PseudoLabelRecord(f"u-{i}", nbest, [l for l, _ in nbest].index(target))
     return student, teacher, batch, pseudo
 
 
@@ -922,8 +919,7 @@ def _random_step(seed, hidden, kind):
         batch.append(Utterance(utt_id, rng.normal(size=(int(rng.integers(4, 12)), 3)), None))
         hyps = list(dict.fromkeys([labels(1), (), labels(0), labels(1)]))[: int(rng.integers(2, 5))]
         nbest = [(h, -float(rng.uniform(1.0, 20.0))) for h in hyps]
-        target, score = nbest[int(rng.integers(len(nbest)))]
-        pseudo[utt_id] = PseudoLabelRecord(utt_id, target, score, nbest)
+        pseudo[utt_id] = PseudoLabelRecord(utt_id, nbest, int(rng.integers(len(nbest))))
     shift = int(rng.integers(0, 2)) if LossKind(kind).is_soft else 0
     return student, teacher, batch, pseudo, DistillLossKind(LossKind(kind), shift_n=shift)
 
@@ -1032,7 +1028,7 @@ class TestCombinedLossAgainstLoopReference:
                                    [((2,), -1.5), ((), -2.5)],
                                    [((1, 1, 0), -3.0), ((1, 0), -3.5), ((), -6.0)]]):
             batch.append(Utterance(f"u-{i}", rng.normal(size=(4 + i, 2)), None))
-            pseudo[f"u-{i}"] = PseudoLabelRecord(f"u-{i}", *nbest[-1 if i == 2 else 0], nbest)
+            pseudo[f"u-{i}"] = PseudoLabelRecord(f"u-{i}", nbest, len(nbest) - 1 if i == 2 else 0)
         kind, config = DistillLossKind(LossKind.FSNORM_MSE), CombinedLossConfig(0.0, 0.5, 1.0)
 
         def loss():

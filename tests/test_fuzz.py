@@ -84,13 +84,18 @@ def valid_ref(rec) -> bool:
 
 
 def valid_pseudo(rec) -> bool:
+    """Well-typed fields, distinct N-best hypotheses, and the record's labels
+    and score (compared as floats, as the reader reads them) one N-best pair."""
     nbest = rec.get("nbest") if isinstance(rec, dict) else None
-    return (isinstance(rec, dict) and {"utt_id", "labels", "score", "nbest"} <= rec.keys()
+    if not (isinstance(rec, dict) and {"utt_id", "labels", "score", "nbest"} <= rec.keys()
             and isinstance(rec["utt_id"], str) and label_list(rec["labels"])
             and finite_number(rec["score"]) and isinstance(nbest, list)
             and all(isinstance(e, dict) and {"labels", "score"} <= e.keys()
-                    and label_list(e["labels"]) and finite_number(e["score"]) for e in nbest)
-            and rec["labels"] in [e["labels"] for e in nbest])
+                    and label_list(e["labels"]) and finite_number(e["score"]) for e in nbest)):
+        return False
+    pairs = [(tuple(e["labels"]), float(e["score"])) for e in nbest]
+    return (len({hyp for hyp, _ in pairs}) == len(pairs)
+            and (tuple(rec["labels"]), float(rec["score"])) in pairs)
 
 
 def records_of(raw: bytes, valid) -> list | None:
@@ -214,6 +219,10 @@ def test_mutated_unlabelled_record(pipeline, index, op, choice, value, mask):
 
 @FUZZ
 @given(**MUTATIONS)
+# records 0 and 3 of the smoke file: labels [], N-best lists [[], [1]] and [[1], []]
+@example(index=3, op="set", choice=5, value=[], mask=1)  # nbest[0].labels: [] twice
+@example(index=0, op="set", choice=2, value=-1.0, mask=1)  # score off its entry
+@example(index=0, op="set", choice=6, value=-1.0, mask=1)  # nbest[0].score off the score
 def test_mutated_pseudo_label_record(pipeline, index, op, choice, value, mask):
     with tempfile.TemporaryDirectory() as tmp:
         path, runs = Path(tmp) / "pseudo_labels.jsonl", Path(tmp) / "runs"

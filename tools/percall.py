@@ -149,7 +149,7 @@ def steps(td):
         ref = tuple(unsup.hidden_refs[utt.utt_id])
         hyps = dict.fromkeys([ref, ref[:-1], ref[1:], ref + (ref[0],)])
         pseudo[utt.utt_id] = td.decode.PseudoLabelRecord(
-            utt.utt_id, ref, -5.0, [(labels, -5.0 - i) for i, labels in enumerate(hyps)])
+            utt.utt_id, [(labels, -5.0 - i) for i, labels in enumerate(hyps)], 0)
     batch = sup.utterances[:2] + unsup.utterances
 
     def step(hidden, utts, kind, weights):
