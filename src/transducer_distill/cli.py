@@ -11,6 +11,7 @@ files.  Exit codes: 0 success, 1 config/validation error, 2 runtime failure.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -141,10 +142,16 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def _fits(value, want: type) -> bool:
-    """Whether ``value`` is a ``want``: a bool is no int, and an int is a float."""
+    """Whether ``value`` is a ``want``: a bool is no int, and a float is any
+    number that converts to a finite float (JSON reads ``1e400`` as inf)."""
     if isinstance(value, bool) or want is bool:
         return isinstance(value, bool) and want is bool
-    return isinstance(value, (int, float) if want is float else want)
+    if want is not float:
+        return isinstance(value, want)
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _resolve(default: dict, value, prefix: str = "") -> dict:
@@ -216,7 +223,8 @@ def _check_values(cfg: dict) -> None:
     # (key, low, high) of the keys that no dataclass owns; None is unbounded
     for key, low, high in [("seed", 0, None), ("data.seed", 0, None), ("data.num_eval", 1, None),
                            ("train.steps", 0, None), ("train.batch_size", 1, None),
-                           ("train.sup_fraction", 0, 1),
+                           ("train.sup_fraction", 0, 1), ("train.lr", 0, None),
+                           ("train.momentum", 0, 1),
                            *((f"decode.{name}", 1, None) for name in cfg["decode"])]:
         value = cfg
         for name in key.split("."):
@@ -436,6 +444,9 @@ def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
     spec = _data_spec(cfg)
     corpora, digests = load_corpora(data_dir, [(DATA_SECTION, spec)])
     quality = _teacher_quality(cfg)
+    # before the run directory: numpy may refuse the sizes
+    model = TransducerModel(spec.vocab_size, spec.feat_dim, _encoder(cfg, "teacher"),
+                            seed=cfg["seed"] + 7)
     out = make_run_dir("train-teacher", cfg, root, digests)
 
     sup = corpora["sup"]
@@ -447,8 +458,6 @@ def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
             vocab_size=spec.vocab_size,
         )
 
-    model = TransducerModel(spec.vocab_size, spec.feat_dim, _encoder(cfg, "teacher"),
-                            seed=cfg["seed"] + 7)
     loss_fn = make_loss_fn(
         DistillLossKind(LossKind.HARD), CombinedLossConfig(1.0, 0.0, 0.0)
     )
@@ -490,8 +499,8 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
 def _distill_inputs(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file) -> tuple:
     """Check every rule that the distill row ``cfg`` (resolved) puts on its
     inputs; each command calls this before it makes a run directory.
-    Returns the teacher, the corpora, the pseudo labels and the input
-    digests that name the run."""
+    Returns the teacher, the student to train (numpy may refuse its sizes),
+    the corpora, the pseudo labels and the input digests that name the run."""
     teacher = load_checkpoint(teacher_checkpoint)
     kind, sub = LossKind(cfg["distill"]["kind"]), teacher.encoder.subsample
     student_sub = cfg["student"]["encoder"]["subsample"]
@@ -526,8 +535,10 @@ def _distill_inputs(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file) 
             raise ConfigError(
                 f"{pseudo_label_file}: no N-best list (>=2 hypotheses) for {len(one_best)} "
                 f"utterances, e.g. {one_best[0]}; regenerate with decode.nbest >= 2")
-    return teacher, corpora, pseudo, (*digests, teacher.checkpoint_sha256,
-                                      _sha256(pseudo_label_file))
+    student = TransducerModel(spec.vocab_size, spec.feat_dim, _encoder(cfg, "student"),
+                              seed=cfg["seed"] + 13)
+    return teacher, student, corpora, pseudo, (*digests, teacher.checkpoint_sha256,
+                                               _sha256(pseudo_label_file))
 
 
 def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root=None,
@@ -535,12 +546,10 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
     """Train one student.  Rows that share a teacher and corpus may share
     one ``teacher_lattices`` memo; by default each call makes its own."""
     cfg = resolve_config(cfg)
-    teacher, corpora, pseudo, digests = _distill_inputs(cfg, data_dir, teacher_checkpoint,
-                                                        pseudo_label_file)
+    teacher, model, corpora, pseudo, digests = _distill_inputs(cfg, data_dir, teacher_checkpoint,
+                                                               pseudo_label_file)
     out = make_run_dir("distill", cfg, root, digests)
-    spec, kind = _data_spec(cfg), _distill_kind(cfg)
-    model = TransducerModel(spec.vocab_size, spec.feat_dim, _encoder(cfg, "student"),
-                            seed=cfg["seed"] + 13)
+    kind = _distill_kind(cfg)
     loss_fn = make_loss_fn(kind, _combined_config(cfg), pseudo_labels=pseudo,
                            teacher_model=teacher if kind.kind.is_soft else None,
                            teacher_lattices={} if teacher_lattices is None else teacher_lattices)
@@ -573,8 +582,9 @@ def _train_rows(command: str, cfg: dict, rows: dict, data_dir, teacher_checkpoin
     every row, make the run directory, then ``run_rows``.  Returns the run
     directory and each row's eval WER."""
     for overrides in rows.values():  # every row reads the same files: one digest names the run
-        *_, digests = _distill_inputs(resolve_config(_deep_merge(cfg, overrides)), data_dir,
-                                      teacher_checkpoint, pseudo_label_file)
+        # keep only the digests: the checked models would stay alive through every row
+        digests = _distill_inputs(resolve_config(_deep_merge(cfg, overrides)), data_dir,
+                                  teacher_checkpoint, pseudo_label_file)[-1]
     out = make_run_dir(command, cfg, root, digests)
     return out, run_rows(cfg, rows, data_dir, teacher_checkpoint, pseudo_label_file, root=out)
 

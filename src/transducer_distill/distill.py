@@ -1,9 +1,11 @@
 """Distillation losses for sequence transducers.
 
 Frame-local losses (soft distillation) match teacher and student posterior
-distributions at every lattice node; sequence-level losses (full-sum
-distillation) match sequence log-probabilities and therefore tolerate
-teachers and students with different time resolutions.  All losses return
+distributions node for node over two lattices of equal shape; a teacher that
+runs ahead of the student in time is compared on the overlap, a slice of each
+lattice (``shift_teacher``).  Sequence-level losses (full-sum distillation)
+match sequence log-probabilities and therefore tolerate teachers and
+students with different time resolutions.  All losses return
 their gradient w.r.t. the student side; the teacher is a frozen constant.
 """
 
@@ -97,43 +99,37 @@ def _check_same_shape(teacher: Lattice, student: Lattice) -> None:
 
 def _flat_nodes(teachers, students, label_seqs=None):
     """Check each pair of a batch, and its labels if given, in order; stack the
-    nodes both sides include, pair by pair in (t, u) order, as ``(2, rows, K+1)``
-    log-probabilities (teacher first), with each pair's (start row, end row,
-    skipped frames) and, given labels, each row's target (-1 on the u = U row)."""
+    nodes of both sides, pair by pair in (t, u) order, as ``(2, rows, K+1)``
+    log-probabilities (teacher first), with each pair's (start row, end row)
+    and, given labels, each row's target (-1 on the u = U row)."""
     spans, targets, end = [], [], 0
     for i, (teacher, student) in enumerate(zip(teachers, students, strict=True)):
         _check_same_shape(teacher, student)
-        skip = max(teacher.excluded_frames, student.excluded_frames)
         if label_seqs is not None:
             y = check_labels(label_seqs[i], teacher.vocab_size).tolist()
             if len(y) + 1 != teacher.num_label_rows:
                 raise LatticeShapeError(f"label sequence of length {len(y)} does not match lattice "
                                         f"with {teacher.num_label_rows} label rows",
                                         teacher.log_probs.shape, (len(y),))
-            targets += (y + [-1]) * (teacher.num_frames - skip)
-        spans.append((end, end + (teacher.num_frames - skip) * teacher.num_label_rows, skip))
+            targets += (y + [-1]) * teacher.num_frames
+        spans.append((end, end + teacher.num_frames * teacher.num_label_rows))
         end = spans[-1][1]
-    lp = np.concatenate([lat.log_probs[skip:].reshape(-1, lat.log_probs.shape[2])
-                         for lattices in (teachers, students)
-                         for lat, (_, _, skip) in zip(lattices, spans)])
+    lp = np.concatenate([lat.log_probs.reshape(-1, lat.log_probs.shape[2])
+                         for lattices in (teachers, students) for lat in lattices])
     return lp.reshape(2, end, lp.shape[1]), spans, np.array(targets, dtype=np.int64)
 
 
 def _per_pair(students, spans, node_kl, grad) -> list:
     """``(loss, grad)`` of each pair: the sum of its own slice of ``node_kl``, in the
-    order of one lattice alone, and its rows of ``grad``, zero on skipped frames."""
-    out = []
-    for student, (start, end, skip) in zip(students, spans):
-        g = np.zeros_like(student.log_probs)
-        g[skip:] = grad[start:end].reshape(g[skip:].shape)
-        out.append((float(node_kl[start:end].sum()), g))
-    return out
+    order of one lattice alone, and its rows of ``grad`` in its lattice's shape."""
+    return [(float(node_kl[start:end].sum()), grad[start:end].reshape(student.log_probs.shape))
+            for student, (start, end) in zip(students, spans)]
 
 
 def soft_kl_full(teachers, students) -> list:
     """KL(teacher || student) of each (teacher, student) pair, summed over every
-    included node and label: ``[(loss, grad)]``, each gradient taken w.r.t. the
-    student log-probabilities (simply -teacher_probs at included positions)."""
+    node and label: ``[(loss, grad)]``, each gradient taken w.r.t. the student
+    log-probabilities (simply -teacher_probs)."""
     if not teachers:
         return []
     (t_lp, s_lp), spans, _ = _flat_nodes(teachers, students)
@@ -187,26 +183,19 @@ def soft_kl_efficient(teachers, students, label_seqs) -> list:
     return _per_pair(students, spans, class_kl[0] + class_kl[1] + class_kl[2], grad)
 
 
-def shift_teacher(teacher: Lattice, shift: int) -> Lattice:
-    """Move the teacher lattice ``shift`` frames to the right in time.
-
-    Output node (t, u) holds teacher node (t - shift, u); the first
-    ``shift`` frames carry no teacher evidence and are flagged excluded so
-    soft losses skip them rather than matching invented distributions.
-    """
+def shift_teacher(teacher: Lattice, student: Lattice, shift: int) -> tuple:
+    """The pair that a soft loss compares when the teacher runs ``shift``
+    frames ahead of the student: teacher frames [0, T - shift) against
+    student frames [shift, T), as views of the two lattices.  The student's
+    first ``shift`` frames have no teacher frame and take no part."""
     if shift < 0:
         raise DistillError("shift must be >= 0")
     if shift >= teacher.num_frames:
         raise DistillError(
             f"shift {shift} >= lattice length {teacher.num_frames}"
         )
-    if shift == 0:
-        return Lattice(teacher.log_probs.copy(), excluded_frames=teacher.excluded_frames)
-    shifted = np.empty_like(teacher.log_probs)
-    shifted[shift:] = teacher.log_probs[: teacher.num_frames - shift]
-    # excluded region: placeholder uniform rows, never read by the losses
-    shifted[:shift] = -np.log(teacher.log_probs.shape[2])
-    return Lattice(shifted, excluded_frames=shift + teacher.excluded_frames)
+    return (Lattice(teacher.log_probs[: teacher.num_frames - shift]),
+            Lattice(student.log_probs[shift:]))
 
 
 def _check_fs_input(value: float, side: str) -> float:
@@ -287,20 +276,24 @@ def _soft_term(passes, seqs, teacher_model, teacher_lattices: dict, utt,
     if key not in teacher_lattices:
         teacher_lattices[key] = teacher_model.build_lattice(utt.frames, list(y))
         teacher_lattices[key].log_probs.flags.writeable = False
-    teacher_lat = teacher_lattices[key]
-    if kind.shift_n > 0:
-        teacher_lat = shift_teacher(teacher_lat, kind.shift_n)
-    return teacher_lat, student_lat, list(y), cache
+    return (*shift_teacher(teacher_lattices[key], student_lat, kind.shift_n), list(y), cache)
 
 
 def _soft_kl(kind: DistillLossKind, inputs) -> list:
-    """Each soft term's ``(loss, backward parts)``, from one soft-KL call over their inputs."""
+    """Each soft term's ``(loss, backward parts)``, from one soft-KL call over their
+    inputs; each gradient in its student lattice's shape, zero on the first
+    ``kind.shift_n`` frames."""
     if not inputs:
         return []
     teachers, students, label_seqs, caches = zip(*inputs)
     kls = (soft_kl_full(teachers, students) if kind.kind == LossKind.SOFT_FULL
            else soft_kl_efficient(teachers, students, label_seqs))
-    return [(loss, [(1.0, cache, g)]) for (loss, g), cache in zip(kls, caches)]
+    out = []
+    for (loss, g), cache in zip(kls, caches):
+        grad = np.zeros((kind.shift_n + len(g), *g.shape[1:]))
+        grad[kind.shift_n:] = g
+        out.append((loss, [(1.0, cache, grad)]))
+    return out
 
 
 def _fs_term(passes, seqs, record, kind: DistillLossKind):

@@ -48,15 +48,9 @@ def logsumexp(x: np.ndarray, axis=None) -> np.ndarray:
 
 @dataclass
 class Lattice:
-    """Dense per-node log posteriors ``log_probs[t, u, k]`` of shape T x (U+1) x (K+1).
-
-    ``excluded_frames`` marks the first frames as carrying no usable evidence
-    (produced by time-shifting a teacher lattice); frame-local losses skip
-    positions with t < excluded_frames.
-    """
+    """Dense per-node log posteriors ``log_probs[t, u, k]`` of shape T x (U+1) x (K+1)."""
 
     log_probs: np.ndarray
-    excluded_frames: int = 0
 
     def __post_init__(self):
         self.log_probs = np.asarray(self.log_probs, dtype=np.float64)
@@ -70,10 +64,6 @@ class Lattice:
             raise LatticeShapeError(
                 f"degenerate lattice shape {self.log_probs.shape}",
                 self.log_probs.shape,
-            )
-        if not 0 <= self.excluded_frames <= self.num_frames:
-            raise LatticeError(
-                f"excluded_frames={self.excluded_frames} outside [0, T={self.num_frames}]"
             )
 
     @property

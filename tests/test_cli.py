@@ -1356,6 +1356,17 @@ class TestExitCodes:
         (["decode.nbest=0"], "decode.nbest"),
         (["decode.max_symbols_per_frame=0"], "decode.max_symbols_per_frame"),
         (["distill.kind=fsnorm_l1", "decode.nbest=1"], "decode.nbest >= 2"),
+        # a float key takes a number that converts to a finite float
+        (["data.noise_sigma=1e400"], "data.noise_sigma"),
+        (["data.noise_sigma=NaN"], "data.noise_sigma"),
+        pytest.param([f"data.noise_sigma={10**400}"], "data.noise_sigma",
+                     id="data.noise_sigma=10**400"),
+        pytest.param([f"train.lr={10**400}"], "train.lr", id="train.lr=10**400"),
+        (["train.lr=NaN"], "train.lr"),
+        (["distill.weights.distill=Infinity"], "distill.weights.distill"),
+        (["train.lr=-0.5"], "config key train.lr must be >= 0"),
+        (["train.momentum=5"], "config key train.momentum must be in [0, 1]"),
+        (["train.momentum=-1"], "config key train.momentum must be in [0, 1]"),
     ], ids=lambda v: ",".join(v) if isinstance(v, list) else None)
     def test_bad_value_exits_one_before_reading_input(self, tmp_path, capsys, monkeypatch,
                                                       command, overrides, key):
@@ -1377,6 +1388,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err, err
         assert not list(tmp_path.iterdir())
+
+    # a model size that numpy cannot build; asking for a terabyte-sized one instead
+    # would allocate before it fails
+    HUGE = "encoder.left_context=100000000000000000000"
+
+    @pytest.mark.parametrize("args", [
+        ["train-teacher", "--set", f"teacher.{HUGE}"],
+        ["distill", "--teacher", "teacher", "--pseudo-labels", "pseudo", "--set", f"student.{HUGE}"],
+        ["distill", "--grid", "--teacher", "teacher", "--pseudo-labels", "pseudo",
+         "--set", f"student.{HUGE}"],
+    ], ids=["train-teacher", "distill", "distill-grid"])
+    def test_unbuildable_model_exits_one_before_making_a_run_dir(self, pipeline, tmp_path, capsys,
+                                                                 args):
+        files = {"teacher": str(pipeline["teacher"]), "pseudo": str(pipeline["pseudo"])}
+        runs = tmp_path / "runs"
+        exit_code = cli.main([*(files.get(a, a) for a in args), "--data-dir", str(pipeline["data_dir"]),
+                              "--run-root", str(runs), *SMOKE_SET_ARGS])
+        assert exit_code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not runs.exists()
 
     @pytest.mark.parametrize("command", ["pseudo-label", "evaluate"])
     @pytest.mark.parametrize("cap", [0, -3])

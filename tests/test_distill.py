@@ -41,10 +41,10 @@ def lattice_from_probs(probs) -> Lattice:
     return Lattice(np.log(np.asarray(probs, dtype=np.float64)))
 
 
-def reference_three_class_log(lat, y, skip):
+def reference_three_class_log(lat, y):
     """The looped form of ``soft_kl_efficient``'s three-class collapse for one
     lattice: the rest-mass accumulates label by label with ``logaddexp``."""
-    lp = lat.log_probs[skip:]
+    lp = lat.log_probs
     T, U1, K1 = lp.shape
     blank = K1 - 1
     log_tgt = np.full((T, U1), -np.inf)
@@ -64,20 +64,16 @@ def reference_three_class_log(lat, y, skip):
 def reference_soft_kl_full(teacher, student):
     """``soft_kl_full`` of one pair, on its own lattices rather than the batch's
     stacked nodes: each node's KL summed over labels, then over the nodes."""
-    skip = max(teacher.excluded_frames, student.excluded_frames)
-    t_lp, s_lp = teacher.log_probs[skip:], student.log_probs[skip:]
+    t_lp, s_lp = teacher.log_probs, student.log_probs
     t_p = np.exp(t_lp)
-    grad = np.zeros_like(student.log_probs)
-    grad[skip:] = -t_p
-    return float(np.sum(t_p * (t_lp - s_lp), axis=-1).sum()), grad
+    return float(np.sum(t_p * (t_lp - s_lp), axis=-1).sum()), -t_p
 
 
 def reference_soft_kl_efficient(teacher, student, labels):
     """The looped form of ``soft_kl_efficient`` for one pair."""
     y = np.asarray(labels, dtype=np.int64)
-    skip = max(teacher.excluded_frames, student.excluded_frames)
-    t_classes = reference_three_class_log(teacher, y, skip)
-    s_classes = reference_three_class_log(student, y, skip)
+    t_classes = reference_three_class_log(teacher, y)
+    s_classes = reference_three_class_log(student, y)
     kl = 0.0
     for t_c, s_c in zip(t_classes, s_classes):
         term = np.zeros_like(t_c)
@@ -87,10 +83,9 @@ def reference_soft_kl_efficient(teacher, student, labels):
     loss = float(kl.sum())
     t_tgt, t_blank, t_rest = t_classes
     s_rest = s_classes[2]
-    s_lp = student.log_probs[skip:]
+    s_lp = student.log_probs
     blank = student.blank
-    grad = np.zeros_like(student.log_probs)
-    gview = grad[skip:]
+    gview = np.zeros_like(s_lp)
     rest_weight = np.where(t_rest > -np.inf, np.exp(t_rest), 0.0)
     safe_rest = np.where(s_rest > -np.inf, s_rest, 0.0)
     for k in range(blank):
@@ -99,7 +94,7 @@ def reference_soft_kl_efficient(teacher, student, labels):
     for u in range(len(y)):
         gview[:, u, y[u]] = -np.exp(t_tgt[:, u])
     gview[:, :, blank] = -np.exp(t_blank)
-    return loss, grad
+    return loss, gview
 
 
 class TestSoftKlFull:
@@ -193,7 +188,7 @@ class TestSoftKlEfficient:
 
 
     # (T, labels, K, shift): repeated labels, U = 0, K = 1 (an empty rest
-    # class below the u = U row), and excluded frames
+    # class below the u = U row), and shifted pairs
     REFERENCE_CASES = [
         (5, [0, 2, 1], 3, 0),
         (4, [1, 1, 1, 0], 3, 0),
@@ -209,14 +204,13 @@ class TestSoftKlEfficient:
     def test_matches_looped_reference(self, T, y, K, shift):
         for seed in range(5):
             rng = np.random.default_rng(700 + seed)
-            teacher = shift_teacher(random_lattice(rng, T, len(y), K), shift)
-            student = random_lattice(rng, T, len(y), K)
+            teacher, student = shift_teacher(random_lattice(rng, T, len(y), K),
+                                             random_lattice(rng, T, len(y), K), shift)
             loss, grad = soft_kl_efficient([teacher], [student], [y])[0]
             want_loss, want_grad = reference_soft_kl_efficient(teacher, student, y)
             # the same float operations in the same order: equal bit for bit
             assert loss == want_loss
             assert np.array_equal(grad, want_grad)
-            assert np.all(grad[:shift] == 0.0)
 
 
 def scaled_lattice(rng, T, U, K, scale):
@@ -241,17 +235,16 @@ def assert_batch_equals_references(teachers, students, label_seqs):
 @st.composite
 def soft_batches(draw):
     """A batch of 1 to 6 (teacher, student, labels) triples of mixed T, U and
-    shift, sharing K; a student may exclude frames of its own, up to all."""
+    shift, sharing K."""
     K = draw(st.integers(1, 5))
     scale = draw(st.sampled_from([1.0, 3.0, 30.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     batch = []
     for _ in range(draw(st.integers(1, 6))):
         T, y = draw(st.integers(1, 8)), draw(st.lists(st.integers(0, K - 1), max_size=4))
-        teacher = shift_teacher(scaled_lattice(rng, T, len(y), K, scale),
-                                draw(st.integers(0, T - 1)))
-        student = Lattice(scaled_lattice(rng, T, len(y), K, scale).log_probs,
-                          excluded_frames=draw(st.sampled_from([0, 0, 1, T])))
+        teacher, student = shift_teacher(scaled_lattice(rng, T, len(y), K, scale),
+                                         scaled_lattice(rng, T, len(y), K, scale),
+                                         draw(st.integers(0, T - 1)))
         batch.append((teacher, student, y))
     return batch
 
@@ -261,17 +254,17 @@ class TestSoftKlBatch:
     @pytest.mark.parametrize("K", [1, 2, 6])
     def test_mixed_batch_equals_looped_references(self, K, scale):
         """Every shift from 0 to T - 1 for T = 1, 3 and 7, U = 0 to 3 (K = 1
-        leaves the rest class empty below the u = U row), and a student whose
-        excluded frames cover its whole lattice."""
+        leaves the rest class empty below the u = U row)."""
         rng = np.random.default_rng(int(10 * K + scale))
         teachers, students, label_seqs = [], [], []
         for T in (1, 3, 7):
             for shift in range(T):
                 y = [int(k) for k in rng.integers(0, K, size=(T + shift) % 4)]
-                teachers.append(shift_teacher(scaled_lattice(rng, T, len(y), K, scale), shift))
-                students.append(scaled_lattice(rng, T, len(y), K, scale))
+                teacher, student = shift_teacher(scaled_lattice(rng, T, len(y), K, scale),
+                                                 scaled_lattice(rng, T, len(y), K, scale), shift)
+                teachers.append(teacher)
+                students.append(student)
                 label_seqs.append(y)
-        students[4] = Lattice(students[4].log_probs, excluded_frames=students[4].num_frames)
         assert_batch_equals_references(teachers, students, label_seqs)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -321,36 +314,35 @@ class TestSoftKlBatch:
 
 
 class TestShiftTeacher:
-    def test_identity_at_zero(self, rng):
-        lat = random_lattice(rng, T=4, U=1, K=2)
-        out = shift_teacher(lat, 0)
-        assert np.array_equal(out.log_probs, lat.log_probs)
-        assert out.excluded_frames == 0
+    @pytest.mark.parametrize("shift", [0, 2, 4])
+    def test_returns_views_of_the_overlap(self, rng, shift):
+        """Teacher frames [0, T - n) and student frames [n, T), no copy."""
+        teacher, student = random_lattice(rng, T=5, U=1, K=2), random_lattice(rng, T=5, U=1, K=2)
+        t, s = shift_teacher(teacher, student, shift)
+        assert np.shares_memory(t.log_probs, teacher.log_probs)
+        assert np.shares_memory(s.log_probs, student.log_probs)
+        assert np.array_equal(t.log_probs, teacher.log_probs[: 5 - shift])
+        assert np.array_equal(s.log_probs, student.log_probs[shift:])
 
-    def test_shift_moves_frames_right(self, rng):
-        lat = random_lattice(rng, T=5, U=1, K=2)
-        out = shift_teacher(lat, 2)
-        assert out.excluded_frames == 2
-        assert np.array_equal(out.log_probs[2], lat.log_probs[0])
-        assert np.array_equal(out.log_probs[4], lat.log_probs[2])
+    def test_shifts_compose(self, rng):
+        teacher, student = random_lattice(rng, T=6, U=1, K=2), random_lattice(rng, T=6, U=1, K=2)
+        twice = shift_teacher(*shift_teacher(teacher, student, 1), 2)
+        once = shift_teacher(teacher, student, 3)
+        for a, b in zip(twice, once, strict=True):
+            assert a.log_probs.shape == b.log_probs.shape == (3, 2, 3)
+            assert np.array_equal(a.log_probs, b.log_probs)
 
-    def test_shift_of_a_shifted_lattice_adds_its_excluded_frames(self, rng):
-        lat = random_lattice(rng, T=6, U=1, K=2)
-        out = shift_teacher(shift_teacher(lat, 1), 2)
-        assert out.excluded_frames == 3
-        assert np.array_equal(out.log_probs[3:], lat.log_probs[:3])
-        assert shift_teacher(out, 0).excluded_frames == 3
-
-    def test_shift_beyond_length_rejected(self, rng):
+    @pytest.mark.parametrize("shift", [-1, 3, 4])
+    def test_shift_outside_the_lattice_rejected(self, rng, shift):
         lat = random_lattice(rng, T=3, U=0, K=2)
-        with pytest.raises(DistillError):
-            shift_teacher(lat, 3)
+        with pytest.raises(DistillError, match="shift"):
+            shift_teacher(lat, lat, shift)
 
-    def test_soft_loss_skips_excluded_frames(self, rng):
+    def test_soft_loss_covers_only_the_overlap(self, rng):
         teacher = random_lattice(rng, T=4, U=1, K=2)
         student = random_lattice(rng, T=4, U=1, K=2)
-        shifted = shift_teacher(teacher, 2)
-        loss, grad = soft_kl_full([shifted], [student])[0]
+        t, s = shift_teacher(teacher, student, 2)
+        loss, grad = soft_kl_full([t], [s])[0]
         # direct computation over the overlapping frames only
         manual = float(
             np.sum(
@@ -359,7 +351,7 @@ class TestShiftTeacher:
             )
         )
         assert loss == pytest.approx(manual, abs=1e-12)
-        assert np.all(grad[:2] == 0.0)
+        assert np.array_equal(grad, -np.exp(teacher.log_probs[:2]))
 
 
 class TestFsDistill:
@@ -615,22 +607,26 @@ class TestNonFiniteLoss:
         student, teacher, batch, pseudo, kind = _random_step(3, 12, kind)
         frames_of = {u.frames.tobytes(): u.utt_id for u in batch}
         score_of = {-r.score: utt_id for utt_id, r in pseudo.items()}
-        owner = {}  # id of a student lattice -> its utterance
+        owners = []  # (student lattice, its utterance)
         real_forward = student.forward
         real_rnnt, real_fs = distill.rnnt_losses_with_grad, distill.fs_distill
         real_soft = distill.soft_kl_efficient
 
         def forward(x, y, **shared):
             lat, cache = real_forward(x, y, **shared)
-            owner[id(lat)] = frames_of[x.tobytes()]
+            owners.append((lat, frames_of[x.tobytes()]))
             return lat, cache
 
+        def owner(lat):  # a student lattice, or the slice of one that a soft term reads
+            return next(utt for full, utt in owners
+                        if np.shares_memory(full.log_probs, lat.log_probs))
+
         def rnnt(lattices, label_seqs):
-            return [(np.inf, g) if owner[id(lat)] == poison.get("rnnt") else (nll, g)
+            return [(np.inf, g) if owner(lat) == poison.get("rnnt") else (nll, g)
                     for lat, (nll, g) in zip(lattices, real_rnnt(lattices, label_seqs))]
 
         def soft(teachers, students, label_seqs):
-            return [(np.inf, g) if owner[id(lat)] == poison.get("soft") else (loss, g)
+            return [(np.inf, g) if owner(lat) == poison.get("soft") else (loss, g)
                     for lat, (loss, g) in zip(students, real_soft(teachers, students, label_seqs))]
 
         def fs(teacher_nll, student_nll, flavor="l1"):
@@ -687,15 +683,16 @@ def reference_rnnt_term(model, x, y, weight):
 
 def reference_soft_term(model, teacher_model, x, y, kind, weight):
     student_lat, cache = model.forward(x, y)
-    teacher_lat = teacher_model.build_lattice(x, y)
-    if kind.shift_n > 0:
-        teacher_lat = shift_teacher(teacher_lat, kind.shift_n)
+    teacher_lat, overlap = shift_teacher(teacher_model.build_lattice(x, y), student_lat,
+                                         kind.shift_n)
     if kind.kind == LossKind.SOFT_FULL:
-        loss, g = soft_kl_full([teacher_lat], [student_lat])[0]
+        loss, g = soft_kl_full([teacher_lat], [overlap])[0]
     else:
-        loss, g = soft_kl_efficient([teacher_lat], [student_lat], [y])[0]
+        loss, g = soft_kl_efficient([teacher_lat], [overlap], [y])[0]
+    grad = np.zeros_like(student_lat.log_probs)
+    grad[kind.shift_n:] = g
     if weight != 0.0:
-        model.backward(cache, weight * g)
+        model.backward(cache, weight * grad)
     return loss
 
 

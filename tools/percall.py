@@ -11,10 +11,11 @@ the same shape: one utterance per call, and all of them in one lockstep call
 (the list-taking decoders; a tree whose decoders take one utterance has no
 lockstep rows).  The soft KL rows run ``soft_kl_efficient`` over the lattices
 of ``SOFT`` utterances of 9 to 18 frames and 0 to 6 labels, each teacher
-lattice shifted by 0 to 3 frames: one lattice per call, then all of them in
-one call (a tree whose soft KL takes one lattice has no batched row).  The
-predictor_states row runs the predictor over 30 label sequences of 0 to 7
-labels side by side, as a training step does.  The
+lattice shifted by 0 to 3 frames (the overlap's views where ``shift_teacher``
+takes the pair, else the shifted teacher copy): one lattice per call, then
+all of them in one call (a tree whose soft KL takes one lattice has no
+batched row).  The predictor_states row runs the predictor over 30 label
+sequences of 0 to 7 labels side by side, as a training step does.  The
 write_corpus row writes a generated 100-utterance corpus (3 to 6 labels of
 2 to 4 frames each) to ``os.devnull``.  The step rows time one
 ``combined_loss`` step, gradients included, at the benchmark's weak_teacher
@@ -89,6 +90,7 @@ def layers(td):
     seqs = [[int(k) for k in rng.integers(0, K, size=n)] for n in rng.integers(0, 8, size=30)]
     lockstep = hasattr(td.decode, "RUN_UTTERANCES")
     batched_kl = "teachers" in inspect.signature(td.soft_kl_efficient).parameters
+    paired_shift = "student" in inspect.signature(td.shift_teacher).parameters
 
     def alone(decoder, x, *args):
         return decoder(model, [x], *args)[0] if lockstep else decoder(model, x, *args)
@@ -99,13 +101,21 @@ def layers(td):
             return td.soft_kl_efficient([teacher], [student], [labels])[0]
         return td.soft_kl_efficient(teacher, student, labels)
 
+    def shifted(teacher, student, shift):
+        """The (teacher, student) pair that a soft loss compares at ``shift``: the
+        overlap's views where ``shift_teacher`` takes the pair, else the shifted
+        teacher against the whole student."""
+        if paired_shift:
+            return td.shift_teacher(teacher, student, shift)
+        return td.shift_teacher(teacher, shift), student
+
     triples = []
     for frames, labels, shift in zip(rng.integers(9, 19, size=SOFT), rng.integers(0, 7, size=SOFT),
                                      rng.integers(0, 4, size=SOFT)):
         x_soft = rng.normal(size=(int(frames), FEAT))
         y_soft = [int(k) for k in rng.integers(0, K, size=labels)]
-        triples.append((td.shift_teacher(teacher.build_lattice(x_soft, y_soft), int(shift)),
-                        model.build_lattice(x_soft, y_soft), y_soft))
+        triples.append((*shifted(teacher.build_lattice(x_soft, y_soft),
+                                 model.build_lattice(x_soft, y_soft), int(shift)), y_soft))
     soft_batch = [list(side) for side in zip(*triples)]
 
     four = alone(td.beam_search, x, 8)[:4]
