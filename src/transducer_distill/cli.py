@@ -19,7 +19,6 @@ from pathlib import Path
 from . import data as data_mod
 from . import metrics as metrics_mod
 from .decode import (
-    DEFAULT_MAX_SYMBOLS_PER_FRAME,
     DecodeError,
     beam_search,
     pseudo_label_record,
@@ -109,7 +108,7 @@ DEFAULT_CONFIG = {
         "momentum": 0.9,
         "sup_fraction": 0.10,
     },
-    "decode": {"beam": 8, "nbest": 4, "max_symbols_per_frame": DEFAULT_MAX_SYMBOLS_PER_FRAME},
+    "decode": {"beam": 8, "nbest": 4, "max_symbols_per_frame": 5},
     "distill": {
         "kind": "fs_l1",
         "shift_n": 0,
@@ -169,14 +168,17 @@ def _resolve(default: dict, value, prefix: str = "") -> dict:
         if isinstance(fallback, dict):
             out[key] = _resolve(fallback, v, name + ".")
             continue
-        want = NULLABLE_TYPES[name] if fallback is None else type(fallback)
         if isinstance(fallback, list):
-            ok = isinstance(v, list) and all(_fits(e, type(fallback[0])) for e in v)
+            what = f"lists of {len(fallback)} {type(fallback[0]).__name__}"
+            ok = (isinstance(v, list) and len(v) == len(fallback)
+                  and all(_fits(e, type(fallback[0])) for e in v))
         else:
+            want = NULLABLE_TYPES[name] if fallback is None else type(fallback)
+            what = want.__name__
             ok = (v is None and fallback is None) or _fits(v, want)
         if not ok:
             like = " or null" if fallback is None else f" like {fallback!r}"
-            raise ConfigError(f"config key {name} takes {want.__name__} values{like}, got {v!r}")
+            raise ConfigError(f"config key {name} takes {what} values{like}, got {v!r}")
         out[key] = list(v) if isinstance(v, list) else v
     return out
 
@@ -232,7 +234,10 @@ def _check_values(cfg: dict) -> None:
         if value < low or (high is not None and value > high):
             bound = f">= {low}" if high is None else f"in [{low}, {high}]"
             raise ConfigError(f"config key {key} must be {bound}, got {value!r}")
-    if LossKind(cfg["distill"]["kind"]).is_norm and cfg["decode"]["nbest"] < 2:
+    beam, nbest = cfg["decode"]["beam"], cfg["decode"]["nbest"]
+    if nbest > beam:  # the N-best list is cut from the beam's list
+        raise ConfigError(f"config key decode.nbest must be <= decode.beam, got {nbest} > {beam}")
+    if LossKind(cfg["distill"]["kind"]).is_norm and nbest < 2:
         raise ConfigError(
             "normalized full-sum distillation needs an N-best list: set "
             "decode.nbest >= 2 (a single hypothesis normalizes to a constant)"
@@ -426,9 +431,8 @@ def cmd_gen_data(cfg: dict, root=None) -> Path:
 
 def _train(model, sup, unsup, cfg, loss_fn, log_path) -> None:
     train = cfg["train"]
-    stream = data_mod.mix_batches(
-        sup, unsup, train["batch_size"], train["sup_fraction"], seed=cfg["seed"]
-    )
+    stream = data_mod.mix_batches(sup, unsup, train["batch_size"], train["sup_fraction"],
+                                  cfg["seed"])
     opt = SGD(lr=train["lr"], momentum=train["momentum"])
 
     def steps():  # each step's record is written before the next step runs
@@ -458,9 +462,7 @@ def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
             vocab_size=spec.vocab_size,
         )
 
-    loss_fn = make_loss_fn(
-        DistillLossKind(LossKind.HARD), CombinedLossConfig(1.0, 0.0, 0.0)
-    )
+    loss_fn = make_loss_fn(DistillLossKind(LossKind.HARD, 0), CombinedLossConfig(1.0, 0.0, 0.0))
     # pure-supervised stream: mixer with fraction 1.0 never draws unsupervised
     empty = data_mod.Corpus(split="unused", utterances=[])
     _train(model, sup, empty, _deep_merge(cfg, {"train": {"sup_fraction": 1.0}}), loss_fn,
@@ -514,7 +516,7 @@ def _distill_inputs(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file) 
         (DATA_SECTION, spec), (f"teacher checkpoint {teacher_checkpoint}", teacher)])
     # the batch mixer checks that each split it draws from holds an utterance
     data_mod.mix_batches(corpora["sup"], corpora["unsup"], cfg["train"]["batch_size"],
-                         cfg["train"]["sup_fraction"])
+                         cfg["train"]["sup_fraction"], cfg["seed"])
     unsup, shift = corpora["unsup"].utterances, cfg["distill"]["shift_n"]
     if unsup:  # the shift must leave the shortest utterance a teacher frame
         short = min(unsup, key=lambda u: len(u.frames))
@@ -664,10 +666,8 @@ TEACHER_INPUTS = dict.fromkeys(["--data-dir", "--teacher", "--pseudo-labels"], {
 COMMANDS = {
     "gen-data": ("generate synthetic corpora", {},
                  lambda a, cfg: cmd_gen_data(cfg, root=a.run_root)),
-    "train-teacher": ("train a teacher on the supervised split", {
-        "--data-dir": {"required": True}, "--preset": {"choices": sorted(TEACHER_PRESETS)}},
-        lambda a, cfg: cmd_train_teacher(_deep_merge(cfg, {"teacher": {"preset": a.preset}})
-                                         if a.preset else cfg, a.data_dir, root=a.run_root)),
+    "train-teacher": ("train a teacher on the supervised split", {"--data-dir": {"required": True}},
+                      lambda a, cfg: cmd_train_teacher(cfg, a.data_dir, root=a.run_root)),
     "pseudo-label": (
         "beam-decode the unsupervised split", MODEL_INPUTS,
         lambda a, cfg: cmd_pseudo_label(cfg, a.checkpoint, a.data_dir, root=a.run_root)),

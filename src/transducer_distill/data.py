@@ -158,7 +158,7 @@ def subsample_corpus(corpus: Corpus, fraction: float, seed: int) -> Corpus:
 
 
 def mix_batches(supervised: Corpus, unsupervised: Corpus, batch_size: int,
-                sup_fraction: float = 0.10, seed: int = 0):
+                sup_fraction: float, seed: int):
     """Endless stream of batches mixing the two corpora.
 
     Each batch holds round(batch_size * sup_fraction) supervised utterances

@@ -24,7 +24,6 @@ import numpy as np
 from .data import RecordError, read_records, record_labels, write_records
 from .lattice import forward_backward
 
-DEFAULT_MAX_SYMBOLS_PER_FRAME = 5
 RUN_UTTERANCES = 16  # searches stepped together: 8 to 150 measured (README, Decoding)
 
 
@@ -85,7 +84,7 @@ def _greedy(n_frames, state, blank, cap):
     return tuple(labels), score
 
 
-def greedy_decode(model, xs, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER_FRAME) -> list:
+def greedy_decode(model, xs, max_symbols_per_frame: int) -> list:
     """Frame-synchronous argmax decoding; returns a (labels, score) pair per
     utterance of ``xs``.
 
@@ -142,8 +141,7 @@ def _beam(n_frames, start, blank, beam, cap):
     return kept
 
 
-def beam_search(model, xs, beam: int,
-                max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER_FRAME) -> list:
+def beam_search(model, xs, beam: int, max_symbols_per_frame: int) -> list:
     """Time-synchronous transducer beam search with hypothesis merging; returns
     at most ``beam`` (labels, score) pairs, best first, per utterance of ``xs``.
 

@@ -58,7 +58,7 @@ class DistillLossKind:
     """
 
     kind: LossKind
-    shift_n: int = 0
+    shift_n: int
 
     def __post_init__(self):
         if self.shift_n < 0:
@@ -69,9 +69,9 @@ class DistillLossKind:
 
 @dataclass(frozen=True)
 class CombinedLossConfig:
-    weight_supervised_rnnt: float = 1.0
-    weight_hard_on_pseudo: float = 0.0
-    weight_distill: float = 0.0
+    weight_supervised_rnnt: float
+    weight_hard_on_pseudo: float
+    weight_distill: float
 
     def __post_init__(self):
         weights = (

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 from .data import write_json
 # beam_search is not called here; perfbench/spans.py times metrics.beam_search
-from .decode import DEFAULT_MAX_SYMBOLS_PER_FRAME, beam_search, greedy_decode  # noqa: F401
+from .decode import beam_search, greedy_decode  # noqa: F401
 
 
 class MetricsError(ValueError):
@@ -83,7 +83,7 @@ class EvalReport:
         return self.total.wer
 
 
-def evaluate(model, corpus, max_symbols_per_frame: int = DEFAULT_MAX_SYMBOLS_PER_FRAME) -> EvalReport:
+def evaluate(model, corpus, max_symbols_per_frame: int) -> EvalReport:
     """Greedy-decode every utterance and pool errors over the whole corpus.
 
     Corpus WER is total errors / total reference labels, not the mean of

@@ -305,7 +305,7 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 class SGD:
     """Plain SGD with momentum and a fixed step size."""
 
-    def __init__(self, lr: float, momentum: float = 0.9):
+    def __init__(self, lr: float, momentum: float):
         self.lr = lr
         self.momentum = momentum
         self._velocity: dict[str, np.ndarray] = {}

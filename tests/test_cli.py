@@ -1023,11 +1023,11 @@ class TestCommandSurface:
                          ("cmd_gen_data", (), {"root": "R"})),
         "gen-data config": (["gen-data", "--config", "CONFIG"], {"config": "CONFIG"},
                             ("cmd_gen_data", (), {"root": None})),
-        "train-teacher": (["train-teacher", "--data-dir", "D"], {"data_dir": "D", "preset": None},
+        "train-teacher": (["train-teacher", "--data-dir", "D"], {"data_dir": "D"},
                           ("cmd_train_teacher", ("D",), {"root": None})),
         "train-teacher preset": (
-            ["train-teacher", "--data-dir", "D", "--preset", "S3", "--run-root", "R", "SMOKE"],
-            {"data_dir": "D", "preset": "S3"}, ("cmd_train_teacher", ("D",), {"root": "R"})),
+            ["train-teacher", "--data-dir", "D", "--set", "teacher.preset=S3", "--run-root", "R",
+             "SMOKE"], {"data_dir": "D"}, ("cmd_train_teacher", ("D",), {"root": "R"})),
         "pseudo-label": (["pseudo-label", "--data-dir", "D", "--checkpoint", "C"],
                          {"data_dir": "D", "checkpoint": "C"},
                          ("cmd_pseudo_label", ("C", "D"), {"root": None})),
@@ -1086,8 +1086,7 @@ class TestCommandSurface:
             monkeypatch.setattr(cli, command, stub(command))
         parsed = vars(cli.build_parser().parse_args(argv))
         want = {**self.COMMON, "command": argv[0], **extra}
-        if "SMOKE" in self.SURFACE[case][0]:
-            want["overrides"] = list(SMOKE_OVERRIDES)
+        want["overrides"] = [value for flag, value in zip(argv, argv[1:]) if flag == "--set"]
         if "--run-root" in argv:
             want["run_root"] = "R"
         if "config" in extra:
@@ -1096,8 +1095,6 @@ class TestCommandSurface:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == "out\n"
         cfg = load_config(want["config"], want["overrides"])
-        if parsed.get("preset"):
-            cfg["teacher"]["preset"] = parsed["preset"]
         assert calls == [(name, (cfg, *args), kwargs)]
 
 
@@ -1356,6 +1353,13 @@ class TestExitCodes:
         (["decode.nbest=0"], "decode.nbest"),
         (["decode.max_symbols_per_frame=0"], "decode.max_symbols_per_frame"),
         (["distill.kind=fsnorm_l1", "decode.nbest=1"], "decode.nbest >= 2"),
+        # the N-best list is cut from the beam's list
+        (["decode.beam=1", "decode.nbest=4"], "decode.nbest must be <= decode.beam, got 4 > 1"),
+        # a list key takes a list of its default's length
+        (["data.frames_per_label=[3]"],
+         "config key data.frames_per_label takes lists of 2 int values like [2, 4], got [3]"),
+        (["data.frames_per_label=[2,3,4]"], "config key data.frames_per_label takes lists of 2"),
+        (["data.label_len_range=[]"], "config key data.label_len_range takes lists of 2"),
         # a float key takes a number that converts to a finite float
         (["data.noise_sigma=1e400"], "data.noise_sigma"),
         (["data.noise_sigma=NaN"], "data.noise_sigma"),

@@ -311,7 +311,7 @@ def tiny_model(seed=0, vocab=2, hidden=4, T_feat=2):
 class TestGreedy:
     def test_blank_dominant_model_emits_nothing(self):
         m = TableModel(blank_heavy_table(T=4))
-        [(labels, score)] = greedy_decode(m, [0])
+        [(labels, score)] = greedy_decode(m, [0], 5)
         assert labels == ()
         assert score == pytest.approx(4 * math.log(0.95))
 
@@ -321,7 +321,7 @@ class TestGreedy:
             [[0.8, 0.1, 0.1], [0.05, 0.05, 0.9]],
             [[0.05, 0.05, 0.9], [0.05, 0.05, 0.9]],
         ]
-        [(labels, score)] = greedy_decode(TableModel(a_first), [0])
+        [(labels, score)] = greedy_decode(TableModel(a_first), [0], 5)
         assert labels == (0,)
         assert score == pytest.approx(math.log(0.8) + 2 * math.log(0.9))
 
@@ -353,7 +353,7 @@ class TestBeamSearch:
     def test_respects_beam_size_and_sorting(self, rng):
         m = tiny_model(seed=4)
         x = rng.normal(size=(4, 3))
-        [nbest] = beam_search(m, [x], beam=8)
+        [nbest] = beam_search(m, [x], beam=8, max_symbols_per_frame=5)
         assert len(nbest) <= 8
         scores = [score for _, score in nbest]
         assert scores == sorted(scores, reverse=True)
@@ -362,13 +362,13 @@ class TestBeamSearch:
     def test_beam_one_equals_greedy_on_peaked_model(self, rng):
         m = TableModel(*(peaked_table(np.random.default_rng(seed), T=4, U_max=3, K=3)
                          for seed in range(10)))
-        greedy = greedy_decode(m, range(10))
-        assert [top[0] for [top] in beam_search(m, range(10), beam=1)] == [g[0] for g in greedy]
+        greedy = greedy_decode(m, range(10), 5)
+        assert [top[0] for [top] in beam_search(m, range(10), 1, 5)] == [g[0] for g in greedy]
 
     def test_beam_monotonicity(self, rng):
         m = tiny_model(seed=7)
         x = rng.normal(size=(5, 3))
-        best = [beam_search(m, [x], beam=b)[0][0][1] for b in (1, 2, 4, 8)]
+        best = [beam_search(m, [x], beam=b, max_symbols_per_frame=5)[0][0][1] for b in (1, 2, 4, 8)]
         for lo, hi in zip(best, best[1:]):
             assert hi >= lo - 1e-12
 
@@ -404,7 +404,7 @@ class TestBeamSearch:
 
     def test_beam_must_be_positive(self, rng):
         with pytest.raises(DecodeError):
-            beam_search(tiny_model(), [rng.normal(size=(2, 3))], beam=0)
+            beam_search(tiny_model(), [rng.normal(size=(2, 3))], beam=0, max_symbols_per_frame=5)
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_cap_must_be_positive(self, rng, cap):
@@ -452,7 +452,7 @@ class TestBeamSearch:
     def test_advances_each_label_prefix_at_most_once(self, rng, beam):
         m = CountingModel(tiny_model(seed=3, vocab=3, hidden=5))
         x = rng.normal(size=(6, 3))
-        [nbest] = beam_search(m, [x], beam=beam)
+        [nbest] = beam_search(m, [x], beam=beam, max_symbols_per_frame=5)
         assert m.advances
         assert max(m.advances.values()) == 1
         for labels, _ in nbest:
@@ -550,8 +550,8 @@ class TestLockstep:
         assert beam_search(m, xs, 4, 3) == [reference_beam_search(ref, x, 4, 3) for x in xs]
 
     def test_no_utterances(self):
-        assert greedy_decode(tiny_model(), []) == []
-        assert beam_search(tiny_model(), [], 4) == []
+        assert greedy_decode(tiny_model(), [], 5) == []
+        assert beam_search(tiny_model(), [], 4, 5) == []
 
 
 class TestRescore:
@@ -584,7 +584,7 @@ class TestRescore:
     def test_matches_oracle_on_micro_model(self, rng):
         m = tiny_model(seed=5)
         x = rng.normal(size=(3, 3))
-        [nbest] = beam_search(m, [x], beam=4)
+        [nbest] = beam_search(m, [x], beam=4, max_symbols_per_frame=5)
         scores = rescore_nbest(m, x, nbest)
         from oracles import brute_force_log_prob
 

@@ -465,7 +465,7 @@ class TestCombinedLoss:
         batch = self.batch(rng)
         cfg = CombinedLossConfig(1.0, 0.0, 0.0)
         total, terms = combined_loss(
-            model, batch, DistillLossKind(LossKind.HARD), cfg
+            model, batch, DistillLossKind(LossKind.HARD, 0), cfg
         )
         assert terms["hard_on_pseudo"] == 0.0 and terms["distill"] == 0.0
         assert total == pytest.approx(terms["supervised_rnnt"])
@@ -476,7 +476,7 @@ class TestCombinedLoss:
         pseudo = {"u-0": PseudoLabelRecord("u-0", [((2,), -1.0)], 0)}
         cfg = CombinedLossConfig(1.0, 1.0, 0.0)
         total, terms = combined_loss(
-            model, batch, DistillLossKind(LossKind.HARD), cfg, pseudo_labels=pseudo
+            model, batch, DistillLossKind(LossKind.HARD, 0), cfg, pseudo_labels=pseudo
         )
         assert terms["hard_on_pseudo"] > 0.0
         assert total == pytest.approx(
@@ -488,7 +488,7 @@ class TestCombinedLoss:
         batch = self.batch(rng)
         cfg = CombinedLossConfig(1.0, 1.0, 0.0)
         with pytest.raises(DistillError, match="u-0"):
-            combined_loss(model, batch, DistillLossKind(LossKind.HARD), cfg)
+            combined_loss(model, batch, DistillLossKind(LossKind.HARD, 0), cfg)
 
     def test_self_distillation_reduces_to_supervised(self, rng):
         # teacher == student and pseudo == truth: soft KL and FS terms vanish
@@ -502,14 +502,14 @@ class TestCombinedLoss:
 
         cfg = CombinedLossConfig(1.0, 0.0, 1.0)
         total, terms = combined_loss(
-            model, [sup, unsup], DistillLossKind(LossKind.SOFT_FULL), cfg,
+            model, [sup, unsup], DistillLossKind(LossKind.SOFT_FULL, 0), cfg,
             pseudo_labels=pseudo, teacher_model=model,
         )
         assert terms["distill"] == pytest.approx(0.0, abs=1e-12)
         assert total == pytest.approx(terms["supervised_rnnt"], abs=1e-12)
 
         total, terms = combined_loss(
-            model, [sup, unsup], DistillLossKind(LossKind.FS_L1), cfg,
+            model, [sup, unsup], DistillLossKind(LossKind.FS_L1, 0), cfg,
             pseudo_labels=pseudo,
         )
         assert terms["distill"] == pytest.approx(0.0, abs=1e-9)
@@ -524,7 +524,7 @@ class TestCombinedLoss:
         pseudo = {"u-0": PseudoLabelRecord("u-0", [((1,), float(t_score))], 0)}
         cfg = CombinedLossConfig(0.0, 0.0, 1.0)
         total, terms = combined_loss(
-            student, [unsup], DistillLossKind(LossKind.FS_L1), cfg, pseudo_labels=pseudo
+            student, [unsup], DistillLossKind(LossKind.FS_L1, 0), cfg, pseudo_labels=pseudo
         )
         assert np.isfinite(total)
         assert terms["distill"] >= 0.0
@@ -538,7 +538,7 @@ class TestCombinedLoss:
         cfg = CombinedLossConfig(0.0, 0.0, 1.0)
         with pytest.raises(LatticeShapeError):
             combined_loss(
-                student, [unsup], DistillLossKind(LossKind.SOFT_EFFICIENT), cfg,
+                student, [unsup], DistillLossKind(LossKind.SOFT_EFFICIENT, 0), cfg,
                 pseudo_labels=pseudo, teacher_model=teacher,
             )
 
@@ -549,7 +549,7 @@ class TestCombinedLoss:
         cfg = CombinedLossConfig(0.0, 0.0, 1.0)
         with pytest.raises(DistillError, match="N-best"):
             combined_loss(
-                student, [unsup], DistillLossKind(LossKind.FSNORM_L1),
+                student, [unsup], DistillLossKind(LossKind.FSNORM_L1, 0),
                 cfg, pseudo_labels=pseudo,
             )
 
@@ -567,12 +567,12 @@ class TestCombinedLoss:
         pseudo = {"u-0": PseudoLabelRecord("u-0", nbest, [l for l, _ in nbest].index((1, 0)))}
 
         for kind in [
-            DistillLossKind(LossKind.SOFT_FULL),
-            DistillLossKind(LossKind.SOFT_EFFICIENT),
-            DistillLossKind(LossKind.FS_L1),
-            DistillLossKind(LossKind.FS_MSE),
-            DistillLossKind(LossKind.FSNORM_L1),
-            DistillLossKind(LossKind.FSNORM_MSE),
+            DistillLossKind(LossKind.SOFT_FULL, 0),
+            DistillLossKind(LossKind.SOFT_EFFICIENT, 0),
+            DistillLossKind(LossKind.FS_L1, 0),
+            DistillLossKind(LossKind.FS_MSE, 0),
+            DistillLossKind(LossKind.FSNORM_L1, 0),
+            DistillLossKind(LossKind.FSNORM_MSE, 0),
         ]:
             student.zero_grad()
             cfg = CombinedLossConfig(0.0, 0.0, 1.0)
@@ -834,7 +834,7 @@ class TestCombinedLossSharing:
 
         student.forward = forward
         monkeypatch.setattr(distill, "rnnt_losses_with_grad", batched_losses)
-        combined_loss(student, batch, DistillLossKind(LossKind(kind)),
+        combined_loss(student, batch, DistillLossKind(LossKind(kind), 0),
                       CombinedLossConfig(1.0, 1.0, 1.0), pseudo_labels=pseudo,
                       teacher_model=teacher)
         assert set(forwards.values()) == {1}
@@ -1026,7 +1026,7 @@ class TestCombinedLossAgainstLoopReference:
                                    [((1, 1, 0), -3.0), ((1, 0), -3.5), ((), -6.0)]]):
             batch.append(Utterance(f"u-{i}", rng.normal(size=(4 + i, 2)), None))
             pseudo[f"u-{i}"] = PseudoLabelRecord(f"u-{i}", nbest, len(nbest) - 1 if i == 2 else 0)
-        kind, config = DistillLossKind(LossKind.FSNORM_MSE), CombinedLossConfig(0.0, 0.5, 1.0)
+        kind, config = DistillLossKind(LossKind.FSNORM_MSE, 0), CombinedLossConfig(0.0, 0.5, 1.0)
 
         def loss():
             return combined_loss(student, batch, kind, config, pseudo_labels=pseudo)[0]

@@ -100,7 +100,7 @@ class TestEvaluate:
             return [(hyps[ids[id(x)]], 0.0) for x in xs]
 
         monkeypatch.setattr(metrics_mod, "greedy_decode", decode)
-        report = evaluate(None, corpus)
+        report = evaluate(None, corpus, 5)
         assert calls == [2]
         assert report.wer == pytest.approx(0.1)
         assert set(report.per_utterance) == {"A", "B"}
@@ -121,7 +121,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(metrics_mod, "greedy_decode",
                             lambda model, xs, cap: [(hyps[float(x[0, 0])], 0.0) for x in xs])
-        report = evaluate(None, corpus)
+        report = evaluate(None, corpus, 5)
         path = tmp_path / "report.json"
         write_report(path, {"eval": report})
         import json
@@ -137,11 +137,11 @@ class TestEvaluate:
     def test_missing_reference_rejected(self):
         corpus = Corpus(split="eval", utterances=[Utterance("A", np.zeros((1, 1)))])
         with pytest.raises(MetricsError, match="'A'"):
-            evaluate(None, corpus)
+            evaluate(None, corpus, 5)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(MetricsError):
-            evaluate(None, Corpus(split="eval", utterances=[]))
+            evaluate(None, Corpus(split="eval", utterances=[]), 5)
 
     def test_macro_average(self):
         a = EvalReport(total=WerReport(substitutions=1, reference_length=10))

@@ -299,7 +299,7 @@ class TestTrainStep:
         def zero_loss(model, batch):
             return 0.5, {}
 
-        train_step(m, [], zero_loss, SGD(lr=0.5))
+        train_step(m, [], zero_loss, SGD(lr=0.5, momentum=0.9))
         for name in before:
             assert np.array_equal(m.params[name], before[name])
 
@@ -334,7 +334,7 @@ class TestTrainStep:
 
         def run():
             m = micro_model(hidden=4, seed=9)
-            opt = SGD(lr=0.05)
+            opt = SGD(lr=0.05, momentum=0.9)
             for _ in range(20):
                 train_step(m, [(x, y)], supervised_loss_fn, opt)
             return {k: v.copy() for k, v in m.params.items()}

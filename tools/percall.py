@@ -7,14 +7,12 @@ of one call, in microseconds, at T=14 input frames, U=5 labels, K=6 labels
 plus blank and hidden width H=16 (a 5-frame window over 8 features).  The
 model is an untrained one, so beam search pops many hypotheses per frame.
 The decoding rows decode one utterance, then a run of ``RUN`` utterances of
-the same shape: one utterance per call, and all of them in one lockstep call
-(the list-taking decoders; a tree whose decoders take one utterance has no
-lockstep rows).  The soft KL rows run ``soft_kl_efficient`` over the lattices
-of ``SOFT`` utterances of 9 to 18 frames and 0 to 6 labels, each teacher
-lattice shifted by 0 to 3 frames (the overlap's views where ``shift_teacher``
-takes the pair, else the shifted teacher copy): one lattice per call, then
-all of them in one call (a tree whose soft KL takes one lattice has no
-batched row).  The predictor_states row runs the predictor over 30 label
+the same shape: one utterance per call, and all of them in one lockstep call;
+every decoder caps the labels per frame at ``CAP``.  The soft KL rows run
+``soft_kl_efficient`` over the lattices of ``SOFT`` utterances of 9 to 18
+frames and 0 to 6 labels, each teacher lattice shifted by 0 to 3 frames (the
+overlap's views from ``shift_teacher``): one lattice per call, then all of
+them in one call.  The predictor_states row runs the predictor over 30 label
 sequences of 0 to 7 labels side by side, as a training step does.  The
 write_corpus row writes a generated 100-utterance corpus (3 to 6 labels of
 2 to 4 frames each) to ``os.devnull``.  The step rows time one
@@ -35,7 +33,6 @@ same script.  BLAS is pinned to one thread.
 """
 
 import argparse
-import inspect
 import os
 import sys
 import time
@@ -49,6 +46,7 @@ T, U, K, H, FEAT = 14, 5, 6, 16, 8
 RUN = 32
 SOFT = 16
 BLOCKS = 30
+CAP = 5  # max_symbols_per_frame, as in DEFAULT_CONFIG
 
 
 def best_us(fn, calls):
@@ -88,37 +86,20 @@ def layers(td):
     _, grad = td.lattice.rnnt_loss_with_grad(lat, y)
     xs = [rng.normal(size=(T, FEAT)) for _ in range(RUN)]
     seqs = [[int(k) for k in rng.integers(0, K, size=n)] for n in rng.integers(0, 8, size=30)]
-    lockstep = hasattr(td.decode, "RUN_UTTERANCES")
-    batched_kl = "teachers" in inspect.signature(td.soft_kl_efficient).parameters
-    paired_shift = "student" in inspect.signature(td.shift_teacher).parameters
-
-    def alone(decoder, x, *args):
-        return decoder(model, [x], *args)[0] if lockstep else decoder(model, x, *args)
 
     def soft_kl(teacher, student, labels):
-        """``soft_kl_efficient`` of one pair, as a batch of one where the tree has batches."""
-        if batched_kl:
-            return td.soft_kl_efficient([teacher], [student], [labels])[0]
-        return td.soft_kl_efficient(teacher, student, labels)
-
-    def shifted(teacher, student, shift):
-        """The (teacher, student) pair that a soft loss compares at ``shift``: the
-        overlap's views where ``shift_teacher`` takes the pair, else the shifted
-        teacher against the whole student."""
-        if paired_shift:
-            return td.shift_teacher(teacher, student, shift)
-        return td.shift_teacher(teacher, shift), student
+        return td.soft_kl_efficient([teacher], [student], [labels])[0]
 
     triples = []
     for frames, labels, shift in zip(rng.integers(9, 19, size=SOFT), rng.integers(0, 7, size=SOFT),
                                      rng.integers(0, 4, size=SOFT)):
         x_soft = rng.normal(size=(int(frames), FEAT))
         y_soft = [int(k) for k in rng.integers(0, K, size=labels)]
-        triples.append((*shifted(teacher.build_lattice(x_soft, y_soft),
-                                 model.build_lattice(x_soft, y_soft), int(shift)), y_soft))
+        triples.append((*td.shift_teacher(teacher.build_lattice(x_soft, y_soft),
+                                          model.build_lattice(x_soft, y_soft), int(shift)), y_soft))
     soft_batch = [list(side) for side in zip(*triples)]
 
-    four = alone(td.beam_search, x, 8)[:4]
+    four = td.beam_search(model, [x], 8, CAP)[0][:4]
     spec = td.SyntheticSpec(vocab_size=K, feat_dim=FEAT, frames_per_label=(2, 4),
                             noise_sigma=0.4, label_len_range=(3, 6),
                             num_supervised=100, num_unsupervised=1, seed=0)
@@ -131,16 +112,15 @@ def layers(td):
         ("backward", 200, lambda: model.backward(cache, grad)),
         ("soft_kl_efficient", 200, lambda: soft_kl(t_lat, lat, y)),
         (f"soft KL, {SOFT} lattices one by one", 20, lambda: [soft_kl(*t) for t in triples]),
-        *([(f"soft KL, {SOFT} lattices batched", 20, lambda: td.soft_kl_efficient(*soft_batch))]
-          if batched_kl else []),
-        ("greedy decoding", 50, lambda: alone(td.greedy_decode, x)),
-        ("beam search, beam 8", 5, lambda: alone(td.beam_search, x, 8)),
-        (f"greedy, {RUN} utts one by one", 2, lambda: [alone(td.greedy_decode, x) for x in xs]),
-        *([(f"greedy, {RUN} utts lockstep", 2, lambda: td.greedy_decode(model, xs))]
-          if lockstep else []),
-        (f"beam 8, {RUN} utts one by one", 1, lambda: [alone(td.beam_search, x, 8) for x in xs]),
-        *([(f"beam 8, {RUN} utts lockstep", 1, lambda: td.beam_search(model, xs, 8))]
-          if lockstep else []),
+        (f"soft KL, {SOFT} lattices batched", 20, lambda: td.soft_kl_efficient(*soft_batch)),
+        ("greedy decoding", 50, lambda: td.greedy_decode(model, [x], CAP)),
+        ("beam search, beam 8", 5, lambda: td.beam_search(model, [x], 8, CAP)),
+        (f"greedy, {RUN} utts one by one", 2,
+         lambda: [td.greedy_decode(model, [x], CAP) for x in xs]),
+        (f"greedy, {RUN} utts lockstep", 2, lambda: td.greedy_decode(model, xs, CAP)),
+        (f"beam 8, {RUN} utts one by one", 1,
+         lambda: [td.beam_search(model, [x], 8, CAP) for x in xs]),
+        (f"beam 8, {RUN} utts lockstep", 1, lambda: td.beam_search(model, xs, 8, CAP)),
         ("rescoring of a 4-best list", 50, lambda: td.rescore_nbest(model, x, four)),
         ("write_corpus, 100 utterances", 3, lambda: td.data.write_corpus(os.devnull, corpus)),
     ]
@@ -166,7 +146,7 @@ def steps(td):
         cfg = td.EncoderConfig(causal=False, left_context=2, right_context=2, subsample=1,
                                hidden=hidden)
         model = td.TransducerModel(vocab_size=K, feat_dim=FEAT, encoder=cfg, seed=0)
-        kind, weights = td.DistillLossKind(td.LossKind(kind)), td.CombinedLossConfig(*weights)
+        kind, weights = td.DistillLossKind(td.LossKind(kind), 0), td.CombinedLossConfig(*weights)
         return lambda: td.combined_loss(model, utts, kind, weights, pseudo_labels=pseudo)
 
     cfg = td.EncoderConfig(causal=False, left_context=2, right_context=2, subsample=1, hidden=H)
