@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import data as data_mod
+from . import distill as distill_mod
 from . import metrics as metrics_mod
 from .decode import (
     DecodeError,
@@ -26,12 +27,7 @@ from .decode import (
     read_pseudo_labels,
     write_pseudo_labels,
 )
-from .distill import (
-    CombinedLossConfig,
-    DistillLossKind,
-    LossKind,
-    make_loss_fn,
-)
+from .distill import CombinedLossConfig, DistillLossKind, LossKind
 from .lattice import LatticeError
 from .model import (
     SGD,
@@ -320,6 +316,16 @@ def _encoder(cfg: dict, who: str) -> EncoderConfig:
     return EncoderConfig(**enc)
 
 
+def _model(cfg: dict, who: str, seed: int) -> TransducerModel:
+    """The untrained model of ``who`` (teacher or student) over ``cfg``'s data;
+    a size that numpy cannot build is a bad ``who.encoder`` config."""
+    spec = _data_spec(cfg)
+    try:
+        return TransducerModel(spec.vocab_size, spec.feat_dim, _encoder(cfg, who), seed=seed)
+    except ValueError as e:
+        raise ConfigError(f"bad {who}.encoder config: {e}") from None
+
+
 def _distill_kind(cfg: dict) -> DistillLossKind:
     return DistillLossKind(LossKind(cfg["distill"]["kind"]), cfg["distill"]["shift_n"])
 
@@ -429,11 +435,16 @@ def cmd_gen_data(cfg: dict, root=None) -> Path:
     return out
 
 
-def _train(model, sup, unsup, cfg, loss_fn, log_path) -> None:
+def _train(model, sup, unsup, cfg, log_path, *loss_args) -> None:
+    """Train ``model`` for ``train.steps`` steps of ``combined_loss(model, batch,
+    *loss_args)``, each step's record written to ``log_path``."""
     train = cfg["train"]
     stream = data_mod.mix_batches(sup, unsup, train["batch_size"], train["sup_fraction"],
                                   cfg["seed"])
     opt = SGD(lr=train["lr"], momentum=train["momentum"])
+
+    def loss_fn(model, batch):  # through the module, which a tracer may rebind
+        return distill_mod.combined_loss(model, batch, *loss_args)
 
     def steps():  # each step's record is written before the next step runs
         for step in range(train["steps"]):
@@ -448,9 +459,7 @@ def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
     spec = _data_spec(cfg)
     corpora, digests = load_corpora(data_dir, [(DATA_SECTION, spec)])
     quality = _teacher_quality(cfg)
-    # before the run directory: numpy may refuse the sizes
-    model = TransducerModel(spec.vocab_size, spec.feat_dim, _encoder(cfg, "teacher"),
-                            seed=cfg["seed"] + 7)
+    model = _model(cfg, "teacher", cfg["seed"] + 7)  # before the run directory
     out = make_run_dir("train-teacher", cfg, root, digests)
 
     sup = corpora["sup"]
@@ -462,11 +471,11 @@ def cmd_train_teacher(cfg: dict, data_dir, root=None) -> Path:
             vocab_size=spec.vocab_size,
         )
 
-    loss_fn = make_loss_fn(DistillLossKind(LossKind.HARD, 0), CombinedLossConfig(1.0, 0.0, 0.0))
     # pure-supervised stream: mixer with fraction 1.0 never draws unsupervised
     empty = data_mod.Corpus(split="unused", utterances=[])
-    _train(model, sup, empty, _deep_merge(cfg, {"train": {"sup_fraction": 1.0}}), loss_fn,
-           out / "train_log.jsonl")
+    _train(model, sup, empty, _deep_merge(cfg, {"train": {"sup_fraction": 1.0}}),
+           out / "train_log.jsonl", DistillLossKind(LossKind.HARD, 0),
+           CombinedLossConfig(1.0, 0.0, 0.0))
 
     ckpt = out / "teacher.ckpt"
     save_checkpoint(model, ckpt)
@@ -501,8 +510,8 @@ def cmd_pseudo_label(cfg: dict, checkpoint, data_dir, root=None) -> Path:
 def _distill_inputs(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file) -> tuple:
     """Check every rule that the distill row ``cfg`` (resolved) puts on its
     inputs; each command calls this before it makes a run directory.
-    Returns the teacher, the student to train (numpy may refuse its sizes),
-    the corpora, the pseudo labels and the input digests that name the run."""
+    Returns the teacher, the student to train, the corpora, the pseudo labels
+    and the input digests that name the run."""
     teacher = load_checkpoint(teacher_checkpoint)
     kind, sub = LossKind(cfg["distill"]["kind"]), teacher.encoder.subsample
     student_sub = cfg["student"]["encoder"]["subsample"]
@@ -537,8 +546,7 @@ def _distill_inputs(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file) 
             raise ConfigError(
                 f"{pseudo_label_file}: no N-best list (>=2 hypotheses) for {len(one_best)} "
                 f"utterances, e.g. {one_best[0]}; regenerate with decode.nbest >= 2")
-    student = TransducerModel(spec.vocab_size, spec.feat_dim, _encoder(cfg, "student"),
-                              seed=cfg["seed"] + 13)
+    student = _model(cfg, "student", cfg["seed"] + 13)
     return teacher, student, corpora, pseudo, (*digests, teacher.checkpoint_sha256,
                                                _sha256(pseudo_label_file))
 
@@ -551,11 +559,9 @@ def cmd_distill(cfg: dict, data_dir, teacher_checkpoint, pseudo_label_file, root
     teacher, model, corpora, pseudo, digests = _distill_inputs(cfg, data_dir, teacher_checkpoint,
                                                                pseudo_label_file)
     out = make_run_dir("distill", cfg, root, digests)
-    kind = _distill_kind(cfg)
-    loss_fn = make_loss_fn(kind, _combined_config(cfg), pseudo_labels=pseudo,
-                           teacher_model=teacher if kind.kind.is_soft else None,
-                           teacher_lattices={} if teacher_lattices is None else teacher_lattices)
-    _train(model, corpora["sup"], corpora["unsup"], cfg, loss_fn, out / "metrics.jsonl")
+    _train(model, corpora["sup"], corpora["unsup"], cfg, out / "metrics.jsonl",
+           _distill_kind(cfg), _combined_config(cfg), pseudo, teacher,
+           {} if teacher_lattices is None else teacher_lattices)
 
     ckpt = out / "student.ckpt"
     save_checkpoint(model, ckpt)

@@ -11,7 +11,7 @@ their gradient w.r.t. the student side; the teacher is a frozen constant.
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -257,54 +257,51 @@ def fs_norm_distill(teacher_scores, student_scores, target_index: int, kind: str
 
 # ----- batch-level combination -----
 #
-# Each term reads the student's passes of its label sequences and returns its loss
-# and the (scale, forward cache, lattice gradient) triples to backpropagate; a soft
-# term returns its inputs to the one soft-KL call of its run (``_soft_kl``).
+# A loss term of an utterance is data: ``(log name, weight, label sequences)``
+# (``_terms``).  The run loop picks each term's kernel in one place: the supervised
+# and hard terms read their pass's full-sum, a soft distill term takes its result of
+# the run's one soft-KL call (``_soft_kl``) and a full-sum distill term is
+# ``_fs_term``.  Each gives its loss and the (scale, forward cache, lattice gradient)
+# triples to backpropagate.
 
 
-def _rnnt_term(passes, seqs):
-    ((_, cache, (nll, g)),) = passes
-    return nll, [(1.0, cache, g)]
-
-
-def _soft_term(passes, seqs, teacher_model, teacher_lattices: dict, utt,
-               kind: DistillLossKind):
-    if teacher_model is None:
-        raise DistillError("soft distillation requires the teacher model")
-    (y,), ((student_lat, cache, _),) = seqs, passes
-    key = (utt.utt_id, tuple(y))
-    if key not in teacher_lattices:
-        teacher_lattices[key] = teacher_model.build_lattice(utt.frames, list(y))
-        teacher_lattices[key].log_probs.flags.writeable = False
-    return (*shift_teacher(teacher_lattices[key], student_lat, kind.shift_n), list(y), cache)
-
-
-def _soft_kl(kind: DistillLossKind, inputs) -> list:
-    """Each soft term's ``(loss, backward parts)``, from one soft-KL call over their
-    inputs; each gradient in its student lattice's shape, zero on the first
-    ``kind.shift_n`` frames."""
+def _soft_kl(kind: DistillLossKind, teacher_model, teacher_lattices: dict, inputs) -> list:
+    """``(loss, backward parts)`` of each soft term's ``(utterance, labels, student
+    pass)`` in ``inputs``, from one soft-KL call: each teacher lattice is built once
+    into ``teacher_lattices`` and shifted against its student lattice, and each
+    gradient takes its student lattice's shape, zero on the first ``kind.shift_n``
+    frames."""
     if not inputs:
         return []
-    teachers, students, label_seqs, caches = zip(*inputs)
+    if teacher_model is None:
+        raise DistillError("soft distillation requires the teacher model")
+    pairs = []
+    for utt, y, (student_lat, _, _) in inputs:
+        key = (utt.utt_id, tuple(y))
+        if key not in teacher_lattices:
+            teacher_lattices[key] = teacher_model.build_lattice(utt.frames, list(y))
+            teacher_lattices[key].log_probs.flags.writeable = False
+        pairs.append(shift_teacher(teacher_lattices[key], student_lat, kind.shift_n))
+    teachers, students = zip(*pairs)
     kls = (soft_kl_full(teachers, students) if kind.kind == LossKind.SOFT_FULL
-           else soft_kl_efficient(teachers, students, label_seqs))
+           else soft_kl_efficient(teachers, students, [list(y) for _, y, _ in inputs]))
     out = []
-    for (loss, g), cache in zip(kls, caches):
+    for (loss, g), (_, _, (_, cache, _)) in zip(kls, inputs):
         grad = np.zeros((kind.shift_n + len(g), *g.shape[1:]))
         grad[kind.shift_n:] = g
         out.append((loss, [(1.0, cache, grad)]))
     return out
 
 
-def _fs_term(passes, seqs, record, kind: DistillLossKind):
+def _fs_term(passes, record, kind: DistillLossKind):
     if not kind.kind.is_norm:
         ((_, cache, (nll, g)),) = passes
         loss, dnll = fs_distill(-record.score, nll, kind.kind.fs_flavor)
         return loss, [(dnll, cache, g)]
-    if len(seqs) < 2:
+    if len(passes) < 2:
         raise DistillError(
             f"normalized full-sum distillation needs an N-best list with "
-            f">= 2 hypotheses, got {len(seqs)} for {record.utt_id}"
+            f">= 2 hypotheses, got {len(passes)} for {record.utt_id}"
         )
     loss, dscores = fs_norm_distill(
         [score for _, score in record.nbest], [-nll for _, _, (nll, _) in passes],
@@ -314,49 +311,37 @@ def _fs_term(passes, seqs, record, kind: DistillLossKind):
     return loss, [(-dscore, cache, g) for dscore, (_, cache, (_, g)) in zip(dscores, passes)]
 
 
-def _utterance_terms(utt, kind: DistillLossKind, config: CombinedLossConfig, n_sup, n_unsup,
-                     pseudo_labels, teacher_model, teacher_lattices):
-    """``(log name, weight, label sequences, full_sum, term)`` of each loss
-    term of ``utt``; ``term(passes, seqs)`` reads the student's pass of each
-    of those sequences, and its full-sum where ``full_sum`` (all but soft)."""
+def _terms(utt, record, kind: DistillLossKind, config: CombinedLossConfig, n_sup, n_unsup):
+    """``(log name, weight, label sequences)`` of each loss term of ``utt``, whose
+    pseudo-label record is ``record`` (None for none)."""
     if utt.labels is not None:
         weight = config.weight_supervised_rnnt
-        return [("supervised_rnnt", weight / n_sup, [utt.labels], True, _rnnt_term)] if weight > 0 else []
-    record = (pseudo_labels or {}).get(utt.utt_id)
+        return [("supervised_rnnt", weight / n_sup, [utt.labels])] if weight > 0 else []
     if record is None:
         if config.weight_hard_on_pseudo > 0 or config.weight_distill > 0:
             raise DistillError(f"no pseudo label for utterance {utt.utt_id}")
         return []
     terms = []
     if config.weight_hard_on_pseudo > 0:
-        terms.append(("hard_on_pseudo", config.weight_hard_on_pseudo / n_unsup, [record.labels],
-                      True, _rnnt_term))
+        terms.append(("hard_on_pseudo", config.weight_hard_on_pseudo / n_unsup, [record.labels]))
     if config.weight_distill > 0 and kind.kind != LossKind.HARD:
         seqs = [labels for labels, _ in record.nbest] if kind.kind.is_norm else [record.labels]
-        term = (partial(_soft_term, teacher_model=teacher_model, teacher_lattices=teacher_lattices,
-                        utt=utt, kind=kind)
-                if kind.kind.is_soft else partial(_fs_term, record=record, kind=kind))
-        terms.append(("distill", config.weight_distill / n_unsup, seqs, not kind.kind.is_soft, term))
+        terms.append(("distill", config.weight_distill / n_unsup, seqs))
     return terms
 
 
-def _sequences(terms, full_sum=False) -> list:
-    """The distinct label sequences that ``terms`` read, in order; with
-    ``full_sum``, those that full-sum terms read."""
-    return list(dict.fromkeys(tuple(y) for _, _, ys, fs, _ in terms if fs or not full_sum
-                              for y in ys))
-
-
-def _run_passes(model, run, predicted) -> list:
-    """Per ``(utterance, terms)`` entry of ``run``, its label sequences' passes
-    ``(lattice, forward cache, (NLL, lattice gradient) or None if no full-sum
-    term reads it)``: one encoder pass per utterance, one batched full-sum."""
-    passes = []
-    for utt, terms in run:
+def _run_passes(model, run, predicted, kind: DistillLossKind) -> list:
+    """Per ``(utterance, record, terms)`` entry of ``run``, its label sequences'
+    passes ``(lattice, forward cache, (NLL, lattice gradient) or None if only a
+    soft term reads it)``: one encoder pass per utterance, one batched full-sum."""
+    passes, keys = [], []
+    for i, (utt, _, terms) in enumerate(run):
         encoded = model.encoder_pass(utt.frames) if terms else None
         passes.append({y: model.forward(utt.frames, list(y), encoded=encoded,
-                                        predicted=predicted[y]) for y in _sequences(terms)})
-    keys = [(i, y) for i, (_, terms) in enumerate(run) for y in _sequences(terms, full_sum=True)]
+                                        predicted=predicted[y])
+                       for y in dict.fromkeys(tuple(y) for _, _, ys in terms for y in ys)})
+        keys.extend(dict.fromkeys((i, tuple(y)) for name, _, ys in terms
+                                  if name != "distill" or not kind.kind.is_soft for y in ys))
     losses = dict(zip(keys, rnnt_losses_with_grad([passes[i][y][0] for i, y in keys],
                                                   [y for _, y in keys])))
     return [{y: (*fwd, losses.get((i, y))) for y, fwd in p.items()} for i, p in enumerate(passes)]
@@ -370,37 +355,46 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
     form the supervised slice, the rest must have a pseudo-label record.
     Per-term means are reported separately for logging.  Gradients are
     accumulated into ``model.grads`` scaled by the term weights, with one
-    ``model.backward`` per term and lattice.  The step's predictor states run
-    side by side once; then each run of utterances that read ``RUN_LATTICES``
-    or more (utterance, label sequence) pairs gets its passes (``_run_passes``)
-    and one soft-KL call, then its terms' backwards in plan order and one
-    ``predictor_backward``.
+    ``model.backward`` per term and lattice.  Each utterance's terms are a
+    table (``_terms``).  The step's predictor states run side by side once;
+    then each run of utterances that read ``RUN_LATTICES`` or more (utterance,
+    label sequence) pairs gets its passes (``_run_passes``) and one soft-KL
+    call over its soft terms (``_soft_kl``), then its terms' backwards in table
+    order and one ``predictor_backward``.
     ``teacher_lattices`` memoizes the frozen teacher's lattices by
     (utt_id, label sequence); one dict may serve every call that uses the
-    same teacher and corpus.
+    same teacher and corpus.  Only a soft kind reads ``teacher_model``.
     """
     teacher_lattices = {} if teacher_lattices is None else teacher_lattices
     sums = {"supervised_rnnt": 0.0, "hard_on_pseudo": 0.0, "distill": 0.0}
     counts = {"supervised_rnnt": 0, "hard_on_pseudo": 0, "distill": 0}
     n_sup = max(sum(1 for u in batch if u.labels is not None), 1)
     n_unsup = max(sum(1 for u in batch if u.labels is None), 1)
-    plan = [(utt, _utterance_terms(utt, kind, config, n_sup, n_unsup, pseudo_labels,
-                                   teacher_model, teacher_lattices)) for utt in batch]
-    seqs = list(dict.fromkeys(y for _, terms in plan for y in _sequences(terms)))
+    records = [(pseudo_labels or {}).get(utt.utt_id) for utt in batch]
+    plan = [(utt, record, _terms(utt, record, kind, config, n_sup, n_unsup))
+            for utt, record in zip(batch, records)]
+    seqs = list(dict.fromkeys(tuple(y) for *_, terms in plan for _, _, ys in terms for y in ys))
     predicted = dict(zip(seqs, model.predictor_states(seqs)))
     run, held, queue = [], 0, []
-    for i, (utt, terms) in enumerate(plan):
-        run.append((utt, terms))
-        held += len(_sequences(terms))
+    for i, (utt, record, terms) in enumerate(plan):
+        run.append((utt, record, terms))
+        held += len({tuple(y) for _, _, ys in terms for y in ys})
         if held < RUN_LATTICES and i < len(plan) - 1:
             continue
-        work = [(utt, name, weight, ys, full_sum, term, [passes[tuple(y)] for y in ys])
-                for (utt, terms), passes in zip(run, _run_passes(model, run, predicted))
-                for name, weight, ys, full_sum, term in terms]
-        soft = iter(_soft_kl(kind, [term(passes, ys) for *_, ys, full_sum, term, passes in work
-                                    if not full_sum]))
-        for utt, name, weight, ys, full_sum, term, passes in work:
-            loss, parts = term(passes, ys) if full_sum else next(soft)
+        by_seq = _run_passes(model, run, predicted, kind)
+        work = [(utt, record, name, weight, ys, [by_seq[j][tuple(y)] for y in ys])
+                for j, (utt, record, terms) in enumerate(run) for name, weight, ys in terms]
+        soft = iter(_soft_kl(kind, teacher_model, teacher_lattices,
+                             [(utt, ys[0], passes[0]) for utt, _, name, _, ys, passes in work
+                              if name == "distill" and kind.kind.is_soft]))
+        for utt, record, name, weight, _, passes in work:
+            if name != "distill":
+                ((_, cache, (loss, g)),) = passes
+                parts = [(1.0, cache, g)]
+            elif kind.kind.is_soft:
+                loss, parts = next(soft)
+            else:
+                loss, parts = _fs_term(passes, record, kind)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(utt.utt_id, loss)
             for scale, cache, g in parts:
@@ -419,13 +413,3 @@ def combined_loss(model, batch, kind: DistillLossKind, config: CombinedLossConfi
         + config.weight_distill * terms["distill"]
     )
     return total, terms
-
-
-def make_loss_fn(kind, config, pseudo_labels=None, teacher_model=None, teacher_lattices=None):
-    """Bind a ``combined_loss`` closure usable with ``model.train_step``."""
-
-    def loss_fn(model, batch):
-        return combined_loss(model, batch, kind, config, pseudo_labels, teacher_model,
-                             teacher_lattices=teacher_lattices)
-
-    return loss_fn

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import parse_json
-from .lattice import Lattice
+from .lattice import Lattice, check_labels
 
 CHECKPOINT_MAGIC = b"TDCKPT01"
 
@@ -148,12 +148,6 @@ class TransducerModel:
             raise ModelError("features contain non-finite values")
         return x
 
-    def _check_labels(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.int64).reshape(-1)
-        if y.size and (y.min() < 0 or y.max() >= self.vocab_size):
-            raise ModelError(f"label out of range for vocab {self.vocab_size}")
-        return y
-
     def encoder_pass(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Input windows, encoder states and their projection ``enc @ joint_enc.T``."""
         xw, enc = self._encoder_states(x)
@@ -162,7 +156,8 @@ class TransducerModel:
     def predictor_states(self, label_seqs) -> list:
         """(states, inputs) of the predictor over BOS + y for each y, side by side:
         stacked vector-matrix products round as the same products one by one."""
-        inputs = [np.concatenate(([self.blank], self._check_labels(y))) for y in label_seqs]
+        inputs = [np.concatenate(([self.blank], check_labels(y, self.vocab_size)))
+                  for y in label_seqs]
         padded = np.full((len(inputs), max(map(len, inputs), default=0)), self.blank)
         for row, seq in zip(padded, inputs):
             row[: len(seq)] = seq

@@ -30,6 +30,7 @@ from transducer_distill.cli import (
 )
 from transducer_distill import cli
 from transducer_distill import decode as decode_mod
+from transducer_distill import distill as distill_mod
 from transducer_distill.decode import DecodeError, read_pseudo_labels, write_pseudo_labels
 from transducer_distill.lattice import LatticeError
 from transducer_distill.model import (
@@ -253,6 +254,26 @@ class TestTrainingLog:
         assert [sorted(r) for r in records] == [["step", "terms", "total"]] * 3
         assert [(r["step"], r["total"], r["terms"]) for r in records] == [
             (step, *result) for step, result in enumerate(results)]
+
+    @pytest.mark.parametrize("command", ["train-teacher", "distill"])
+    def test_each_step_reaches_combined_loss_through_its_module(self, pipeline, tmp_path,
+                                                                monkeypatch, command):
+        # a tracer times the loss by rebinding it in the distill module
+        real, steps = distill_mod.combined_loss, []
+
+        def counting(*args, **kwargs):
+            steps.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(distill_mod, "combined_loss", counting)
+        cfg = smoke_config("distill.kind=soft_efficient")
+        if command == "train-teacher":
+            cmd_train_teacher(cfg, pipeline["data_dir"], root=tmp_path)
+        else:
+            cmd_distill(cfg, pipeline["data_dir"], pipeline["teacher"], pipeline["pseudo"],
+                        root=tmp_path)
+        assert len(steps) == cfg["train"]["steps"] == 5
+        assert all(len(batch) == cfg["train"]["batch_size"] for batch in steps)
 
 
 class TestPseudoLabel:
@@ -1410,7 +1431,8 @@ class TestExitCodes:
         exit_code = cli.main([*(files.get(a, a) for a in args), "--data-dir", str(pipeline["data_dir"]),
                               "--run-root", str(runs), *SMOKE_SET_ARGS])
         assert exit_code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith(f"error: bad {args[-1].split('.')[0]}.encoder "
+                                                  "config: ")
         assert not runs.exists()
 
     @pytest.mark.parametrize("command", ["pseudo-label", "evaluate"])

@@ -542,6 +542,19 @@ class TestCombinedLoss:
                 pseudo_labels=pseudo, teacher_model=teacher,
             )
 
+    @pytest.mark.parametrize("kind", [LossKind.SOFT_FULL, LossKind.SOFT_EFFICIENT])
+    def test_soft_requires_the_teacher_model(self, rng, kind):
+        student = self.build(seed=2)
+        sup = Utterance("s-0", rng.normal(size=(4, 2)), labels=(0, 1))
+        unsup = Utterance("u-0", rng.normal(size=(4, 2)), labels=None)
+        pseudo = {"u-0": PseudoLabelRecord("u-0", [((1,), -1.0)], 0)}
+        student.zero_grad()
+        with pytest.raises(DistillError, match="soft distillation requires the teacher model"):
+            combined_loss(student, [sup, unsup], DistillLossKind(kind, 0),
+                          CombinedLossConfig(1.0, 0.0, 1.0), pseudo_labels=pseudo)
+        # the check runs before any term of the run adds a gradient
+        assert not any(np.any(g) for g in student.grads.values())
+
     def test_fsnorm_needs_a_real_list(self, rng):
         student = self.build(seed=2)
         unsup = Utterance("u-0", rng.normal(size=(4, 2)), labels=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from transducer_distill.lattice import logsumexp, rnnt_loss, rnnt_loss_with_grad
+from transducer_distill.lattice import LatticeError, logsumexp, rnnt_loss, rnnt_loss_with_grad
 from transducer_distill.model import (
     CHECKPOINT_MAGIC,
     SGD,
@@ -188,6 +188,12 @@ class TestBuildLattice:
         m = micro_model()
         lat = m.build_lattice(rng.normal(size=(3, 2)), [])
         assert lat.log_probs.shape == (3, 1, 4)
+
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_label_outside_vocab_rejected(self, rng, label):
+        # the lattice's label check: K = 3 labels take the indices 0 to 2
+        with pytest.raises(LatticeError, match="label out of range for vocab of size 3"):
+            micro_model(vocab=3).forward(rng.normal(size=(3, 2)), [0, label])
 
     def test_deterministic(self, rng):
         m = micro_model()
